@@ -3,9 +3,13 @@
 A square matrix is nilpotent exactly when all of its principal-minor sums
 sigma_1..sigma_n vanish (these are, up to sign, the characteristic
 polynomial's coefficients).  `nilpotency_equations` computes those sums as
-explicit polynomials; `is_nilpotent_bruteforce` independently checks
-J(H)^n = 0 by exact matrix powering, so the two definitions guard each
-other in the test suite.
+explicit polynomials, all at once from the characteristic polynomial of
+J(H) by Berkowitz's division-free recursion (S. J. Berkowitz, Inf. Process.
+Lett. 18, 1984; see `linalg.sigma_polynomials`).  `is_nilpotent_bruteforce`
+independently checks J(H)^n = 0 by exact matrix powering, so the two
+definitions guard each other in the test suite; `linalg.principal_minor_sum`,
+which enumerates the C(n,k) minors explicitly, is kept as a further oracle
+for the sigma polynomials themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .linalg import (
     PolyMatrix,
     RationalMatrix,
     kernel,
-    principal_minor_sum,
+    sigma_polynomials,
 )
 from .poly import Polynomial, PolyMap
 
@@ -140,19 +144,20 @@ def jacobian(H: PolyMap) -> PolyMatrix:
 
 def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
     """All principal-minor sums sigma_1..sigma_n of J(H)."""
-    J = jacobian(H)
-    return NilpotencyReport(
-        [principal_minor_sum(J, k) for k in range(1, H.dimension + 1)]
-    )
+    return NilpotencyReport(sigma_polynomials(jacobian(H)))
 
 
 def is_nilpotent(H: PolyMap) -> bool:
-    """True iff every sigma_k of J(H) vanishes."""
+    """True iff every sigma_k of J(H) vanishes.
+
+    The trace sigma_1 is checked first, so most non-nilpotent maps are
+    rejected without computing the characteristic polynomial.
+    """
+    n = H.dimension
     J = jacobian(H)
-    for k in range(1, H.dimension + 1):
-        if not principal_minor_sum(J, k).is_zero():
-            return False
-    return True
+    if not sum((J[i, i] for i in range(n)), Polynomial.zero(n)).is_zero():
+        return False
+    return all(s.is_zero() for s in sigma_polynomials(J))
 
 
 def is_nilpotent_bruteforce(H: PolyMap) -> bool:

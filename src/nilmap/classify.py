@@ -547,9 +547,13 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
     With h2 = sum b_i H_i, the conditions are the trace, the corrected
     2-minor sum, the 3-minor sum and the 4-minor sum of the Jacobian; all
     higher principal-minor sums vanish identically for this shape (this
-    is asserted, not assumed).
+    is asserted, not assumed).  The assertion takes sigma_5..sigma_n from
+    the characteristic polynomial of the Jacobian, computed by Berkowitz's
+    division-free recursion (`linalg.sigma_polynomials`);
+    `linalg.principal_minor_sum` enumerates the minors explicitly and is
+    kept as the test oracle for it.
     """
-    from .linalg import principal_minor_sum
+    from .linalg import sigma_polynomials
     from .analysis import jacobian
 
     n = H.dimension
@@ -572,12 +576,13 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
         e4 = e4 + H1.partial(i) * (
             Hi.partial(1) * h2.partial(2) - Hi.partial(2) * h2.partial(1)
         )
-    J = jacobian(m)
-    for k in range(5, n + 1):
-        if not principal_minor_sum(J, k).is_zero():
-            raise ConstructionMismatch(
-                f"principal minor sum of size {k} is nonzero for this shape"
-            )
+    if n >= 5:
+        sigma = sigma_polynomials(jacobian(m))
+        for k in range(5, n + 1):
+            if not sigma[k - 1].is_zero():
+                raise ConstructionMismatch(
+                    f"principal minor sum of size {k} is nonzero for this shape"
+                )
     return [e1, e2, e3, e4]
 
 

@@ -2,7 +2,7 @@
 
 One verb per library capability.  Exit codes: 0 success (or checked
 property true), 1 checked property false, 2 parse/validation error,
-3 violated structural guarantee.
+3 violated structural guarantee or failed internal reconstruction.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 
 from . import analysis, classify, generators, tame
 from .errors import (
+    ConstructionMismatch,
     NilmapError,
     NotTriangularizable,
     ParseError,
@@ -387,7 +388,7 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except TheoremViolation as exc:
+    except (TheoremViolation, ConstructionMismatch) as exc:
         print(f"guarantee violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (NilmapError, OSError, json.JSONDecodeError, KeyError) as exc:

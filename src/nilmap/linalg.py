@@ -6,6 +6,13 @@ exact: kernels come from Gauss-Jordan elimination over the rationals,
 polynomial determinants from fraction-free (Bareiss) elimination with a
 cofactor fallback for small sizes, and symbolic rank from fraction-free
 elimination with nonzero polynomial pivots.
+
+The principal-minor sums sigma_1..sigma_n of a polynomial matrix all come
+from one characteristic polynomial, computed by Berkowitz's division-free
+recursion (S. J. Berkowitz, "On computing the determinant in small parallel
+time using a small number of processors", Inf. Process. Lett. 18, 1984) in
+O(n^4) ring operations.  `principal_minor_sum` enumerates the C(n,k) minors
+explicitly; it is kept as the independent oracle for that recursion.
 """
 
 from __future__ import annotations
@@ -145,8 +152,7 @@ class RationalMatrix:
 
 def kernel(m: RationalMatrix) -> list[list[Fraction]]:
     """Basis of the right null space; empty iff the matrix has full column rank."""
-    _, pivots = m.rref()
-    reduced = m.rref()[0]
+    reduced, pivots = m.rref()
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -381,6 +387,52 @@ def principal_minor_sum(m: PolyMatrix, k: int) -> Polynomial:
     for idx in itertools.combinations(range(m.rows), k):
         acc = acc + poly_det(m.submatrix(idx, idx))
     return acc
+
+
+def _dot(xs: Sequence[Polynomial], ys: Sequence[Polynomial], one: Polynomial) -> Polynomial:
+    # sum(x * y) over the pairs, skipping pairs with a zero factor and not
+    # multiplying by a constant-1 factor.
+    acc = None
+    for a, b in zip(xs, ys):
+        if a.is_zero() or b.is_zero():
+            continue
+        p = b if a == one else a if b == one else a * b
+        acc = p if acc is None else acc + p
+    return acc if acc is not None else Polynomial.zero(one.n)
+
+
+def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
+    """All principal-minor sums [sigma_1, ..., sigma_n] of a square matrix.
+
+    With det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n, sigma_k = (-1)^k c_k.
+    The characteristic polynomial comes from Berkowitz's division-free
+    recursion: for M = [[a, R], [C, A]] the coefficients of det(tI - M) are
+    the Toeplitz product of (1, -a, -RC, -RAC, -RA^2C, ...) with those of
+    det(tI - A).  The loop grows A from the bottom-right corner one row and
+    column at a time.  Equal, term for term, to
+    ``[principal_minor_sum(m, k) for k in 1..n]``.
+    """
+    if m.rows != m.cols:
+        raise ShapeError("principal minors need a square matrix")
+    size = m.rows
+    e = m.entries
+    one = Polynomial.const(m.n, 1)
+    # Coefficients of det(tI - A), highest power first, for the trailing
+    # block A = M[k+1:, k+1:].
+    q = [one]
+    for k in range(size - 1, -1, -1):
+        row = e[k][k + 1:]
+        block = [r[k + 1:] for r in e[k + 1:]]
+        col = [r[k] for r in e[k + 1:]]
+        d = size - k
+        t = [one, -e[k][k]]
+        for l in range(2, d + 1):
+            t.append(-_dot(row, col, one))
+            if l < d:
+                col = [_dot(r, col, one) for r in block]
+        # Coefficient i of the product is sum_j t[i - j] * q[j].
+        q = [_dot(t[i::-1], q, one) for i in range(d + 1)]
+    return [q[k] if k % 2 == 0 else -q[k] for k in range(1, size + 1)]
 
 
 def poly_matrix_rank(m: PolyMatrix) -> int:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from nilmap import cli
-from nilmap.errors import TheoremViolation
+from nilmap.errors import ConstructionMismatch, TheoremViolation
 
 
 def write(tmp_path, name, text):
@@ -147,6 +147,20 @@ class TestClassify:
         code, _, err = run(capsys, ["classify", "-f", f])
         assert code == 3
         assert "guarantee violated" in err
+
+    def test_construction_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
+        f = write(tmp_path, "m.txt", "x + y + z^2; -x - y + z; 0")
+
+        def boom(H):
+            raise ConstructionMismatch("synthetic rebuild mismatch")
+
+        monkeypatch.setattr(
+            "nilmap.classify.recognize_canonical_pair", boom
+        )
+        code, out, err = run(capsys, ["classify", "-f", f])
+        assert code == 3
+        assert "synthetic rebuild mismatch" in err
+        assert "Traceback" not in out + err
 
 
 class TestBuildCanonical:

@@ -17,7 +17,10 @@ from nilmap import (
     poly_det,
     poly_matrix_rank,
     principal_minor_sum,
+    sigma_polynomials,
 )
+from nilmap import generators, jacobian
+from nilmap.errors import ShapeError
 from nilmap.linalg import RationalMatrix, _det_bareiss, _det_cofactor
 
 
@@ -192,3 +195,88 @@ class TestPolyMatrix:
         assert (
             poly_matrix_rank(self.J([["0", "0"], ["0", "0"]])) == 0
         )
+
+
+def enumerated_sigmas(m):
+    return [principal_minor_sum(m, k) for k in range(1, m.rows + 1)]
+
+
+class TestSigmaPolynomials:
+    """Berkowitz's characteristic polynomial against explicit enumeration."""
+
+    def J(self, texts, n=3):
+        return PolyMatrix(
+            [[parse_polynomial(t, n) for t in row] for row in texts]
+        )
+
+    def test_hand_computed_3x3(self):
+        m = self.J([["x", "1", "0"], ["0", "y", "1"], ["1", "0", "z"]])
+        assert sigma_polynomials(m) == [
+            parse_polynomial("x + y + z", 3),
+            parse_polynomial("x*y + x*z + y*z", 3),
+            parse_polynomial("x*y*z + 1", 3),
+        ]
+
+    def test_hand_computed_zero_leading_entry(self):
+        m = self.J([["0", "x", "y"], ["1", "0", "z"], ["x", "y", "0"]])
+        assert sigma_polynomials(m) == [
+            parse_polynomial("0", 3),
+            parse_polynomial("-x - x*y - y*z", 3),
+            parse_polynomial("x^2*z + y^2", 3),
+        ]
+        assert sigma_polynomials(m) == enumerated_sigmas(m)
+
+    def test_strictly_triangular_with_zeros(self):
+        m = self.J([["0", "1", "x"], ["0", "0", "y"], ["0", "0", "0"]])
+        assert all(s.is_zero() for s in sigma_polynomials(m))
+        assert sigma_polynomials(m) == enumerated_sigmas(m)
+
+    def test_one_by_one(self):
+        m = self.J([["x^2 - 3"]])
+        assert sigma_polynomials(m) == [parse_polynomial("x^2 - 3", 3)]
+
+    def test_non_square_raises(self):
+        with pytest.raises(ShapeError):
+            sigma_polynomials(self.J([["x", "y"]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_enumeration_on_random_maps(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(8 if n < 5 else 3):
+            H = generators.random_map(rng, n, rng.randint(1, 3))
+            J = jacobian(H)
+            assert sigma_polynomials(J) == enumerated_sigmas(J)
+
+    def test_matches_enumeration_on_nilpotent_maps(self):
+        rng = random.Random(7)
+        for _ in range(12):
+            J = jacobian(generators.random_nilpotent_map(rng, rng.choice([2, 3, 4])))
+            sigma = sigma_polynomials(J)
+            assert sigma == enumerated_sigmas(J)
+            assert all(s.is_zero() for s in sigma)
+
+    def test_matches_sympy_charpoly(self):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:4")
+        lam = sympy.Symbol("lam")
+
+        def to_sympy(p):
+            return sum(
+                (
+                    sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[v**e for v, e in zip(xs, exps)])
+                    for exps, c in p.terms.items()
+                ),
+                sympy.Integer(0),
+            )
+
+        rng = random.Random(23)
+        for _ in range(6):
+            J = jacobian(generators.random_map(rng, 3, rng.randint(1, 3)))
+            coeffs = (
+                sympy.Matrix([[to_sympy(p) for p in row] for row in J.entries])
+                .charpoly(lam)
+                .all_coeffs()
+            )
+            for k, s in enumerate(sigma_polynomials(J), start=1):
+                assert sympy.expand(to_sympy(s) - (-1) ** k * coeffs[k]) == 0
