@@ -25,7 +25,7 @@ from .linalg import (
     kernel,
     sigma_polynomials,
 )
-from .poly import Polynomial, PolyMap
+from .poly import Polynomial, PolyMap, _exact
 
 
 class NilpotencyReport:
@@ -70,7 +70,7 @@ class DependenceCertificate:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[Fraction]):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [_exact(c) for c in coefficients]
         lead = next((c for c in coeffs if c != 0), None)
         if lead is None:
             raise ShapeError("a dependence certificate cannot be all zero")

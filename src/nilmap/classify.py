@@ -46,7 +46,7 @@ from .linalg import (
     elementary_row_add,
     kernel,
 )
-from .poly import Polynomial, PolyMap
+from .poly import Polynomial, PolyMap, _exact
 
 
 class ReductionStatus(enum.Enum):
@@ -755,7 +755,7 @@ def split_dependent_4d(
     coordinate 1 to coordinate 2; the conjugated map has identically zero
     fourth component.
     """
-    lam = Fraction(lam)
+    lam = _exact(lam)
     if not (h.h4 - h.h3.scale(lam)).is_zero():
         raise PreconditionError("h4 must equal lam * h3 exactly")
     T1 = elementary_row_add(4, 3, lam, 4)

@@ -230,7 +230,7 @@ def _verify_suites(rng: random.Random) -> list[tuple[str, bool, str]]:
         try:
             fn()
             results.append((name, True, ""))
-        except TheoremViolation:
+        except (TheoremViolation, ConstructionMismatch):
             raise
         except (AssertionError, NilmapError) as exc:
             results.append((name, False, str(exc)))
@@ -334,7 +334,8 @@ def _cmd_verify(args) -> int:
         for name, ok, detail in results
     ]
     _emit(args, doc, "\n".join(lines))
-    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_FALSE
+    # Every suite asserts a proved guarantee, so a failed suite is a violation.
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:

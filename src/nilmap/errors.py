@@ -18,6 +18,10 @@ class ShapeError(NilmapError):
     """A map or matrix does not have the shape an operation requires."""
 
 
+class InexactValue(NilmapError):
+    """A floating-point number was given where an exact rational is required."""
+
+
 class PreconditionError(NilmapError):
     """A documented precondition of an operation is violated by the input."""
 

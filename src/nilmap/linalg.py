@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, NilmapError, ShapeError
-from .poly import Polynomial
+from .poly import Polynomial, _dot, _exact
 
 
 class RationalMatrix:
@@ -32,7 +32,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]):
-        grid = tuple(tuple(Fraction(v) for v in row) for row in entries)
+        grid = tuple(tuple(_exact(v) for v in row) for row in entries)
         if not grid or not grid[0]:
             raise ShapeError("matrix must have at least one row and column")
         cols = len(grid[0])
@@ -85,7 +85,7 @@ class RationalMatrix:
         if len(vector) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
         return [
-            sum((row[j] * Fraction(vector[j]) for j in range(self.cols)), Fraction(0))
+            sum((row[j] * _exact(vector[j]) for j in range(self.cols)), Fraction(0))
             for row in self.entries
         ]
 
@@ -144,7 +144,7 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str]]) -> "RationalMatrix":
-        return cls([[Fraction(v) for v in row] for row in data])
+        return cls(data)
 
     def __repr__(self):
         return f"RationalMatrix({json.dumps(self.to_json())})"
@@ -236,7 +236,7 @@ def elementary_row_add(n: int, i: int, a, j: int) -> LinearMap:
     """The elementary matrix adding a times row i to row j (1-based, i != j)."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ShapeError(f"need distinct indices in 1..{n}, got {i}, {j}")
-    a = Fraction(a)
+    a = _exact(a)
     fwd = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     back = [row[:] for row in fwd]
     fwd[j - 1][i - 1] = a
@@ -285,17 +285,10 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = Polynomial.zero(self.n)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        columns = list(zip(*other.entries))
+        return PolyMatrix(
+            [[_dot(self.n, row, col) for col in columns] for row in self.entries]
+        )
 
     def power(self, k: int) -> "PolyMatrix":
         if self.rows != self.cols:
@@ -389,18 +382,6 @@ def principal_minor_sum(m: PolyMatrix, k: int) -> Polynomial:
     return acc
 
 
-def _dot(xs: Sequence[Polynomial], ys: Sequence[Polynomial], one: Polynomial) -> Polynomial:
-    # sum(x * y) over the pairs, skipping pairs with a zero factor and not
-    # multiplying by a constant-1 factor.
-    acc = None
-    for a, b in zip(xs, ys):
-        if a.is_zero() or b.is_zero():
-            continue
-        p = b if a == one else a if b == one else a * b
-        acc = p if acc is None else acc + p
-    return acc if acc is not None else Polynomial.zero(one.n)
-
-
 def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
     """All principal-minor sums [sigma_1, ..., sigma_n] of a square matrix.
 
@@ -416,7 +397,8 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
         raise ShapeError("principal minors need a square matrix")
     size = m.rows
     e = m.entries
-    one = Polynomial.const(m.n, 1)
+    n = m.n
+    one = Polynomial.const(n, 1)
     # Coefficients of det(tI - A), highest power first, for the trailing
     # block A = M[k+1:, k+1:].
     q = [one]
@@ -427,11 +409,11 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
         d = size - k
         t = [one, -e[k][k]]
         for l in range(2, d + 1):
-            t.append(-_dot(row, col, one))
+            t.append(-_dot(n, row, col))
             if l < d:
-                col = [_dot(r, col, one) for r in block]
+                col = [_dot(n, r, col) for r in block]
         # Coefficient i of the product is sum_j t[i - j] * q[j].
-        q = [_dot(t[i::-1], q, one) for i in range(d + 1)]
+        q = [_dot(n, t[i::-1], q) for i in range(d + 1)]
     return [q[k] if k % 2 == 0 else -q[k] for k in range(1, size + 1)]
 
 

@@ -6,6 +6,16 @@ empty mapping is the zero polynomial.  All values are immutable after
 construction and every operation is a pure function, so polynomials can be
 shared freely between threads.
 
+The term dict of every Polynomial holds that invariant: each key is a tuple
+of exactly n non-negative ints, each value a nonzero Fraction (never an int,
+and never a float: floats are rejected with InexactValue, because they are
+not exact).  The public constructor checks and normalizes its input.  The
+ring operations build their results through the private
+``Polynomial._trusted``, which takes ownership of a dict that already holds
+the invariant.  Products, substitutions and the sums of products behind
+matrix multiplication (``_dot``) accumulate into one output dict and drop
+its zero coefficients once at the end.
+
 Variable indices in the public API are 1-based (x1..xn), matching the usual
 mathematical notation; exponent tuples are indexed from 0 internally.
 """
@@ -15,9 +25,74 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, NilmapError, ShapeError
+from .errors import DimensionMismatch, InexactValue, NilmapError, ShapeError
 
 Exponent = tuple[int, ...]
+Terms = dict[Exponent, Fraction]
+
+_add_exps = int.__add__
+
+
+def _exact(value) -> Fraction:
+    """The value as a Fraction; floats are rejected, since they are not exact."""
+    if value.__class__ is Fraction:
+        return value
+    if isinstance(value, float):
+        raise InexactValue(
+            f"floating-point value {value!r} given where an exact rational is "
+            f"required; pass an int, a Fraction or a string such as '1/10'"
+        )
+    return Fraction(value)
+
+
+def _mul_into(out: Terms, a: Terms, b: Terms) -> None:
+    """Add the product of the term dicts a and b into out.
+
+    Cancelled sums stay in out as zero coefficients; `_drop_zeros` removes
+    them once the accumulation is complete.
+    """
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(map(_add_exps, ea, eb))
+            old = get(exps)
+            out[exps] = ca * cb if old is None else old + ca * cb
+
+
+def _add_into(out: Terms, a: Terms) -> None:
+    """Add the term dict a into out, leaving cancelled sums as zeros."""
+    get = out.get
+    for exps, c in a.items():
+        old = get(exps)
+        out[exps] = c if old is None else old + c
+
+
+def _drop_zeros(out: Terms) -> Terms:
+    """Delete the zero coefficients of out in place and return it."""
+    for exps in [e for e, c in out.items() if not c]:
+        del out[exps]
+    return out
+
+
+def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
+    """sum(x * y) over the pairs, summed into one term dict.
+
+    A factor equal to the constant 1 adds the other factor's terms instead
+    of multiplying them.
+    """
+    one = {(0,) * n: Fraction(1)}
+    out: Terms = {}
+    for x, y in zip(xs, ys):
+        a, b = x._terms, y._terms
+        if not a or not b:
+            continue
+        if a == one:
+            _add_into(out, b)
+        elif b == one:
+            _add_into(out, a)
+        else:
+            _mul_into(out, a, b)
+    return Polynomial._trusted(n, _drop_zeros(out))
 
 
 def _grlex_key(exps: Exponent):
@@ -44,7 +119,7 @@ class Polynomial:
                     )
                 if any(e < 0 for e in exps):
                     raise ShapeError(f"negative exponent in monomial {exps}")
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff != 0:
                     clean[exps] = coeff
         object.__setattr__(self, "n", n)
@@ -54,6 +129,16 @@ class Polynomial:
     def __setattr__(self, *args):
         raise AttributeError("Polynomial instances are immutable")
 
+    @classmethod
+    def _trusted(cls, n: int, terms: Terms) -> "Polynomial":
+        # Takes ownership of a term dict that already holds the invariant
+        # (exponent tuples of length n, nonzero Fraction values); no checks.
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -62,7 +147,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, n: int, value) -> "Polynomial":
-        return cls(n, {(0,) * n: Fraction(value)})
+        return cls(n, {(0,) * n: _exact(value)})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -74,7 +159,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n: int, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(n, {tuple(exps): Fraction(coeff)})
+        return cls(n, {tuple(exps): _exact(coeff)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -129,16 +214,11 @@ class Polynomial:
         other = self._coerce(other)
         self._require_same_ring(other)
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            new = out.get(exps, Fraction(0)) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return Polynomial(self.n, out)
+        _add_into(out, other._terms)
+        return Polynomial._trusted(self.n, _drop_zeros(out))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -146,16 +226,9 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         self._require_same_ring(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                new = out.get(exps, Fraction(0)) + ca * cb
-                if new:
-                    out[exps] = new
-                else:
-                    out.pop(exps, None)
-        return Polynomial(self.n, out)
+        out: Terms = {}
+        _mul_into(out, self._terms, other._terms)
+        return Polynomial._trusted(self.n, _drop_zeros(out))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -176,15 +249,16 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Polynomial.zero(self.n)
-        return Polynomial(self.n, {e: c * v for e, v in self._terms.items()})
+        return Polynomial._trusted(self.n, {e: c * v for e, v in self._terms.items()})
 
     def _coerce(self, value) -> "Polynomial":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction, float)):
+            # const rejects floats with InexactValue.
             return Polynomial.const(self.n, value)
         return NotImplemented
 
@@ -216,7 +290,7 @@ class Polynomial:
             new = list(exps)
             new[k] = e - 1
             out[tuple(new)] = coeff * e
-        return Polynomial(self.n, out)
+        return Polynomial._trusted(self.n, out)
 
     def integrate(self, i: int) -> "Polynomial":
         """Antiderivative with respect to x_i, constant of integration 0."""
@@ -256,25 +330,31 @@ class Polynomial:
         images: dict[int, Polynomial] = dict(bindings)
         for i in unbound:
             images[i] = Polynomial.variable(m, i)
-        # Cache powers of each image to avoid recomputing them per term.
-        powers: dict[int, list[Polynomial]] = {
-            i: [Polynomial.const(m, 1)] for i in images
-        }
+        # Cache the term dicts of the powers of each image, so that every
+        # power is computed once for the whole substitution.
+        one = {(0,) * m: Fraction(1)}
+        powers: dict[int, list[Terms]] = {i: [one] for i in images}
 
-        def image_power(i: int, e: int) -> Polynomial:
+        def image_power(i: int, e: int) -> Terms:
             cache = powers[i]
             while len(cache) <= e:
-                cache.append(cache[-1] * images[i])
+                product: Terms = {}
+                _mul_into(product, cache[-1], images[i]._terms)
+                cache.append(_drop_zeros(product))
             return cache[e]
 
-        result = Polynomial.zero(m)
+        # Each term coeff * prod_k x_k^e_k becomes coeff times the product of
+        # the image powers; the last factor is multiplied straight into out.
+        out: Terms = {}
         for exps, coeff in self._terms.items():
-            term = Polynomial.const(m, coeff)
-            for k, e in enumerate(exps):
-                if e:
-                    term = term * image_power(k + 1, e)
-            result = result + term
-        return result
+            term = {(0,) * m: coeff}
+            factors = [image_power(k + 1, e) for k, e in enumerate(exps) if e]
+            for factor in factors[:-1]:
+                product = {}
+                _mul_into(product, term, factor)
+                term = _drop_zeros(product)
+            _mul_into(out, term, factors[-1] if factors else one)
+        return Polynomial._trusted(m, _drop_zeros(out))
 
     def coefficients_in(self, i: int) -> list["Polynomial"]:
         """Ascending coefficient list [p_0, ..., p_d] with p = sum p_j x_i^j.
@@ -392,36 +472,6 @@ class Polynomial:
 def _check_index(n: int, i: int):
     if not 1 <= i <= n:
         raise ShapeError(f"variable index {i} out of range 1..{n}")
-
-
-# -- module-level operation aliases ----------------------------------------
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def partial_derivative(p: Polynomial, i: int) -> Polynomial:
-    return p.partial(i)
-
-
-def substitute(p: Polynomial, bindings: Mapping[int, Polynomial]) -> Polynomial:
-    return p.substitute(bindings)
-
-
-def degree_in(p: Polynomial, i: int) -> int:
-    return p.degree_in(i)
-
-
-def coefficients_in(p: Polynomial, i: int) -> list[Polynomial]:
-    return p.coefficients_in(i)
-
-
-def homogeneous_parts(p: Polynomial, subset: Iterable[int]) -> list[Polynomial]:
-    return p.homogeneous_parts(subset)
 
 
 # -- univariate helpers -----------------------------------------------------

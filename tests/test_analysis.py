@@ -23,7 +23,7 @@ from nilmap import (
     poly_matrix_rank,
 )
 from nilmap import generators
-from nilmap.errors import ShapeError
+from nilmap.errors import InexactValue, ShapeError
 
 
 class TestJacobian:
@@ -105,6 +105,10 @@ class TestDependence:
     def test_certificate_normalization(self):
         c = DependenceCertificate([0, -2, 4])
         assert c.coefficients == (Fraction(0), Fraction(1), Fraction(-2))
+
+    def test_float_certificate_rejected(self):
+        with pytest.raises(InexactValue):
+            DependenceCertificate([1, 0.5])
 
     def test_all_zero_certificate_rejected(self):
         with pytest.raises(ShapeError):

@@ -113,6 +113,14 @@ class TestConjugate:
         code, _, _ = run(capsys, ["conjugate", "-f", f, "-m", "nonsense"])
         assert code == 2
 
+    def test_float_matrix_entry_is_invalid_input(self, tmp_path, capsys):
+        f = write(tmp_path, "m.txt", "y; 0")
+        matrix = json.dumps([[0.5, 0], [0, 1]])
+        code, out, err = run(capsys, ["conjugate", "-f", f, "-m", matrix])
+        assert code == 2
+        assert "floating-point" in err
+        assert "Traceback" not in out + err
+
 
 class TestClassify:
     def test_not_nilpotent(self, tmp_path, capsys):
@@ -251,6 +259,26 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["seed"] == 3
         assert all(s["passed"] for s in doc["suites"])
+
+    def test_construction_mismatch_exits_3(self, capsys, monkeypatch):
+        def boom(F):
+            raise ConstructionMismatch("synthetic rebuild mismatch")
+
+        monkeypatch.setattr("nilmap.tame.classify_and_decompose", boom)
+        code, out, err = run(capsys, ["verify"])
+        assert code == 3
+        assert "synthetic rebuild mismatch" in err
+        assert "Traceback" not in out + err
+
+    def test_failed_suite_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "nilmap.analysis.check_divergence_coefficients", lambda u, v: False
+        )
+        code, out, err = run(capsys, ["verify"])
+        assert code == 3
+        assert "[FAIL] divergence coefficients" in out
+        assert out.count("[PASS]") == 6
+        assert "Traceback" not in out + err
 
 
 class TestConsoleScript:

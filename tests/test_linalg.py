@@ -20,7 +20,7 @@ from nilmap import (
     sigma_polynomials,
 )
 from nilmap import generators, jacobian
-from nilmap.errors import ShapeError
+from nilmap.errors import InexactValue, ShapeError
 from nilmap.linalg import RationalMatrix, _det_bareiss, _det_cofactor
 
 
@@ -67,6 +67,23 @@ class TestRationalMatrix:
     def test_json_round_trip(self):
         m = Q([["1/2", 3], [-1, 0]])
         assert RationalMatrix.from_json(m.to_json()) == m
+
+
+class TestFloatRejection:
+    def test_rational_matrix(self):
+        with pytest.raises(InexactValue):
+            RationalMatrix([[1, 0.5], [0, 1]])
+
+    def test_from_json(self):
+        with pytest.raises(InexactValue):
+            RationalMatrix.from_json([[0.5, 0], [0, 1]])
+
+    def test_exact_entries_still_accepted(self):
+        m = RationalMatrix([[1, "1/3"], [Fraction(2, 5), 0]])
+        assert m.entries == (
+            (Fraction(1), Fraction(1, 3)),
+            (Fraction(2, 5), Fraction(0)),
+        )
 
 
 class TestKernel:
@@ -195,6 +212,75 @@ class TestPolyMatrix:
         assert (
             poly_matrix_rank(self.J([["0", "0"], ["0", "0"]])) == 0
         )
+
+
+def ref_matmul(a, b):
+    """Matrix product summed term by term; entries built only through the
+    validating public Polynomial constructor."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            terms = {}
+            for k in range(a.cols):
+                for ea, ca in a[i, k].terms.items():
+                    for eb, cb in b[k, j].terms.items():
+                        e = tuple(x + y for x, y in zip(ea, eb))
+                        terms[e] = terms.get(e, Fraction(0)) + ca * cb
+            row.append(Polynomial(a.n, terms))
+        out.append(row)
+    return PolyMatrix(out)
+
+
+def assert_clean_entries(m):
+    for row in m.entries:
+        for p in row:
+            for exps, coeff in p.terms.items():
+                assert type(exps) is tuple and len(exps) == p.n
+                assert type(coeff) is Fraction and coeff != 0
+
+
+class TestMatmulInvariant:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_products_match_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 4])
+        rows, inner, cols = (rng.randint(1, 3) for _ in range(3))
+
+        def entry():
+            if rng.random() < 0.2:
+                return Polynomial.zero(n)
+            p = generators.random_polynomial(rng, n, 2, terms=3, zero_constant=False)
+            return p.scale(Fraction(1, rng.randint(1, 3)))
+
+        a = PolyMatrix([[entry() for _ in range(inner)] for _ in range(rows)])
+        b = PolyMatrix([[entry() for _ in range(cols)] for _ in range(inner)])
+        got = a * b
+        assert_clean_entries(got)
+        assert got == ref_matmul(a, b)
+
+    def test_cancelling_entries_are_zero(self):
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        a = PolyMatrix([[x, y], [y, x]])
+        b = PolyMatrix([[y, x], [-x, -y]])
+        got = a * b
+        assert_clean_entries(got)
+        assert got == ref_matmul(a, b)
+        assert got[0, 0].is_zero() and got[1, 1].is_zero()
+        assert got[0, 0].terms == {}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nilpotent_jacobian_powers_vanish(self, seed):
+        rng = random.Random(seed)
+        H = generators.random_nilpotent_map(rng, rng.choice([2, 3, 4]))
+        J = jacobian(H)
+        power = J
+        for _ in range(H.dimension - 1):
+            nxt = power * J
+            assert_clean_entries(nxt)
+            assert nxt == ref_matmul(power, J)
+            power = nxt
+        assert power.is_zero()
 
 
 def enumerated_sigmas(m):

@@ -1,11 +1,12 @@
 """Unit tests for the exact polynomial and map arithmetic core."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from nilmap import NilmapError, PolyMap, Polynomial, univariate_gcd
-from nilmap.errors import DimensionMismatch, ShapeError
+from nilmap.errors import DimensionMismatch, InexactValue, ShapeError
 
 
 def P(text, n=3):
@@ -47,6 +48,174 @@ class TestConstruction:
         # `terms` hands out a copy, not the internal dict
         p.terms[(0, 1)] = Fraction(7)
         assert p == Polynomial.variable(2, 1)
+
+
+class TestFloatRejection:
+    def test_constructor(self):
+        with pytest.raises(InexactValue):
+            Polynomial(1, {(1,): 0.1})
+
+    def test_const(self):
+        with pytest.raises(InexactValue):
+            Polynomial.const(2, 0.5)
+
+    def test_monomial(self):
+        with pytest.raises(InexactValue):
+            Polynomial.monomial(2, (1, 0), 2.0)
+
+    def test_scale(self):
+        with pytest.raises(InexactValue):
+            P("x").scale(0.1)
+
+    def test_arithmetic_with_a_float(self):
+        with pytest.raises(InexactValue):
+            P("x") + 0.5
+        with pytest.raises(InexactValue):
+            0.5 * P("x")
+
+    def test_is_a_nilmap_error(self):
+        assert issubclass(InexactValue, NilmapError)
+
+    def test_exact_inputs_still_accepted(self):
+        p = Polynomial(1, {(1,): 1, (2,): Fraction(1, 3), (3,): "1/10"})
+        assert p.terms == {
+            (1,): Fraction(1),
+            (2,): Fraction(1, 3),
+            (3,): Fraction(1, 10),
+        }
+
+
+def assert_clean(p):
+    """Every stored term holds the invariant the trusted constructor assumes."""
+    for exps, coeff in p.terms.items():
+        assert type(exps) is tuple and len(exps) == p.n
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+def random_rational_poly(rng, n, max_degree=3, terms=5):
+    out = {}
+    for _ in range(terms):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(n)] += 1
+        out[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(n, out)
+
+
+# Reference operations: plain dict arithmetic, results built through the
+# validating public constructor only.
+
+def ref_add(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return Polynomial(p.n, out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return Polynomial(p.n, out)
+
+
+def ref_substitute(p, images):
+    m = images[0].n
+    acc = Polynomial(m, {})
+    for exps, coeff in p.terms.items():
+        term = Polynomial(m, {(0,) * m: coeff})
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = ref_mul(term, image)
+        acc = ref_add(acc, term)
+    return acc
+
+
+class TestTrustedInvariant:
+    """Seeded property tests: results built through the trusted path hold
+    the term-dict invariant and equal a term-by-term reference, including
+    inputs whose terms cancel exactly."""
+
+    SEEDS = range(12)
+
+    def pair(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([1, 2, 3, 4])
+        return rng, n, random_rational_poly(rng, n), random_rational_poly(rng, n)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_add_sub_neg(self, seed):
+        _, _, p, q = self.pair(seed)
+        for got, want in [
+            (p + q, ref_add(p, q)),
+            (p - q, ref_add(p, q, -1)),
+            (-p, ref_add(Polynomial(p.n, {}), p, -1)),
+            (p + (-p), Polynomial(p.n, {})),
+            (p - p, Polynomial(p.n, {})),
+            ((p + q) - q, p),
+        ]:
+            assert_clean(got)
+            assert got == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mul(self, seed):
+        _, _, p, q = self.pair(seed)
+        for got, want in [
+            (p * q, ref_mul(p, q)),
+            (p * q - q * p, Polynomial(p.n, {})),
+            ((p + q) * (p - q), ref_add(ref_mul(p, p), ref_mul(q, q), -1)),
+            (p * Polynomial(p.n, {}), Polynomial(p.n, {})),
+        ]:
+            assert_clean(got)
+            assert got == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scale_and_partial(self, seed):
+        rng, n, p, _ = self.pair(seed)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        got = p.scale(c)
+        assert_clean(got)
+        assert got == Polynomial(n, {e: c * v for e, v in p.terms.items()})
+        for i in range(1, n + 1):
+            got = p.partial(i)
+            assert_clean(got)
+            want = {}
+            for e, v in p.terms.items():
+                if e[i - 1]:
+                    d = list(e)
+                    d[i - 1] -= 1
+                    want[tuple(d)] = v * e[i - 1]
+            assert got == Polynomial(n, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_substitute_and_compose(self, seed):
+        rng, n, p, _ = self.pair(seed)
+        images = [random_rational_poly(rng, n, 2, 3) for _ in range(n)]
+        if n > 1:
+            # x1 -> x2 and x2 -> -x1 make the terms of x1*x2-type products
+            # meet with opposite signs.
+            images[0] = Polynomial.variable(n, 2)
+            images[1] = -Polynomial.variable(n, 1)
+        got = p.substitute({i + 1: q for i, q in enumerate(images)})
+        assert_clean(got)
+        assert got == ref_substitute(p, images)
+        F = PolyMap([random_rational_poly(rng, n) for _ in range(n)])
+        G = PolyMap(images)
+        composed = F.compose(G)
+        for got, f in zip(composed, F):
+            assert_clean(got)
+            assert got == ref_substitute(f, images)
+
+    def test_substitute_cancels_to_zero(self):
+        p = P("x*y - y*z", 3)
+        got = p.substitute({1: P("z"), 3: P("x")})
+        assert_clean(got)
+        assert got == P("y*z - x*y", 3)
+        got = P("x - z", 3).substitute({1: P("y"), 3: P("y")})
+        assert got.is_zero() and got.terms == {}
 
 
 class TestArithmetic:
