@@ -207,7 +207,7 @@ def linear_dependence(
     for p in components:
         if p.n != n:
             raise DimensionMismatch("components live in different rings")
-    monomials = sorted({e for p in components for e in p.terms})
+    monomials = sorted({e for p in components for e in p.monomials()})
     if not monomials:
         # All components are zero; any unit vector certifies dependence.
         return DependenceCertificate(

@@ -185,7 +185,7 @@ def certify_dependence(H: FormAInstance) -> DependenceCertificate:
 
 def _dependence_kernel(components: Sequence[Polynomial]) -> list[list[Fraction]]:
     """All kernel basis vectors of the stacked coefficient matrix."""
-    monomials = sorted({e for p in components for e in p.terms})
+    monomials = sorted({e for p in components for e in p.monomials()})
     if not monomials:
         basis = []
         for k in range(len(components)):
@@ -288,7 +288,7 @@ def _extract_canonical_params(Hc: PolyMap) -> CanonicalFormA | None:
     # are a2(z) and -a1(z) times a common univariate factor.
     from .poly import _grlex_key, univariate_gcd
 
-    xy_monomials = {e[:2] for p in (U, V) for e in p.terms}
+    xy_monomials = {e[:2] for p in (U, V) for e in p.monomials()}
     m0 = max(xy_monomials, key=_grlex_key)
     u_m0 = _z_slice(U, m0)
     v_m0 = _z_slice(V, m0)
@@ -391,7 +391,7 @@ def _common_row_direction(rows) -> list[Fraction] | None:
     """A rational (l1, l2) annihilating every gradient row, if one exists."""
     matrix_rows = []
     monomials = sorted(
-        {e for row in rows for p in row for e in p.terms}
+        {e for row in rows for p in row for e in p.monomials()}
     )
     for e in monomials:
         for px, py in rows:

@@ -8,6 +8,7 @@ property true), 1 checked property false, 2 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -338,7 +339,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `run_command` call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="nilmap",
         description="Exact toolkit for polynomial maps with nilpotent Jacobians",

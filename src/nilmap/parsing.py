@@ -21,6 +21,11 @@ from .poly import Polynomial, PolyMap, _grlex_key
 
 DEFAULT_ALIASES = "xyzw"
 
+# Each level of parentheses costs the recursive-descent parser four Python
+# frames; deeper input is rejected before it can exhaust the interpreter's
+# recursion limit.
+MAX_NESTING = 100
+
 
 class _Token:
     __slots__ = ("kind", "value", "line", "column")
@@ -77,6 +82,7 @@ class _Parser:
     def __init__(self, text: str, n: int, aliases: str | None):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.n = n
         self.aliases = aliases
 
@@ -141,8 +147,16 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels",
+                    tok.line,
+                    tok.column,
+                )
             p = self.expression()
             self.expect(")")
+            self.depth -= 1
             return p
         if tok.kind == "int":
             self.advance()
@@ -216,7 +230,7 @@ def format_polynomial(
     else:
         var_names = [f"x{i}" for i in range(1, p.n + 1)]
     pieces = []
-    for exps in sorted(p.terms, key=_grlex_key, reverse=True):
+    for exps in sorted(p.monomials(), key=_grlex_key, reverse=True):
         coeff = p.coefficient(exps)
         mono = _format_monomial(exps, var_names)
         mag = abs(coeff)
@@ -248,9 +262,16 @@ def map_to_document(f: PolyMap, aliases: str | None = DEFAULT_ALIASES) -> dict:
 def map_from_document(doc: dict, aliases: str | None = DEFAULT_ALIASES) -> PolyMap:
     try:
         n = int(doc["n"])
-        components = list(doc["components"])
+        components = doc["components"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed map document: {exc}")
+    if not isinstance(components, (list, tuple)) or not all(
+        isinstance(c, str) for c in components
+    ):
+        raise ParseError(
+            "malformed map document: components must be a list of "
+            "polynomial strings"
+        )
     if len(components) != n:
         raise DimensionMismatch(
             f"document declares n={n} but has {len(components)} components"

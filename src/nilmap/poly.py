@@ -1,20 +1,29 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in n variables is a mapping from exponent tuples (one
-non-negative integer per variable) to nonzero Fraction coefficients.  The
+non-negative integer per variable) to nonzero rational coefficients.  The
 empty mapping is the zero polynomial.  All values are immutable after
 construction and every operation is a pure function, so polynomials can be
 shared freely between threads.
 
 The term dict of every Polynomial holds that invariant: each key is a tuple
-of exactly n non-negative ints, each value a nonzero Fraction (never an int,
-and never a float: floats are rejected with InexactValue, because they are
-not exact).  The public constructor checks and normalizes its input.  The
-ring operations build their results through the private
+of exactly n non-negative ints, each value a nonzero coefficient stored as
+an int when it is integral and as a Fraction only when its denominator is
+not 1 (never a bool, and never a float: floats are rejected with
+InexactValue, because they are not exact).  Almost every coefficient in
+this library is an integer, so the ring operations run on machine ints in
+the common case.  The public accessors (``terms``, ``coefficient``,
+``constant_value``, ``leading_term``) still return Fraction values, and no
+division in this module has two int operands.
+
+Normalization happens in two places.  The public constructor, ``const``,
+``monomial`` and ``scale`` pass their input through ``_coeff``.  The ring
+operations build their results through the private
 ``Polynomial._trusted``, which takes ownership of a dict that already holds
-the invariant.  Products, substitutions and the sums of products behind
-matrix multiplication (``_dot``) accumulate into one output dict and drop
-its zero coefficients once at the end.
+the invariant; products, substitutions and the sums of products behind
+matrix multiplication (``_dot``) accumulate into one output dict, and
+``_drop_zeros`` then deletes its zero coefficients and turns an integral
+Fraction such as (1/2)*2 back into an int.
 
 Variable indices in the public API are 1-based (x1..xn), matching the usual
 mathematical notation; exponent tuples are indexed from 0 internally.
@@ -23,12 +32,13 @@ mathematical notation; exponent tuples are indexed from 0 internally.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 from .errors import DimensionMismatch, InexactValue, NilmapError, ShapeError
 
 Exponent = tuple[int, ...]
-Terms = dict[Exponent, Fraction]
+Coeff = int | Fraction
+Terms = dict[Exponent, Coeff]
 
 _add_exps = int.__add__
 
@@ -43,6 +53,14 @@ def _exact(value) -> Fraction:
             f"required; pass an int, a Fraction or a string such as '1/10'"
         )
     return Fraction(value)
+
+
+def _coeff(value) -> Coeff:
+    """The value in its stored form: an int when integral, else a Fraction."""
+    if value.__class__ is int:
+        return value
+    value = _exact(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _mul_into(out: Terms, a: Terms, b: Terms) -> None:
@@ -68,8 +86,15 @@ def _add_into(out: Terms, a: Terms) -> None:
 
 
 def _drop_zeros(out: Terms) -> Terms:
-    """Delete the zero coefficients of out in place and return it."""
-    for exps in [e for e, c in out.items() if not c]:
+    """Delete the zero coefficients of out in place, demote integral
+    Fractions to ints, and return it."""
+    zeros = []
+    for exps, c in out.items():
+        if not c:
+            zeros.append(exps)
+        elif c.__class__ is not int and c.denominator == 1:
+            out[exps] = c.numerator
+    for exps in zeros:
         del out[exps]
     return out
 
@@ -80,7 +105,7 @@ def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomi
     A factor equal to the constant 1 adds the other factor's terms instead
     of multiplying them.
     """
-    one = {(0,) * n: Fraction(1)}
+    one = {(0,) * n: 1}
     out: Terms = {}
     for x, y in zip(xs, ys):
         a, b = x._terms, y._terms
@@ -106,10 +131,10 @@ class Polynomial:
 
     __slots__ = ("n", "_terms", "_hash")
 
-    def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, n: int, terms: Mapping[Exponent, Coeff] | None = None):
         if n < 1:
             raise ShapeError(f"ambient variable count must be >= 1, got {n}")
-        clean: dict[Exponent, Fraction] = {}
+        clean: Terms = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -119,8 +144,8 @@ class Polynomial:
                     )
                 if any(e < 0 for e in exps):
                     raise ShapeError(f"negative exponent in monomial {exps}")
-                coeff = _exact(coeff)
-                if coeff != 0:
+                coeff = _coeff(coeff)
+                if coeff:
                     clean[exps] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
@@ -132,7 +157,8 @@ class Polynomial:
     @classmethod
     def _trusted(cls, n: int, terms: Terms) -> "Polynomial":
         # Takes ownership of a term dict that already holds the invariant
-        # (exponent tuples of length n, nonzero Fraction values); no checks.
+        # (exponent tuples of length n, nonzero int or non-integral Fraction
+        # values); no checks.
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
@@ -147,7 +173,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, n: int, value) -> "Polynomial":
-        return cls(n, {(0,) * n: _exact(value)})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
@@ -155,17 +181,21 @@ class Polynomial:
         _check_index(n, i)
         exps = [0] * n
         exps[i - 1] = 1
-        return cls(n, {tuple(exps): Fraction(1)})
+        return cls(n, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(n, {tuple(exps): _exact(coeff)})
+        return cls(n, {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(c) for e, c in self._terms.items()}
+
+    def monomials(self) -> KeysView[Exponent]:
+        """The exponent tuples of the nonzero terms, in storage order."""
+        return self._terms.keys()
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -175,10 +205,10 @@ class Polynomial:
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial (0 for absent)."""
-        return self._terms.get((0,) * self.n, Fraction(0))
+        return Fraction(self._terms.get((0,) * self.n, 0))
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._terms.get(tuple(exps), 0))
 
     def total_degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
@@ -212,6 +242,8 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._require_same_ring(other)
         out = dict(self._terms)
         _add_into(out, other._terms)
@@ -221,10 +253,15 @@ class Polynomial:
         return Polynomial._trusted(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._require_same_ring(other)
         out: Terms = {}
         _mul_into(out, self._terms, other._terms)
@@ -234,7 +271,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __rsub__(self, other) -> "Polynomial":
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -249,10 +289,11 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = _exact(c)
-        if c == 0:
+        c = _coeff(c)
+        if not c:
             return Polynomial.zero(self.n)
-        return Polynomial._trusted(self.n, {e: c * v for e, v in self._terms.items()})
+        out = {e: c * v for e, v in self._terms.items()}
+        return Polynomial._trusted(self.n, _drop_zeros(out))
 
     def _coerce(self, value) -> "Polynomial":
         if isinstance(value, Polynomial):
@@ -282,7 +323,7 @@ class Polynomial:
         """Formal partial derivative with respect to x_i."""
         _check_index(self.n, i)
         k = i - 1
-        out: dict[Exponent, Fraction] = {}
+        out: Terms = {}
         for exps, coeff in self._terms.items():
             e = exps[k]
             if e == 0:
@@ -290,17 +331,17 @@ class Polynomial:
             new = list(exps)
             new[k] = e - 1
             out[tuple(new)] = coeff * e
-        return Polynomial._trusted(self.n, out)
+        return Polynomial._trusted(self.n, _drop_zeros(out))
 
     def integrate(self, i: int) -> "Polynomial":
         """Antiderivative with respect to x_i, constant of integration 0."""
         _check_index(self.n, i)
         k = i - 1
-        out: dict[Exponent, Fraction] = {}
+        out: Terms = {}
         for exps, coeff in self._terms.items():
             new = list(exps)
             new[k] += 1
-            out[tuple(new)] = coeff / new[k]
+            out[tuple(new)] = Fraction(coeff, new[k])
         return Polynomial(self.n, out)
 
     def substitute(self, bindings: Mapping[int, "Polynomial"]) -> "Polynomial":
@@ -332,7 +373,7 @@ class Polynomial:
             images[i] = Polynomial.variable(m, i)
         # Cache the term dicts of the powers of each image, so that every
         # power is computed once for the whole substitution.
-        one = {(0,) * m: Fraction(1)}
+        one = {(0,) * m: 1}
         powers: dict[int, list[Terms]] = {i: [one] for i in images}
 
         def image_power(i: int, e: int) -> Terms:
@@ -368,7 +409,7 @@ class Polynomial:
             return []
         k = i - 1
         d = self.degree_in(i)
-        buckets: list[dict[Exponent, Fraction]] = [{} for _ in range(d + 1)]
+        buckets: list[Terms] = [{} for _ in range(d + 1)]
         for exps, coeff in self._terms.items():
             e = exps[k]
             flat = list(exps)
@@ -389,7 +430,7 @@ class Polynomial:
             _check_index(self.n, i)
         if not self._terms:
             return [Polynomial.zero(self.n)]
-        graded: dict[int, dict[Exponent, Fraction]] = {}
+        graded: dict[int, Terms] = {}
         for exps, coeff in self._terms.items():
             deg = sum(exps[i - 1] for i in indices)
             graded.setdefault(deg, {})[exps] = coeff
@@ -418,7 +459,7 @@ class Polynomial:
                 f"polynomial involves variables {sorted(extra)} outside {variables}"
             )
         m = len(variables)
-        out: dict[Exponent, Fraction] = {}
+        out: Terms = {}
         for exps, coeff in self._terms.items():
             out[tuple(exps[i - 1] for i in variables)] = coeff
         return Polynomial(m, out)
@@ -428,7 +469,7 @@ class Polynomial:
         positions = list(positions)
         if len(positions) != self.n:
             raise DimensionMismatch("need one target position per variable")
-        out: dict[Exponent, Fraction] = {}
+        out: Terms = {}
         for exps, coeff in self._terms.items():
             new = [0] * n
             for k, e in enumerate(exps):
@@ -443,7 +484,7 @@ class Polynomial:
         if not self._terms:
             raise NilmapError("the zero polynomial has no leading term")
         exps = max(self._terms, key=_grlex_key)
-        return exps, self._terms[exps]
+        return exps, Fraction(self._terms[exps])
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises if the division has a remainder."""

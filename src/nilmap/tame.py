@@ -246,7 +246,7 @@ def _component_mixing_kernel(H: PolyMap) -> list[Fraction] | None:
         for k in (1, 2)
     ]
     monomials = sorted(
-        {e for pair in equations for p in pair for e in p.terms}
+        {e for pair in equations for p in pair for e in p.monomials()}
     )
     if not monomials:
         return [Fraction(1), Fraction(0)]

@@ -65,6 +65,38 @@ class TestInputHandling:
         code, _, _ = run(capsys, ["nilpotent", "-f", f, "--var-alias", "ab"])
         assert code == 1
 
+    def test_deeply_nested_parentheses(self, tmp_path, capsys):
+        f = write(tmp_path, "m.txt", "(" * 3000 + "x" + ")" * 3000)
+        code, out, err = run(capsys, ["nilpotent", "-f", f])
+        assert code == 2
+        assert "nested deeper" in err
+        assert "Traceback" not in out + err
+
+    def test_json_document_with_non_string_component(self, tmp_path, capsys):
+        f = write(tmp_path, "m.json", json.dumps({"n": 1, "components": [5]}))
+        code, out, err = run(capsys, ["nilpotent", "-f", f])
+        assert code == 2
+        assert "malformed map document" in err
+        assert "Traceback" not in out + err
+
+    def test_repeated_calls_in_one_process(self, tmp_path, capsys):
+        # The argument parser is built once and shared by every call; a
+        # failing call must leave nothing behind for the next one.
+        good = write(tmp_path, "good.txt", "z^2; x*z; 0")
+        bad = write(tmp_path, "bad.txt", "x + ; y")
+        assert run(capsys, ["nilpotent", "-f", bad])[0] == 2
+        code, out, _ = run(capsys, ["nilpotent", "-f", good, "--json"])
+        assert code == 0
+        assert json.loads(out)["nilpotent"] is True
+        with pytest.raises(SystemExit) as info:
+            cli.run_command(["nilpotent", "--no-such-option"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, ["nilpotent", "-f", good])
+        assert code == 0
+        assert not out.lstrip().startswith("{")
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestJacobianRankDepend:
     def test_jacobian(self, tmp_path, capsys):

@@ -233,11 +233,16 @@ def ref_matmul(a, b):
 
 
 def assert_clean_entries(m):
+    """Every stored coefficient is a nonzero int or a Fraction whose
+    denominator is not 1; the public `terms` still hands out Fractions."""
     for row in m.entries:
         for p in row:
-            for exps, coeff in p.terms.items():
+            for exps, coeff in p._terms.items():
                 assert type(exps) is tuple and len(exps) == p.n
-                assert type(coeff) is Fraction and coeff != 0
+                assert type(coeff) in (int, Fraction) and coeff != 0
+                if type(coeff) is Fraction:
+                    assert coeff.denominator != 1
+            assert all(type(c) is Fraction for c in p.terms.values())
 
 
 class TestMatmulInvariant:
@@ -258,6 +263,16 @@ class TestMatmulInvariant:
         got = a * b
         assert_clean_entries(got)
         assert got == ref_matmul(a, b)
+
+    def test_integral_products_of_fractions_are_ints(self):
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        half = Fraction(1, 2)
+        a = PolyMatrix([[x.scale(half), y.scale(half)]])
+        b = PolyMatrix([[Polynomial.const(2, 2)], [y.scale(4)]])
+        got = a * b
+        assert_clean_entries(got)
+        assert got == ref_matmul(a, b)
+        assert got[0, 0]._terms == {(1, 0): 1, (0, 2): 2}
 
     def test_cancelling_entries_are_zero(self):
         x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)

@@ -73,6 +73,16 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_polynomial("z", 2)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        from nilmap.parsing import MAX_NESTING
+
+        ok = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_polynomial(ok, 3) == Polynomial.variable(3, 1)
+        for depth in (MAX_NESTING + 1, 3000):
+            with pytest.raises(ParseError) as info:
+                parse_polynomial("(" * depth + "x" + ")" * depth, 3)
+            assert info.value.column == MAX_NESTING + 1
+
 
 class TestFormatting:
     def test_graded_lex_descending(self):
@@ -142,3 +152,10 @@ class TestMapSerialization:
     def test_document_rejects_missing_keys(self):
         with pytest.raises(ParseError):
             map_from_document({"components": ["x"]})
+
+    @pytest.mark.parametrize(
+        "components", [[5], ["x", None], [["x"]], "x", {"x": 1}, 5]
+    )
+    def test_document_rejects_non_string_components(self, components):
+        with pytest.raises(ParseError):
+            map_from_document({"n": 1, "components": components})

@@ -86,11 +86,21 @@ class TestFloatRejection:
 
 
 def assert_clean(p):
-    """Every stored term holds the invariant the trusted constructor assumes."""
-    for exps, coeff in p.terms.items():
+    """Every stored term holds the invariant the trusted constructor assumes:
+    a nonzero int, or a Fraction whose denominator is not 1 (never a float
+    or a bool).  The public accessors still hand out Fractions."""
+    for exps, coeff in p._terms.items():
         assert type(exps) is tuple and len(exps) == p.n
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) in (int, Fraction) and coeff != 0
+        if type(coeff) is Fraction:
+            assert coeff.denominator != 1
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction
+        assert type(p.coefficient(exps)) is Fraction
+    assert type(p.constant_value()) is Fraction
+    if not p.is_zero():
+        assert type(p.leading_term()[1]) is Fraction
 
 
 def random_rational_poly(rng, n, max_degree=3, terms=5):
@@ -216,6 +226,95 @@ class TestTrustedInvariant:
         assert got == P("y*z - x*y", 3)
         got = P("x - z", 3).substitute({1: P("y"), 3: P("y")})
         assert got.is_zero() and got.terms == {}
+
+
+class TestStoredForm:
+    """Integral coefficients are stored as ints, also when a Fraction
+    product or sum turns out integral; the public accessors return
+    Fractions whatever the stored form."""
+
+    def test_integral_fraction_products_are_demoted(self):
+        half_x = Polynomial.monomial(2, (1, 0), Fraction(1, 2))
+        for got in [
+            half_x * 2,
+            2 * half_x,
+            half_x + half_x,
+            half_x * Polynomial.monomial(2, (0, 1), Fraction(2)),
+            Polynomial.monomial(2, (1, 0), 3).scale(Fraction(1, 3)),
+            Polynomial.monomial(2, (1, 0), Fraction(1, 3)).scale(3),
+            Polynomial.monomial(2, (2, 0), Fraction(1, 2)).partial(1),
+            Polynomial.monomial(2, (2, 0), Fraction(1, 2)).substitute(
+                {1: Polynomial.variable(2, 2).scale(2)}
+            ),
+        ]:
+            assert_clean(got)
+            assert all(type(c) is int for c in got._terms.values())
+
+    def test_constructor_normalizes(self):
+        p = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): True, (0, 0): "3/6"})
+        assert_clean(p)
+        assert p._terms == {(1, 0): 2, (0, 1): 1, (0, 0): Fraction(1, 2)}
+        assert_clean(Polynomial.const(2, Fraction(6, 3)))
+        assert_clean(Polynomial.monomial(2, (1, 1), Fraction(-5, 1)))
+
+    def test_public_accessors_return_fractions(self):
+        p = P("3*x^2 - y + 1/2")
+        assert_clean(p)
+        assert p.terms[(2, 0, 0)] == 3
+        assert type(p.coefficient((0, 0, 1))) is Fraction
+        assert type(P("x").constant_value()) is Fraction
+        assert p.leading_term() == ((2, 0, 0), Fraction(3))
+        assert set(p.monomials()) == set(p.terms)
+
+    def test_equality_and_hash_ignore_the_stored_form(self):
+        a = Polynomial.monomial(1, (1,), Fraction(1, 2)) * 2
+        b = Polynomial(1, {(1,): Fraction(1)})
+        assert a == b == Polynomial.variable(1, 1)
+        assert hash(a) == hash(b)
+        assert Polynomial.const(1, 3) == 3 == Polynomial.const(1, Fraction(3))
+
+    def test_integrate_of_integers_is_exact(self):
+        got = P("x^2*y + 3*z").integrate(1)
+        assert_clean(got)
+        assert got == P("1/3*x^3*y + 3*x*z")
+        assert got._terms[(3, 1, 0)] == Fraction(1, 3)
+
+    def test_exact_div_of_integers_is_exact(self):
+        got = P("2*x^2 - 2*y^2").exact_div(P("4*x - 4*y"))
+        assert_clean(got)
+        assert got == P("1/2*x + 1/2*y")
+
+    def test_univariate_gcd_of_integers_is_exact(self):
+        x = Polynomial.variable(1, 1)
+        one = Polynomial.const(1, 1)
+        p = (x.scale(2) + one.scale(3)) * (x + one)
+        q = (x.scale(2) + one.scale(3)) * x.scale(5)
+        g = univariate_gcd(p, q)
+        assert_clean(g)
+        assert g == x + Polynomial.const(1, Fraction(3, 2))
+
+
+class TestNonNumericOperands:
+    """Arithmetic with a non-number is Python's TypeError, not an internal
+    AttributeError."""
+
+    def test_add_none(self):
+        p = Polynomial.variable(1, 1)
+        with pytest.raises(TypeError):
+            p + None
+        with pytest.raises(TypeError):
+            None + p
+
+    def test_mul_str(self):
+        with pytest.raises(TypeError):
+            Polynomial.variable(1, 1) * "a"
+
+    def test_sub_str(self):
+        p = Polynomial.variable(1, 1)
+        with pytest.raises(TypeError):
+            "a" - p
+        with pytest.raises(TypeError):
+            p - "a"
 
 
 class TestArithmetic:
