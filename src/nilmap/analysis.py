@@ -18,14 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError, ShapeError
-from .linalg import (
-    LinearMap,
-    PolyMatrix,
-    RationalMatrix,
-    kernel,
-    sigma_polynomials,
-)
-from .poly import Polynomial, PolyMap, _exact
+from .linalg import LinearMap, PolyMatrix, coefficient_kernel, sigma_polynomials
+from .poly import Polynomial, PolyMap, _combination, _exact
 
 
 class NilpotencyReport:
@@ -93,10 +87,8 @@ class DependenceCertificate:
         """Check sum(lambda_i * components_i) = 0 exactly."""
         if len(components) != len(self.coefficients):
             raise DimensionMismatch("certificate length does not match components")
-        acc = Polynomial.zero(components[0].n)
-        for lam, p in zip(self.coefficients, components):
-            acc = acc + p.scale(lam)
-        return acc.is_zero()
+        n = components[0].n
+        return _combination(n, self.coefficients, components).is_zero()
 
     def to_json(self) -> dict:
         return {"coefficients": [str(c) for c in self.coefficients]}
@@ -172,24 +164,10 @@ def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:
         raise DimensionMismatch(
             f"conjugating a {n}-dimensional map by a {T.dimension}x{T.dimension} matrix"
         )
-    bindings = {}
-    for j in range(1, n + 1):
-        row = Polynomial.zero(n)
-        for m in range(1, n + 1):
-            c = T.matrix[j - 1, m - 1]
-            if c:
-                row = row + Polynomial.variable(n, m).scale(c)
-        bindings[j] = row
-    composed = [p.substitute(bindings) for p in H.components]
-    out = []
-    for i in range(n):
-        acc = Polynomial.zero(n)
-        for k in range(n):
-            c = T.inverse[i, k]
-            if c:
-                acc = acc + composed[k].scale(c)
-        out.append(acc)
-    return PolyMap(out)
+    # Each component of T^-1 (H o T) is one integer combination of the
+    # components of H o T, divided once by its row's common denominator.
+    composed = H.compose(T.as_poly_map()).components
+    return PolyMap([_combination(n, row, composed) for row in T.inverse.entries])
 
 
 def linear_dependence(
@@ -207,16 +185,7 @@ def linear_dependence(
     for p in components:
         if p.n != n:
             raise DimensionMismatch("components live in different rings")
-    monomials = sorted({e for p in components for e in p.monomials()})
-    if not monomials:
-        # All components are zero; any unit vector certifies dependence.
-        return DependenceCertificate(
-            [Fraction(1)] + [Fraction(0)] * (len(components) - 1)
-        )
-    matrix = RationalMatrix(
-        [[p.coefficient(e) for p in components] for e in monomials]
-    )
-    basis = kernel(matrix)
+    basis = coefficient_kernel([components])
     if not basis:
         return None
     return DependenceCertificate(basis[0])

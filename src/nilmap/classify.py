@@ -42,9 +42,9 @@ from .errors import (
 from .linalg import (
     LinearMap,
     RationalMatrix,
+    coefficient_kernel,
     elementary_permutation,
     elementary_row_add,
-    kernel,
 )
 from .poly import Polynomial, PolyMap, _exact
 
@@ -183,22 +183,6 @@ def certify_dependence(H: FormAInstance) -> DependenceCertificate:
     return cert
 
 
-def _dependence_kernel(components: Sequence[Polynomial]) -> list[list[Fraction]]:
-    """All kernel basis vectors of the stacked coefficient matrix."""
-    monomials = sorted({e for p in components for e in p.monomials()})
-    if not monomials:
-        basis = []
-        for k in range(len(components)):
-            vec = [Fraction(0)] * len(components)
-            vec[k] = Fraction(1)
-            basis.append(vec)
-        return basis
-    matrix = RationalMatrix(
-        [[p.coefficient(e) for p in components] for e in monomials]
-    )
-    return kernel(matrix)
-
-
 def _complete_to_basis(lam: Sequence[Fraction]) -> RationalMatrix | None:
     """Invertible matrix with last row lam, completed by the two
     smallest-index unit vectors that keep it invertible."""
@@ -241,7 +225,7 @@ def recognize_canonical_pair(
         return None
     if not is_nilpotent(H):
         return None
-    basis = _dependence_kernel(H.components)
+    basis = coefficient_kernel([H.components])
     if not basis:
         raise TheoremViolation(
             "components are linearly independent despite guaranteed dependence",
@@ -389,19 +373,8 @@ def _z_coefficient(p: Polynomial, d: int) -> Polynomial:
 
 def _common_row_direction(rows) -> list[Fraction] | None:
     """A rational (l1, l2) annihilating every gradient row, if one exists."""
-    matrix_rows = []
-    monomials = sorted(
-        {e for row in rows for p in row for e in p.monomials()}
-    )
-    for e in monomials:
-        for px, py in rows:
-            matrix_rows.append([px.coefficient(e), py.coefficient(e)])
-    if not matrix_rows:
-        return [Fraction(1), Fraction(0)]
-    basis = kernel(RationalMatrix(matrix_rows))
-    if not basis:
-        return None
-    return basis[0]
+    basis = coefficient_kernel(rows)
+    return basis[0] if basis else None
 
 
 def normalize_low_z_degree(

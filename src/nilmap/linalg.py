@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals and over the polynomial ring.
 
-Rational matrices are dense grids of Fraction; polynomial matrices are dense
-grids of Polynomial sharing one ambient ring.  Everything is immutable and
-exact: kernels come from Gauss-Jordan elimination over the rationals,
-polynomial determinants from fraction-free (Bareiss) elimination with a
-cofactor fallback for small sizes, and symbolic rank from fraction-free
+Rational matrices are dense grids of exact rationals, each entry stored as
+an int when it is integral and as a Fraction otherwise; polynomial matrices
+are dense grids of Polynomial sharing one ambient ring.  Everything is
+immutable and exact.  Reduced row echelon forms, and through them kernels
+and inverses, come from one fraction-free Gauss-Jordan elimination
+(`_rref_den`): each row's denominators are cleared, the elimination runs on
+ints, and the result is divided by the last pivot once, at the end.
+Polynomial determinants come from fraction-free (Bareiss) elimination with
+a cofactor fallback for small sizes, and symbolic rank from fraction-free
 elimination with nonzero polynomial pivots.
 
 The principal-minor sums sigma_1..sigma_n of a polynomial matrix all come
@@ -20,19 +24,24 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatch, NilmapError, ShapeError
-from .poly import Polynomial, _dot, _exact
+from .errors import DimensionMismatch, NilmapError, ParseError, ShapeError
+from .poly import PolyMap, Polynomial, _clear_denominators, _coeff, _dot, _exact
 
 
 class RationalMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix with exact rational entries.
+
+    Each entry is stored as an int when it is integral and as a Fraction
+    otherwise (`poly._coeff`); indexing hands out Fractions.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[Fraction]]):
-        grid = tuple(tuple(_exact(v) for v in row) for row in entries)
+        grid = tuple(tuple(_coeff(v) for v in row) for row in entries)
         if not grid or not grid[0]:
             raise ShapeError("matrix must have at least one row and column")
         cols = len(grid[0])
@@ -47,13 +56,11 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self.entries[i][j])
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -68,86 +75,117 @@ class RationalMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        columns = list(zip(*other.entries))
         return RationalMatrix(
-            [
-                [
-                    sum(
-                        (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                        Fraction(0),
-                    )
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
+            [[sum(map(mul, row, col)) for col in columns] for row in self.entries]
         )
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return [
-            sum((row[j] * _exact(vector[j]) for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        ]
+        vector = [_coeff(v) for v in vector]
+        return [Fraction(sum(map(mul, row, vector))) for row in self.entries]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return RationalMatrix(list(zip(*self.entries)))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
+        return self.rows == self.cols and all(
+            v == (1 if i == j else 0)
+            for i, row in enumerate(self.entries)
+            for j, v in enumerate(row)
+        )
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse via Gauss-Jordan; raises on singular matrices."""
+        """Exact inverse: the right half of the reduced [A | I]; raises on
+        singular matrices."""
         if self.rows != self.cols:
             raise ShapeError("only square matrices can be inverted")
         n = self.rows
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise NilmapError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = Fraction(1) / work[col][col]
-            work[col] = [v * inv for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return RationalMatrix([row[n:] for row in work])
+        work = [
+            _clear_denominators(row + tuple(int(i == j) for j in range(n)))[0]
+            for i, row in enumerate(self.entries)
+        ]
+        den, pivots = _rref_den(work)
+        if pivots != list(range(n)):
+            raise NilmapError("matrix is singular")
+        return RationalMatrix([_divided(row[n:], den) for row in work])
 
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row echelon form plus the pivot column indices."""
-        work = [list(row) for row in self.entries]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.cols):
-            if r == self.rows:
-                break
-            pivot = next((i for i in range(r, self.rows) if work[i][col] != 0), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = Fraction(1) / work[r][col]
-            work[r] = [v * inv for v in work[r]]
-            for i in range(self.rows):
-                if i != r and work[i][col] != 0:
-                    factor = work[i][col]
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-            pivots.append(col)
-            r += 1
-        return RationalMatrix(work), pivots
+        work = [_clear_denominators(row)[0] for row in self.entries]
+        den, pivots = _rref_den(work)
+        return RationalMatrix([_divided(row, den) for row in work]), pivots
 
     def to_json(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
 
     @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> "RationalMatrix":
-        return cls(data)
+    def from_json(cls, data) -> "RationalMatrix":
+        """The matrix written by `to_json`: a list of rows whose entries are
+        integers or strings such as "-3/4".  Any other shape or entry is a
+        ParseError (a float an InexactValue)."""
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ParseError("malformed matrix: expected a list of rows")
+        return cls([[_json_entry(v) for v in row] for row in data])
 
     def __repr__(self):
         return f"RationalMatrix({json.dumps(self.to_json())})"
+
+
+def _json_entry(value):
+    if value.__class__ in (int, float):
+        # `RationalMatrix` rejects floats with InexactValue.
+        return value
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(
+        f"malformed matrix entry {value!r}: expected an integer or a string "
+        f"such as '-3/4'"
+    )
+
+
+def _rref_den(work: list[list[int]]) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns (den, pivots).  Afterwards row r < len(pivots) is den times row
+    r of the reduced row echelon form and every other row is zero.  Each
+    step with pivot row P and pivot P[col] replaces every other row by
+    (P[col] * row - row[col] * P) // den, rows with row[col] = 0 included,
+    and then makes P[col] the new den.  All entries stay integer minors of
+    the input (Nakos, Turner, Williams, "Fraction-free algorithms for
+    linear and polynomial equations", SIGSAM Bull. 31(3), 1997), so every
+    // is exact.
+    """
+    rows, cols = len(work), len(work[0])
+    den = 1
+    pivots: list[int] = []
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        prow = work[r]
+        p = prow[col]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[col]
+                work[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+        den = p
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    return den, pivots
+
+
+def _divided(values: list[int], den: int) -> list[int | Fraction]:
+    """The values over den, each in stored form."""
+    return [v // den if not v % den else Fraction(v, den) for v in values]
 
 
 def kernel(m: RationalMatrix) -> list[list[Fraction]]:
@@ -159,9 +197,30 @@ def kernel(m: RationalMatrix) -> list[list[Fraction]]:
         vec = [Fraction(0)] * m.cols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.entries[r][fc]
+            vec[pc] = Fraction(-reduced.entries[r][fc])
         basis.append(vec)
     return basis
+
+
+def coefficient_kernel(
+    equations: Sequence[Sequence[Polynomial]],
+) -> list[list[Fraction]]:
+    """Basis of the rational vectors lam with sum_j lam[j] * eq[j] = 0 for
+    every equation eq (all equations of one length).
+
+    Each monomial of an equation gives one row of a coefficient matrix,
+    whose `kernel` this is; when every polynomial is zero, the basis is the
+    unit vectors.
+    """
+    rows = [
+        [p._terms.get(e, 0) for p in eq]
+        for eq in equations
+        for e in {e for p in eq for e in p.monomials()}
+    ]
+    if not rows:
+        size = len(equations[0])
+        return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    return kernel(RationalMatrix(rows))
 
 
 class LinearMap:
@@ -212,6 +271,17 @@ class LinearMap:
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         return self.matrix.apply(vector)
 
+    def as_poly_map(self) -> PolyMap:
+        """The linear polynomial map x -> Mx."""
+        n = self.dimension
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        return PolyMap(
+            [
+                Polynomial._trusted(n, {e: c for e, c in zip(units, row) if c})
+                for row in self.matrix.entries
+            ]
+        )
+
     def is_identity(self) -> bool:
         return self.matrix.is_identity()
 
@@ -226,7 +296,7 @@ def elementary_permutation(n: int, i: int, j: int) -> LinearMap:
     """The permutation matrix interchanging coordinates i and j (1-based)."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ShapeError(f"need distinct indices in 1..{n}, got {i}, {j}")
-    grid = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    grid = [[int(r == c) for c in range(n)] for r in range(n)]
     grid[i - 1], grid[j - 1] = grid[j - 1], grid[i - 1]
     m = RationalMatrix(grid)
     return LinearMap(m, m)
@@ -237,7 +307,7 @@ def elementary_row_add(n: int, i: int, a, j: int) -> LinearMap:
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ShapeError(f"need distinct indices in 1..{n}, got {i}, {j}")
     a = _exact(a)
-    fwd = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    fwd = [[int(r == c) for c in range(n)] for r in range(n)]
     back = [row[:] for row in fwd]
     fwd[j - 1][i - 1] = a
     back[j - 1][i - 1] = -a

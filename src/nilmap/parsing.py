@@ -261,10 +261,12 @@ def map_to_document(f: PolyMap, aliases: str | None = DEFAULT_ALIASES) -> dict:
 
 def map_from_document(doc: dict, aliases: str | None = DEFAULT_ALIASES) -> PolyMap:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         components = doc["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed map document: {exc}")
+    if n.__class__ is not int:
+        raise ParseError(f"malformed map document: n must be an integer, got {n!r}")
     if not isinstance(components, (list, tuple)) or not all(
         isinstance(c, str) for c in components
     ):

@@ -32,6 +32,7 @@ mathematical notation; exponent tuples are indexed from 0 internally.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, KeysView, Mapping, Sequence
 
 from .errors import DimensionMismatch, InexactValue, NilmapError, ShapeError
@@ -117,6 +118,45 @@ def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomi
             _add_into(out, a)
         else:
             _mul_into(out, a, b)
+    return Polynomial._trusted(n, _drop_zeros(out))
+
+
+def _clear_denominators(values: Iterable[Coeff]) -> tuple[list[int], int]:
+    """(ints, den): den is the lcm of the values' denominators and
+    ints[k] == values[k] * den, an int for values in stored form."""
+    values = list(values)
+    den = 1
+    for v in values:
+        if v.__class__ is not int:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return values, 1
+    return [
+        v * den if v.__class__ is int else v.numerator * (den // v.denominator)
+        for v in values
+    ], den
+
+
+def _combination(
+    n: int, coeffs: Sequence[Coeff], polys: Sequence[Polynomial]
+) -> Polynomial:
+    """sum(c * p) over the pairs, summed into one term dict.
+
+    The coefficients' denominators are cleared first, so the sum runs on
+    integer multiples, and their lcm is divided out once per term.
+    """
+    ints, den = _clear_denominators(coeffs)
+    out: Terms = {}
+    get = out.get
+    for a, p in zip(ints, polys):
+        if not a:
+            continue
+        for exps, c in p._terms.items():
+            old = get(exps)
+            out[exps] = a * c if old is None else old + a * c
+    if den != 1:
+        for exps, c in out.items():
+            out[exps] = Fraction(c, den)
     return Polynomial._trusted(n, _drop_zeros(out))
 
 

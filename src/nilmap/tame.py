@@ -22,7 +22,7 @@ from .errors import (
     NotTriangularizable,
     ShapeError,
 )
-from .linalg import LinearMap, RationalMatrix, kernel, poly_det
+from .linalg import LinearMap, RationalMatrix, coefficient_kernel, poly_det
 from .poly import Polynomial, PolyMap
 
 Factor = Union["ElementaryMap", LinearMap]
@@ -120,16 +120,7 @@ class TameFactorization:
 def _realize(factor: Factor) -> PolyMap:
     if isinstance(factor, ElementaryMap):
         return factor.realize()
-    n = factor.dimension
-    comps = []
-    for i in range(n):
-        p = Polynomial.zero(n)
-        for j in range(n):
-            c = factor.matrix[i, j]
-            if c:
-                p = p + Polynomial.variable(n, j + 1).scale(c)
-        comps.append(p)
-    return PolyMap(comps)
+    return factor.as_poly_map()
 
 
 def compose_factorization(f: TameFactorization) -> PolyMap:
@@ -245,16 +236,7 @@ def _component_mixing_kernel(H: PolyMap) -> list[Fraction] | None:
         (H.components[0].partial(k), H.components[1].partial(k))
         for k in (1, 2)
     ]
-    monomials = sorted(
-        {e for pair in equations for p in pair for e in p.monomials()}
-    )
-    if not monomials:
-        return [Fraction(1), Fraction(0)]
-    rows = []
-    for e in monomials:
-        for p1, p2 in equations:
-            rows.append([p1.coefficient(e), p2.coefficient(e)])
-    basis = kernel(RationalMatrix(rows))
+    basis = coefficient_kernel(equations)
     return basis[0] if basis else None
 
 

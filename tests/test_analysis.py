@@ -8,6 +8,9 @@ import pytest
 from nilmap import (
     DependenceCertificate,
     LinearMap,
+    NilmapError,
+    PolyMap,
+    Polynomial,
     PreconditionError,
     check_divergence_coefficients,
     coefficient_system,
@@ -24,6 +27,7 @@ from nilmap import (
 )
 from nilmap import generators
 from nilmap.errors import InexactValue, ShapeError
+from nilmap.linalg import RationalMatrix
 
 
 class TestJacobian:
@@ -153,6 +157,76 @@ class TestConjugation:
             before = linear_dependence(H.components) is not None
             after = linear_dependence(conjugate(H, T).components) is not None
             assert before == after
+
+
+def reference_conjugate(H, T):
+    """T^-1 (H(T x)) built term by term from indexed entries and scaled sums."""
+    n = H.dimension
+    zero = Polynomial.zero(n)
+    bindings = {
+        j + 1: sum(
+            (Polynomial.variable(n, m + 1).scale(T.matrix[j, m]) for m in range(n)),
+            zero,
+        )
+        for j in range(n)
+    }
+    composed = [p.substitute(bindings) for p in H.components]
+    return PolyMap(
+        [
+            sum((composed[k].scale(T.inverse[i, k]) for k in range(n)), zero)
+            for i in range(n)
+        ]
+    )
+
+
+class TestConjugateFractionFree:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fraction_coefficients_and_large_determinant(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 4])
+        H = generators.random_map(rng, n, rng.randint(1, 3), terms=3)
+        H = PolyMap([p.scale(Fraction(rng.randint(1, 5), rng.randint(2, 6))) for p in H])
+        while True:
+            grid = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            m = RationalMatrix(grid)
+            try:
+                T = LinearMap(m)
+            except NilmapError:
+                continue
+            if abs(poly_det_of(grid)) > 1:
+                break
+        got = conjugate(H, T)
+        assert got == reference_conjugate(H, T)
+        # The defining identity T (conjugate(H, T)) = H o T, without T^-1.
+        assert PolyMap(
+            [
+                sum((got[k].scale(T.matrix[i, k]) for k in range(n)), Polynomial.zero(n))
+                for i in range(n)
+            ]
+        ) == H.compose(T.as_poly_map())
+        for p in got:
+            for c in p._terms.values():
+                assert type(c) in (int, Fraction) and c != 0
+                assert type(c) is int or c.denominator != 1
+
+    def test_hand_computed(self):
+        # T = diag(2, 3), det 6: T^-1 H(Tx) = (((2x)^2 + (3y)/2) / 2, 2x / 3).
+        H = PolyMap([parse_polynomial("x^2 + 1/2*y", 2), parse_polynomial("x", 2)])
+        T = LinearMap.from_matrix([[2, 0], [0, 3]])
+        assert conjugate(H, T) == parse_map("2*x^2 + 3/4*y; 2/3*x")
+
+
+def poly_det_of(grid):
+    """Determinant of a small Fraction matrix by cofactor expansion."""
+    if len(grid) == 1:
+        return grid[0][0]
+    return sum(
+        (-1) ** j * grid[0][j] * poly_det_of([row[:j] + row[j + 1:] for row in grid[1:]])
+        for j in range(len(grid))
+    )
 
 
 class TestCoefficientSystem:

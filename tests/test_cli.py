@@ -79,6 +79,14 @@ class TestInputHandling:
         assert "malformed map document" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("n", [1.9, True, "1"])
+    def test_json_document_with_non_integer_n(self, tmp_path, capsys, n):
+        f = write(tmp_path, "m.json", json.dumps({"n": n, "components": ["x"]}))
+        code, out, err = run(capsys, ["nilpotent", "-f", f])
+        assert code == 2
+        assert "n must be an integer" in err
+        assert "Traceback" not in out + err
+
     def test_repeated_calls_in_one_process(self, tmp_path, capsys):
         # The argument parser is built once and shared by every call; a
         # failing call must leave nothing behind for the next one.
@@ -151,6 +159,22 @@ class TestConjugate:
         code, out, err = run(capsys, ["conjugate", "-f", f, "-m", matrix])
         assert code == 2
         assert "floating-point" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            '[["1/0","0"],["0","1"]]',
+            '[["a","0"],["0","1"]]',
+            "5",
+            "[[true,0],[0,1]]",
+        ],
+    )
+    def test_malformed_matrix_is_invalid_input(self, tmp_path, capsys, matrix):
+        f = write(tmp_path, "m.txt", "y; 0")
+        code, out, err = run(capsys, ["conjugate", "-f", f, "-m", matrix])
+        assert code == 2
+        assert "malformed matrix" in err
         assert "Traceback" not in out + err
 
 

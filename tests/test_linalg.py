@@ -20,8 +20,13 @@ from nilmap import (
     sigma_polynomials,
 )
 from nilmap import generators, jacobian
-from nilmap.errors import InexactValue, ShapeError
-from nilmap.linalg import RationalMatrix, _det_bareiss, _det_cofactor
+from nilmap.errors import InexactValue, ParseError, ShapeError
+from nilmap.linalg import (
+    RationalMatrix,
+    _det_bareiss,
+    _det_cofactor,
+    coefficient_kernel,
+)
 
 
 def Q(rows):
@@ -381,3 +386,280 @@ class TestSigmaPolynomials:
             )
             for k, s in enumerate(sigma_polynomials(J), start=1):
                 assert sympy.expand(to_sympy(s) - (-1) ** k * coeffs[k]) == 0
+
+
+# -- fraction-free elimination against the Fraction reference ---------------
+
+
+def ref_rref(grid):
+    """Gauss-Jordan on Fraction entries, normalizing each pivot row: the
+    reference for the fraction-free `RationalMatrix.rref`."""
+    work = [[Fraction(v) for v in row] for row in grid]
+    rows, cols = len(work), len(work[0])
+    pivots = []
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = Fraction(1) / work[r][col]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(rows):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return work, pivots
+
+
+def ref_kernel(grid):
+    reduced, pivots = ref_rref(grid)
+    cols = len(grid[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def ref_inverse(grid):
+    """Gauss-Jordan on [A | I] in Fractions: the reference for `inverse`."""
+    n = len(grid)
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(grid)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise NilmapError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = Fraction(1) / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def random_grid(rng, rows, cols):
+    """Entries: zero, small ints and small Fractions; sometimes a row that
+    is a multiple or sum of others, sometimes an all-zero column."""
+    def entry():
+        r = rng.random()
+        if r < 0.3:
+            return 0
+        if r < 0.7:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.4:
+        a, b = rng.randrange(rows), rng.randrange(rows)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        grid[rng.randrange(rows)] = [c * x + y for x, y in zip(grid[a], grid[b])]
+    if rng.random() < 0.25:
+        z = rng.randrange(cols)
+        for row in grid:
+            row[z] = 0
+    return grid
+
+
+def assert_stored_form(m):
+    """Every entry is an int (zero allowed) or a Fraction whose denominator
+    is not 1, never a bool or a float; indexing hands out Fractions."""
+    for i, row in enumerate(m.entries):
+        for j, v in enumerate(row):
+            assert type(v) in (int, Fraction)
+            if type(v) is Fraction:
+                assert v.denominator != 1
+            assert type(m[i, j]) is Fraction and m[i, j] == v
+
+
+# (rows, cols): wide, tall and square, including single rows and columns.
+SHAPES = [(1, 1), (1, 4), (4, 1), (2, 5), (3, 6), (5, 2), (6, 3), (3, 3), (4, 4), (5, 5)]
+
+
+class TestFractionFreeElimination:
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_rref_and_kernel_match_reference(self, rows, cols):
+        rng = random.Random(rows * 10 + cols)
+        for _ in range(60):
+            grid = random_grid(rng, rows, cols)
+            m = RationalMatrix(grid)
+            reduced, pivots = m.rref()
+            want, want_pivots = ref_rref(grid)
+            assert pivots == want_pivots
+            assert reduced == RationalMatrix(want)
+            assert_stored_form(reduced)
+            basis = kernel(m)
+            assert basis == ref_kernel(grid)
+            assert all(type(v) is Fraction for vec in basis for v in vec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_inverse_matches_reference(self, n):
+        rng = random.Random(500 + n)
+        singular = 0
+        for _ in range(60):
+            grid = random_grid(rng, n, n)
+            try:
+                want = ref_inverse(grid)
+            except NilmapError as exc:
+                singular += 1
+                with pytest.raises(NilmapError, match=str(exc)):
+                    RationalMatrix(grid).inverse()
+                continue
+            got = RationalMatrix(grid).inverse()
+            assert got == RationalMatrix(want)
+            assert_stored_form(got)
+        assert singular > 0
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[0, 0], [0, 0]],
+            [[0, 2, 4], [0, 1, 2], [0, 0, 0]],
+            [[0, 1], [1, 0]],
+            [[-3, 6], [2, -4]],
+            [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]],
+            [[10**30, 1], [1, 10**30 - 1]],
+            [[2, 0, 1], [0, 0, 3], [4, 0, 5], [1, 0, 0]],
+        ],
+    )
+    def test_hand_picked_matrices_match_reference(self, grid):
+        m = RationalMatrix(grid)
+        reduced, pivots = m.rref()
+        want, want_pivots = ref_rref(grid)
+        assert (reduced, pivots) == (RationalMatrix(want), want_pivots)
+        assert kernel(m) == ref_kernel(grid)
+        if m.rows == m.cols:
+            try:
+                want_inv = ref_inverse(grid)
+            except NilmapError:
+                with pytest.raises(NilmapError, match="singular"):
+                    m.inverse()
+            else:
+                assert m.inverse() == RationalMatrix(want_inv)
+
+    def test_matches_sympy_rref(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(77)
+        for rows, cols in SHAPES:
+            grid = random_grid(rng, rows, cols)
+            want, want_pivots = sympy.Matrix(
+                [[sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
+                  for v in row] for row in grid]
+            ).rref()
+            reduced, pivots = RationalMatrix(grid).rref()
+            assert pivots == list(want_pivots)
+            assert reduced.to_json() == [
+                [str(want[i, j]) for j in range(cols)] for i in range(rows)
+            ]
+
+
+class TestStoredForm:
+    def test_constructor_normalizes(self):
+        m = RationalMatrix([[Fraction(4, 2), "3/1", 0], [Fraction(1, 3), -1, "-6/4"]])
+        assert_stored_form(m)
+        assert [type(v) for v in m.entries[0]] == [int, int, int]
+        assert m.entries[1] == (Fraction(1, 3), -1, Fraction(-3, 2))
+
+    def test_bool_entry_is_not_a_matrix_entry_in_json(self):
+        with pytest.raises(ParseError):
+            RationalMatrix.from_json([[True, 0], [0, 1]])
+
+    def test_derived_matrices(self):
+        a = RationalMatrix([[2, Fraction(1, 2)], [Fraction(3, 4), 1]])
+        b = RationalMatrix([[4, 0], [0, Fraction(2, 3)]])
+        for m in (a * b, a.transpose(), a.inverse(), a.rref()[0],
+                  RationalMatrix.identity(3), elementary_row_add(3, 1, Fraction(1, 2), 2).inverse,
+                  elementary_permutation(3, 1, 3).matrix):
+            assert_stored_form(m)
+        # (1/2)*4 and (3/4)*4 are integral products of Fractions.
+        assert (a * b).entries == ((8, Fraction(1, 3)), (3, Fraction(2, 3)))
+
+    def test_apply_returns_fractions(self):
+        got = RationalMatrix([[2, Fraction(1, 2)], [0, 1]]).apply([1, 2])
+        assert got == [Fraction(3), Fraction(2)]
+        assert all(type(v) is Fraction for v in got)
+
+    def test_json_text_is_unchanged(self):
+        m = RationalMatrix([[Fraction(3), Fraction(-1, 2)], [0, Fraction(10, 5)]])
+        assert m.to_json() == [["3", "-1/2"], ["0", "2"]]
+
+    def test_equality_and_hash_across_forms(self):
+        a = RationalMatrix([[1, 2]])
+        b = RationalMatrix([[Fraction(1), Fraction(2)]])
+        assert a == b and hash(a) == hash(b)
+
+
+class TestCoefficientKernel:
+    def stacked_reference(self, equations):
+        """One row per sorted monomial and equation: the reference for
+        `coefficient_kernel`."""
+        monomials = sorted({e for eq in equations for p in eq for e in p.terms})
+        if not monomials:
+            size = len(equations[0])
+            return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+        rows = [[p.coefficient(e) for p in eq] for e in monomials for eq in equations]
+        return kernel(RationalMatrix(rows))
+
+    def test_single_equation_dependence(self):
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        basis = coefficient_kernel([[x + y, x.scale(2), y]])
+        assert basis == [[Fraction(-1), Fraction(1, 2), Fraction(1)]]
+
+    def test_several_equations(self):
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        # l1 * x + l2 * 2x = 0 and l1 * y^2 + l2 * 2y^2 = 0: (-2, 1).
+        assert coefficient_kernel([(x, x.scale(2)), (y * y, (y * y).scale(2))]) == [
+            [Fraction(-2), Fraction(1)]
+        ]
+        # l1 * (y + x) = 0 forces l1 = 0, and then l2 = 0.
+        assert coefficient_kernel([(x, x.scale(2)), (y + x, Polynomial.zero(2))]) == []
+
+    def test_all_zero_gives_unit_vectors(self):
+        z = Polynomial.zero(3)
+        assert coefficient_kernel([[z, z, z]]) == [
+            [Fraction(1), Fraction(0), Fraction(0)],
+            [Fraction(0), Fraction(1), Fraction(0)],
+            [Fraction(0), Fraction(0), Fraction(1)],
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_stacked_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3])
+        width = rng.choice([2, 3, 4])
+        for _ in range(10):
+            base = [generators.random_polynomial(rng, n, 2, terms=2) for _ in range(2)]
+            equations = []
+            for _ in range(rng.randint(1, 3)):
+                eq = [
+                    base[0].scale(rng.randint(-2, 2)) + base[1].scale(Fraction(1, rng.randint(1, 3)))
+                    if rng.random() < 0.7 else generators.random_polynomial(rng, n, 2, terms=2)
+                    for _ in range(width)
+                ]
+                equations.append(eq)
+            assert coefficient_kernel(equations) == self.stacked_reference(equations)
+
+
+class TestAsPolyMap:
+    def test_rows_become_linear_components(self):
+        T = LinearMap.from_matrix([[2, Fraction(1, 2), 0], [0, -3, 0], [1, 0, 1]])
+        got = T.as_poly_map()
+        n = 3
+        for i in range(n):
+            want = Polynomial.zero(n)
+            for j in range(n):
+                want = want + Polynomial.variable(n, j + 1).scale(T.matrix[i, j])
+            assert got[i] == want
+            for c in got[i]._terms.values():
+                assert type(c) in (int, Fraction) and c != 0
+                assert type(c) is int or c.denominator != 1

@@ -159,3 +159,11 @@ class TestMapSerialization:
     def test_document_rejects_non_string_components(self, components):
         with pytest.raises(ParseError):
             map_from_document({"n": 1, "components": components})
+
+    @pytest.mark.parametrize("n", [1.9, True, 1.0, "1", None])
+    def test_document_rejects_non_integer_n(self, n):
+        with pytest.raises(ParseError, match="n must be an integer"):
+            map_from_document({"n": n, "components": ["x"]})
+
+    def test_document_accepts_integer_n(self):
+        assert map_from_document({"n": 2, "components": ["y", "0"]}) == parse_map("y; 0")
