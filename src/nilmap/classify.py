@@ -183,9 +183,11 @@ def certify_dependence(H: FormAInstance) -> DependenceCertificate:
     return cert
 
 
-def _complete_to_basis(lam: Sequence[Fraction]) -> RationalMatrix | None:
-    """Invertible matrix with last row lam, completed by the two
-    smallest-index unit vectors that keep it invertible."""
+def _complete_to_basis(
+    lam: Sequence[Fraction],
+) -> tuple[RationalMatrix, RationalMatrix] | None:
+    """(m, m^-1) for the invertible matrix m with last row lam, completed
+    by the smallest-index unit vectors that keep it invertible."""
     n = len(lam)
     units = [
         [Fraction(int(i == j)) for j in range(n)] for i in range(n)
@@ -196,10 +198,9 @@ def _complete_to_basis(lam: Sequence[Fraction]) -> RationalMatrix | None:
         rows = [units[i] for i in idx] + [list(lam)]
         m = RationalMatrix(rows)
         try:
-            m.inverse()
+            return m, m.inverse()
         except NilmapError:
             continue
-        return m
     return None
 
 
@@ -232,10 +233,11 @@ def recognize_canonical_pair(
             _instance_doc(H),
         )
     for lam in basis:
-        m = _complete_to_basis(lam)
-        if m is None:
+        completed = _complete_to_basis(lam)
+        if completed is None:
             continue
-        T = LinearMap(m.inverse(), m)
+        m, inverse = completed
+        T = LinearMap(inverse, m)
         try:
             params = _extract_canonical_params(conjugate(H, T))
         except NilmapError:

@@ -39,9 +39,17 @@ EXIT_VIOLATION = 3
 DEFAULT_SEED = 20240824
 
 
+def _read_text(path: str) -> str:
+    """The content of a UTF-8 input file; other bytes are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}")
+
+
 def _read_map(args) -> PolyMap:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return load_map_text(fh.read(), aliases=args.var_alias)
+    return load_map_text(_read_text(args.file), aliases=args.var_alias)
 
 
 def _emit(args, doc: dict, plain: str | None = None):
@@ -171,8 +179,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_build_canonical(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(_read_text(args.file))
+    if not isinstance(doc, dict):
+        raise ParseError("malformed parameter document: expected a JSON object")
+    for name in ("a1", "a2", "c1", "c2", "h"):
+        if not isinstance(doc.get(name), str):
+            raise ParseError(
+                f"malformed parameter document: {name!r} must be a "
+                f"polynomial string"
+            )
     params = classify.CanonicalFormA(
         parse_polynomial(doc["a1"], 1, aliases="z"),
         parse_polynomial(doc["a2"], 1, aliases="z"),
@@ -211,11 +226,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_keller4d(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        parts = [p for p in fh.read().split(";") if p.strip()]
+    parts = [p for p in _read_text(args.file).split(";") if p.strip()]
     if len(parts) != 4:
         raise ParseError(f"expected 4 components, found {len(parts)}")
-    polys = [parse_polynomial(p, 2, aliases="xy") for p in parts]
+    polys = [parse_polynomial(p, 2, aliases=args.var_alias[:2]) for p in parts]
     h = classify.ReducedForm4D(*polys)
     keller = classify.keller_parameterized_check(h)
     nilp = analysis.is_nilpotent(h.realize())

@@ -22,6 +22,15 @@ class InexactValue(NilmapError):
     """A floating-point number was given where an exact rational is required."""
 
 
+class ExponentOverflow(NilmapError):
+    """A monomial's total degree would reach 2**16 = 65536.
+
+    Polynomial packs each monomial into one int with a 16-bit field per
+    exponent and for the total degree, so larger degrees are rejected
+    instead of being stored wrongly.
+    """
+
+
 class PreconditionError(NilmapError):
     """A documented precondition of an operation is violated by the input."""
 
@@ -42,10 +51,16 @@ class ConstructionMismatch(NilmapError):
 
 
 class ParseError(NilmapError):
-    """Syntax error in polynomial or map text, with position info."""
+    """Malformed input: a syntax error in polynomial or map text, which
+    carries its line and column, or a malformed document or file, which
+    has no position (line and column are None)."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(
+        self, message: str, line: int | None = None, column: int | None = None
+    ):
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
 

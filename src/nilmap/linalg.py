@@ -28,7 +28,16 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, NilmapError, ParseError, ShapeError
-from .poly import PolyMap, Polynomial, _clear_denominators, _coeff, _dot, _exact
+from .poly import (
+    PolyMap,
+    Polynomial,
+    _clear_denominators,
+    _coeff,
+    _coefficient_rows,
+    _dot,
+    _exact,
+    _linear,
+)
 
 
 class RationalMatrix:
@@ -212,11 +221,7 @@ def coefficient_kernel(
     whose `kernel` this is; when every polynomial is zero, the basis is the
     unit vectors.
     """
-    rows = [
-        [p._terms.get(e, 0) for p in eq]
-        for eq in equations
-        for e in {e for p in eq for e in p.monomials()}
-    ]
+    rows = [row for eq in equations for row in _coefficient_rows(eq)]
     if not rows:
         size = len(equations[0])
         return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
@@ -273,13 +278,8 @@ class LinearMap:
 
     def as_poly_map(self) -> PolyMap:
         """The linear polynomial map x -> Mx."""
-        n = self.dimension
-        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
         return PolyMap(
-            [
-                Polynomial._trusted(n, {e: c for e, c in zip(units, row) if c})
-                for row in self.matrix.entries
-            ]
+            [_linear(self.dimension, row) for row in self.matrix.entries]
         )
 
     def is_identity(self) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, ParseError, ShapeError
-from .poly import Polynomial, PolyMap, _grlex_key
+from .poly import Polynomial, PolyMap, _grlex_terms
 
 DEFAULT_ALIASES = "xyzw"
 
@@ -230,8 +230,7 @@ def format_polynomial(
     else:
         var_names = [f"x{i}" for i in range(1, p.n + 1)]
     pieces = []
-    for exps in sorted(p.monomials(), key=_grlex_key, reverse=True):
-        coeff = p.coefficient(exps)
+    for exps, coeff in _grlex_terms(p):
         mono = _format_monomial(exps, var_names)
         mag = abs(coeff)
         if not mono:

@@ -1,20 +1,34 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial in n variables is a mapping from exponent tuples (one
-non-negative integer per variable) to nonzero rational coefficients.  The
+A polynomial in n variables is a mapping from monomials (one non-negative
+integer exponent per variable) to nonzero rational coefficients.  The
 empty mapping is the zero polynomial.  All values are immutable after
 construction and every operation is a pure function, so polynomials can be
 shared freely between threads.
 
-The term dict of every Polynomial holds that invariant: each key is a tuple
-of exactly n non-negative ints, each value a nonzero coefficient stored as
-an int when it is integral and as a Fraction only when its denominator is
-not 1 (never a bool, and never a float: floats are rejected with
+The term dict of every Polynomial holds that invariant: each key is one
+packed int per monomial (below), each value a nonzero coefficient stored
+as an int when it is integral and as a Fraction only when its denominator
+is not 1 (never a bool, and never a float: floats are rejected with
 InexactValue, because they are not exact).  Almost every coefficient in
 this library is an integer, so the ring operations run on machine ints in
-the common case.  The public accessors (``terms``, ``coefficient``,
-``constant_value``, ``leading_term``) still return Fraction values, and no
-division in this module has two int operands.
+the common case.  The public accessors (``terms``, ``monomials``,
+``coefficient``, ``constant_value``, ``leading_term``) still speak in
+exponent tuples and Fraction values, and no division in this module has
+two int operands.
+
+Packed keys (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): the key of
+x1^e1 * ... * xn^en is an int of n + 1 fields of B = 16 bits each.  The
+top field holds the total degree e1 + ... + en, and below it come e1 (the
+highest) down to en.  The key of a product is the sum of the two keys, and
+the order of the ints is the graded lexicographic order of ``_grlex_key``,
+so the leading term is the largest key and printing sorts the ints.  The
+constant monomial is the key 0.  Keys are valid only while the total
+degree stays below 2^B: the constructor, ``monomial``, ``lift`` and
+``integrate`` reject a larger one, and every product checks the two
+largest total degrees (the top fields of the largest keys) before it adds
+any key.  All of them raise ExponentOverflow; no key is ever wrong.
 
 Normalization happens in two places.  The public constructor, ``const``,
 ``monomial`` and ``scale`` pass their input through ``_coeff``.  The ring
@@ -31,17 +45,28 @@ mathematical notation; exponent tuples are indexed from 0 internally.
 
 from __future__ import annotations
 
+import functools
+import struct
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, KeysView, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, InexactValue, NilmapError, ShapeError
+from .errors import (
+    DimensionMismatch,
+    ExponentOverflow,
+    InexactValue,
+    NilmapError,
+    ShapeError,
+)
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
-Terms = dict[Exponent, Coeff]
+Terms = dict[int, Coeff]
 
-_add_exps = int.__add__
+_B = 16
+# Every exponent and every total degree stays below this bound.
+_LIMIT = 1 << _B
+_MASK = _LIMIT - 1
 
 
 def _exact(value) -> Fraction:
@@ -64,40 +89,98 @@ def _coeff(value) -> Coeff:
     return value.numerator if value.denominator == 1 else value
 
 
-def _mul_into(out: Terms, a: Terms, b: Terms) -> None:
-    """Add the product of the term dicts a and b into out.
+# -- packed keys --------------------------------------------------------------
 
-    Cancelled sums stay in out as zero coefficients; `_drop_zeros` removes
-    them once the accumulation is complete.
+@functools.cache
+def _layout(n: int) -> tuple[struct.Struct, struct.Struct, int]:
+    """(pack, unpack, size) for keys in n variables: `pack` writes the total
+    degree and e1..en as big-endian B-bit fields, `unpack` reads e1..en
+    back from `size` bytes, skipping the degree."""
+    return struct.Struct(f">{n + 1}H"), struct.Struct(f">2x{n}H"), 2 * (n + 1)
+
+
+def _overflow(degree: int) -> ExponentOverflow:
+    return ExponentOverflow(
+        f"total degree {degree} is beyond the supported maximum of {_LIMIT - 1}"
+    )
+
+
+def _pack(exps: Exponent, n: int) -> int:
+    """The key of a tuple of n exponents, validated."""
+    if len(exps) != n:
+        raise DimensionMismatch(
+            f"monomial {exps} has {len(exps)} exponents, expected {n}"
+        )
+    if any(e < 0 for e in exps):
+        raise ShapeError(f"negative exponent in monomial {exps}")
+    degree = sum(exps)
+    if degree >= _LIMIT:
+        raise _overflow(degree)
+    return int.from_bytes(_layout(n)[0].pack(degree, *exps), "big")
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    """The exponent tuple of a key in n variables."""
+    _, unpack, size = _layout(n)
+    return unpack.unpack(key.to_bytes(size, "big"))
+
+
+def _shift(n: int, i: int) -> int:
+    """Bit offset of the field of x_i (1-based) in a key in n variables."""
+    return _B * (n - i)
+
+
+def _unit(n: int, i: int) -> int:
+    """The key of x_i (1-based): total degree 1 plus a 1 in x_i's field."""
+    return (1 << _B * n) | (1 << _shift(n, i))
+
+
+def _mul_into(out: Terms, a: Terms, b: Terms, n: int) -> None:
+    """Add the product of the term dicts a and b, in n variables, into out.
+
+    Raises ExponentOverflow before adding any key when a product's total
+    degree could reach 2^B.  Cancelled sums stay in out as zero
+    coefficients; `_drop_zeros` removes them once the accumulation is
+    complete.
     """
+    if not a or not b:
+        return
+    top = _B * n
+    degree = (max(a) >> top) + (max(b) >> top)
+    if degree >= _LIMIT:
+        raise _overflow(degree)
     get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exps = tuple(map(_add_exps, ea, eb))
-            old = get(exps)
-            out[exps] = ca * cb if old is None else old + ca * cb
+    b_items = b.items()
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            key = ka + kb
+            old = get(key)
+            out[key] = ca * cb if old is None else old + ca * cb
 
 
 def _add_into(out: Terms, a: Terms) -> None:
     """Add the term dict a into out, leaving cancelled sums as zeros."""
     get = out.get
-    for exps, c in a.items():
-        old = get(exps)
-        out[exps] = c if old is None else old + c
+    for key, c in a.items():
+        old = get(key)
+        out[key] = c if old is None else old + c
 
 
 def _drop_zeros(out: Terms) -> Terms:
     """Delete the zero coefficients of out in place, demote integral
     Fractions to ints, and return it."""
     zeros = []
-    for exps, c in out.items():
+    for key, c in out.items():
         if not c:
-            zeros.append(exps)
+            zeros.append(key)
         elif c.__class__ is not int and c.denominator == 1:
-            out[exps] = c.numerator
-    for exps in zeros:
-        del out[exps]
+            out[key] = c.numerator
+    for key in zeros:
+        del out[key]
     return out
+
+
+_ONE: Terms = {0: 1}
 
 
 def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
@@ -106,18 +189,17 @@ def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomi
     A factor equal to the constant 1 adds the other factor's terms instead
     of multiplying them.
     """
-    one = {(0,) * n: 1}
     out: Terms = {}
     for x, y in zip(xs, ys):
         a, b = x._terms, y._terms
         if not a or not b:
             continue
-        if a == one:
+        if a == _ONE:
             _add_into(out, b)
-        elif b == one:
+        elif b == _ONE:
             _add_into(out, a)
         else:
-            _mul_into(out, a, b)
+            _mul_into(out, a, b, n)
     return Polynomial._trusted(n, _drop_zeros(out))
 
 
@@ -151,18 +233,41 @@ def _combination(
     for a, p in zip(ints, polys):
         if not a:
             continue
-        for exps, c in p._terms.items():
-            old = get(exps)
-            out[exps] = a * c if old is None else old + a * c
+        for key, c in p._terms.items():
+            old = get(key)
+            out[key] = a * c if old is None else old + a * c
     if den != 1:
-        for exps, c in out.items():
-            out[exps] = Fraction(c, den)
+        for key, c in out.items():
+            out[key] = Fraction(c, den)
     return Polynomial._trusted(n, _drop_zeros(out))
+
+
+def _linear(n: int, coeffs: Sequence[Coeff]) -> Polynomial:
+    """sum(c_j * x_j) for coefficients c_1..c_n in stored form."""
+    return Polynomial._trusted(
+        n, {_unit(n, j): c for j, c in enumerate(coeffs, 1) if c}
+    )
+
+
+def _coefficient_rows(polys: Sequence[Polynomial]) -> list[list[Coeff]]:
+    """One row per monomial that occurs in any of the polynomials, holding
+    its stored coefficient (0 where absent) in each of them."""
+    keys = {key for p in polys for key in p._terms}
+    return [[p._terms.get(key, 0) for p in polys] for key in keys]
+
+
+def _grlex_terms(p: Polynomial) -> list[tuple[Exponent, Fraction]]:
+    """(exponents, coefficient) pairs in descending graded-lex order."""
+    terms = p._terms
+    return [
+        (_unpack(key, p.n), Fraction(terms[key]))
+        for key in sorted(terms, reverse=True)
+    ]
 
 
 def _grlex_key(exps: Exponent):
     # Graded lexicographic: compare total degree first, then the exponent
-    # vector itself.  Used for canonical term ordering when printing.
+    # vector itself.  Packed keys sort in exactly this order.
     return (sum(exps), exps)
 
 
@@ -177,16 +282,10 @@ class Polynomial:
         clean: Terms = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n:
-                    raise DimensionMismatch(
-                        f"monomial {exps} has {len(exps)} exponents, expected {n}"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ShapeError(f"negative exponent in monomial {exps}")
+                key = _pack(tuple(exps), n)
                 coeff = _coeff(coeff)
                 if coeff:
-                    clean[exps] = coeff
+                    clean[key] = coeff
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -197,7 +296,7 @@ class Polynomial:
     @classmethod
     def _trusted(cls, n: int, terms: Terms) -> "Polynomial":
         # Takes ownership of a term dict that already holds the invariant
-        # (exponent tuples of length n, nonzero int or non-integral Fraction
+        # (packed keys in n variables, nonzero int or non-integral Fraction
         # values); no checks.
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
@@ -219,9 +318,7 @@ class Polynomial:
     def variable(cls, n: int, i: int) -> "Polynomial":
         """The polynomial x_i (1-based index)."""
         _check_index(n, i)
-        exps = [0] * n
-        exps[i - 1] = 1
-        return cls(n, {tuple(exps): 1})
+        return cls._trusted(n, {_unit(n, i): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Sequence[int], coeff=1) -> "Polynomial":
@@ -231,46 +328,54 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        return {e: Fraction(c) for e, c in self._terms.items()}
+        n = self.n
+        return {_unpack(key, n): Fraction(c) for key, c in self._terms.items()}
 
-    def monomials(self) -> KeysView[Exponent]:
+    def monomials(self) -> list[Exponent]:
         """The exponent tuples of the nonzero terms, in storage order."""
-        return self._terms.keys()
+        n = self.n
+        return [_unpack(key, n) for key in self._terms]
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
+        return self._terms.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial (0 for absent)."""
-        return Fraction(self._terms.get((0,) * self.n, 0))
+        return Fraction(self._terms.get(0, 0))
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return Fraction(self._terms.get(tuple(exps), 0))
+        try:
+            key = _pack(tuple(exps), self.n)
+        except NilmapError:
+            # No stored key can hold these exponents.
+            return Fraction(0)
+        return Fraction(self._terms.get(key, 0))
 
     def total_degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(exps) for exps in self._terms)
+        return max(self._terms) >> _B * self.n
 
     def degree_in(self, i: int) -> int:
         """Max exponent of x_i over terms; -1 for the zero polynomial."""
         _check_index(self.n, i)
         if not self._terms:
             return -1
-        return max(exps[i - 1] for exps in self._terms)
+        shift = _shift(self.n, i)
+        return max((key >> shift) & _MASK for key in self._terms)
 
     def variables_used(self) -> set[int]:
         """1-based indices of variables that actually occur."""
-        used: set[int] = set()
-        for exps in self._terms:
-            for k, e in enumerate(exps):
-                if e:
-                    used.add(k + 1)
-        return used
+        # A field of the bitwise or of all keys is nonzero iff that
+        # variable occurs in some term.
+        union = 0
+        for key in self._terms:
+            union |= key
+        return {k for k, e in enumerate(_unpack(union, self.n), 1) if e}
 
     # -- ring operations ---------------------------------------------------
 
@@ -304,7 +409,7 @@ class Polynomial:
             return NotImplemented
         self._require_same_ring(other)
         out: Terms = {}
-        _mul_into(out, self._terms, other._terms)
+        _mul_into(out, self._terms, other._terms, self.n)
         return Polynomial._trusted(self.n, _drop_zeros(out))
 
     __radd__ = __add__
@@ -362,27 +467,29 @@ class Polynomial:
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to x_i."""
         _check_index(self.n, i)
-        k = i - 1
+        shift = _shift(self.n, i)
+        step = _unit(self.n, i)
         out: Terms = {}
-        for exps, coeff in self._terms.items():
-            e = exps[k]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[k] = e - 1
-            out[tuple(new)] = coeff * e
+        for key, coeff in self._terms.items():
+            e = (key >> shift) & _MASK
+            if e:
+                out[key - step] = coeff * e
         return Polynomial._trusted(self.n, _drop_zeros(out))
 
     def integrate(self, i: int) -> "Polynomial":
         """Antiderivative with respect to x_i, constant of integration 0."""
         _check_index(self.n, i)
-        k = i - 1
+        if not self._terms:
+            return self
+        degree = (max(self._terms) >> _B * self.n) + 1
+        if degree >= _LIMIT:
+            raise _overflow(degree)
+        shift = _shift(self.n, i)
+        step = _unit(self.n, i)
         out: Terms = {}
-        for exps, coeff in self._terms.items():
-            new = list(exps)
-            new[k] += 1
-            out[tuple(new)] = Fraction(coeff, new[k])
-        return Polynomial(self.n, out)
+        for key, coeff in self._terms.items():
+            out[key + step] = Fraction(coeff, ((key >> shift) & _MASK) + 1)
+        return Polynomial._trusted(self.n, _drop_zeros(out))
 
     def substitute(self, bindings: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution x_i -> bindings[i].
@@ -413,28 +520,30 @@ class Polynomial:
             images[i] = Polynomial.variable(m, i)
         # Cache the term dicts of the powers of each image, so that every
         # power is computed once for the whole substitution.
-        one = {(0,) * m: 1}
-        powers: dict[int, list[Terms]] = {i: [one] for i in images}
+        powers: dict[int, list[Terms]] = {i: [_ONE] for i in images}
 
         def image_power(i: int, e: int) -> Terms:
             cache = powers[i]
             while len(cache) <= e:
                 product: Terms = {}
-                _mul_into(product, cache[-1], images[i]._terms)
+                _mul_into(product, cache[-1], images[i]._terms, m)
                 cache.append(_drop_zeros(product))
             return cache[e]
 
         # Each term coeff * prod_k x_k^e_k becomes coeff times the product of
         # the image powers; the last factor is multiplied straight into out.
         out: Terms = {}
-        for exps, coeff in self._terms.items():
-            term = {(0,) * m: coeff}
-            factors = [image_power(k + 1, e) for k, e in enumerate(exps) if e]
+        n = self.n
+        for key, coeff in self._terms.items():
+            term = {0: coeff}
+            factors = [
+                image_power(k, e) for k, e in enumerate(_unpack(key, n), 1) if e
+            ]
             for factor in factors[:-1]:
                 product = {}
-                _mul_into(product, term, factor)
+                _mul_into(product, term, factor, m)
                 term = _drop_zeros(product)
-            _mul_into(out, term, factors[-1] if factors else one)
+            _mul_into(out, term, factors[-1] if factors else _ONE, m)
         return Polynomial._trusted(m, _drop_zeros(out))
 
     def coefficients_in(self, i: int) -> list["Polynomial"]:
@@ -447,15 +556,13 @@ class Polynomial:
         _check_index(self.n, i)
         if not self._terms:
             return []
-        k = i - 1
-        d = self.degree_in(i)
-        buckets: list[Terms] = [{} for _ in range(d + 1)]
-        for exps, coeff in self._terms.items():
-            e = exps[k]
-            flat = list(exps)
-            flat[k] = 0
-            buckets[e][tuple(flat)] = coeff
-        return [Polynomial(self.n, b) for b in buckets]
+        shift = _shift(self.n, i)
+        step = _unit(self.n, i)
+        buckets: list[Terms] = [{} for _ in range(self.degree_in(i) + 1)]
+        for key, coeff in self._terms.items():
+            e = (key >> shift) & _MASK
+            buckets[e][key - e * step] = coeff
+        return [Polynomial._trusted(self.n, b) for b in buckets]
 
     def homogeneous_parts(self, subset: Iterable[int]) -> list["Polynomial"]:
         """Split by total degree in the given variables.
@@ -470,20 +577,21 @@ class Polynomial:
             _check_index(self.n, i)
         if not self._terms:
             return [Polynomial.zero(self.n)]
+        shifts = [_shift(self.n, i) for i in indices]
         graded: dict[int, Terms] = {}
-        for exps, coeff in self._terms.items():
-            deg = sum(exps[i - 1] for i in indices)
-            graded.setdefault(deg, {})[exps] = coeff
+        for key, coeff in self._terms.items():
+            deg = sum((key >> s) & _MASK for s in shifts)
+            graded.setdefault(deg, {})[key] = coeff
         top = max(graded)
         return [
-            Polynomial(self.n, graded.get(d, {})) for d in range(top + 1)
+            Polynomial._trusted(self.n, graded.get(d, {})) for d in range(top + 1)
         ]
 
     def truncate(self, max_total_degree: int) -> "Polynomial":
         """Drop all terms of total degree above the bound."""
-        return Polynomial(
-            self.n,
-            {e: c for e, c in self._terms.items() if sum(e) <= max_total_degree},
+        bound = (max_total_degree + 1) << _B * self.n
+        return Polynomial._trusted(
+            self.n, {key: c for key, c in self._terms.items() if key < bound}
         )
 
     def restrict(self, variables: Sequence[int]) -> "Polynomial":
@@ -498,19 +606,18 @@ class Polynomial:
             raise ShapeError(
                 f"polynomial involves variables {sorted(extra)} outside {variables}"
             )
-        m = len(variables)
-        out: Terms = {}
-        for exps, coeff in self._terms.items():
+        out = {}
+        for exps, coeff in self.terms.items():
             out[tuple(exps[i - 1] for i in variables)] = coeff
-        return Polynomial(m, out)
+        return Polynomial(len(variables), out)
 
     def lift(self, n: int, positions: Sequence[int]) -> "Polynomial":
         """Embed into an n-variable ring, sending variable k to positions[k-1]."""
         positions = list(positions)
         if len(positions) != self.n:
             raise DimensionMismatch("need one target position per variable")
-        out: Terms = {}
-        for exps, coeff in self._terms.items():
+        out = {}
+        for exps, coeff in self.terms.items():
             new = [0] * n
             for k, e in enumerate(exps):
                 new[positions[k] - 1] = e
@@ -523,8 +630,8 @@ class Polynomial:
         """Graded-lex maximal term; error on the zero polynomial."""
         if not self._terms:
             raise NilmapError("the zero polynomial has no leading term")
-        exps = max(self._terms, key=_grlex_key)
-        return exps, Fraction(self._terms[exps])
+        key = max(self._terms)
+        return _unpack(key, self.n), Fraction(self._terms[key])
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises if the division has a remainder."""

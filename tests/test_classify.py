@@ -158,6 +158,29 @@ class TestRecognizeCanonical:
             T, found = result
             assert conjugate(Hc, T) == build_canonical_pair(found)
 
+    def test_one_inverse_per_recognized_pair(self, monkeypatch):
+        from nilmap.linalg import RationalMatrix
+
+        rng = random.Random(12)
+        pairs = []
+        for _ in range(10):
+            H = build_canonical_pair(generators.random_canonical_params(rng))
+            pairs.append(conjugate(H, generators.random_form_a_conjugator(rng)))
+        calls = []
+        inverse = RationalMatrix.inverse
+
+        def counting_inverse(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(RationalMatrix, "inverse", counting_inverse)
+        for Hc in pairs:
+            calls.clear()
+            T, found = recognize_canonical_pair(Hc)
+            assert len(calls) == 1
+            assert T.inverse == calls[0]
+            assert conjugate(Hc, T) == build_canonical_pair(found)
+
     def test_returns_none_on_unmet_preconditions(self):
         assert recognize_canonical_pair(parse_map("x; y")) is None
         # not nilpotent

@@ -87,6 +87,40 @@ class TestInputHandling:
         assert "n must be an integer" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("verb", ["nilpotent", "keller4d", "build-canonical"])
+    def test_non_utf8_file(self, tmp_path, capsys, verb):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"x\xff; y")
+        code, out, err = run(capsys, [verb, "-f", str(path)])
+        assert code == 2
+        assert "not UTF-8" in err
+        assert "Traceback" not in out + err
+
+    def test_exponent_past_the_limit(self, tmp_path, capsys):
+        f = write(tmp_path, "m.txt", "x^65535; 0")
+        assert run(capsys, ["jacobian", "-f", f])[0] == 0
+        f = write(tmp_path, "m.txt", "x^65536; 0")
+        code, out, err = run(capsys, ["jacobian", "-f", f])
+        assert code == 2
+        assert "total degree 65536" in err
+        assert "Traceback" not in out + err
+
+    def test_parse_error_positions(self, tmp_path, capsys):
+        # Text syntax errors carry a position; errors about the structure
+        # of a JSON document or matrix have none to give.
+        f = write(tmp_path, "m.txt", "x + $; y")
+        code, _, err = run(capsys, ["nilpotent", "-f", f])
+        assert code == 2
+        assert "(line 1, column 5)" in err
+        f = write(tmp_path, "m.txt", "y; 0")
+        code, _, err = run(capsys, ["conjugate", "-f", f, "-m", "5"])
+        assert code == 2
+        assert err.strip() == "error: malformed matrix: expected a list of rows"
+        f = write(tmp_path, "m.json", json.dumps({"n": "2", "components": []}))
+        code, _, err = run(capsys, ["nilpotent", "-f", f])
+        assert code == 2
+        assert "(line" not in err
+
     def test_repeated_calls_in_one_process(self, tmp_path, capsys):
         # The argument parser is built once and shared by every call; a
         # failing call must leave nothing behind for the next one.
@@ -240,6 +274,22 @@ class TestBuildCanonical:
         code, _, _ = run(capsys, ["build-canonical", "-f", f])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"a1": 5},
+            {"a1": "1", "a2": "1", "c1": "z^2", "c2": "z", "h": None},
+            "a1",
+        ],
+    )
+    def test_malformed_document(self, tmp_path, capsys, doc):
+        f = write(tmp_path, "p.json", json.dumps(doc))
+        code, out, err = run(capsys, ["build-canonical", "-f", f])
+        assert code == 2
+        assert "malformed parameter document" in err
+        assert "Traceback" not in out + err
+
     def test_origin_violation(self, tmp_path, capsys):
         params = {"a1": "1", "a2": "1", "c1": "z + 1", "c2": "z", "h": "t"}
         f = write(tmp_path, "p.json", json.dumps(params))
@@ -291,6 +341,20 @@ class TestInvertDecomposeKeller:
         code, out, _ = run(capsys, ["keller4d", "-f", f, "--json"])
         assert code == 1
         assert json.loads(out)["keller_parameterized"] is False
+
+    def test_keller4d_var_alias(self, tmp_path, capsys):
+        f = write(tmp_path, "m.txt", "t; 0; 0; 0")
+        code, out, _ = run(capsys, ["keller4d", "-f", f, "--json", "--var-alias", "st"])
+        assert code == 0
+        assert json.loads(out)["keller_parameterized"] is True
+        f = write(tmp_path, "m.txt", "s; 0; 0; 0")
+        code, out, _ = run(capsys, ["keller4d", "-f", f, "--json", "--var-alias", "st"])
+        assert code == 1
+        # The default aliases stay x, y.
+        f = write(tmp_path, "m.txt", "t; 0; 0; 0")
+        code, _, err = run(capsys, ["keller4d", "-f", f])
+        assert code == 2
+        assert "unknown variable 't'" in err
 
     def test_keller4d_wrong_component_count(self, tmp_path, capsys):
         f = write(tmp_path, "m.txt", "x; y; 0")

@@ -21,6 +21,7 @@ from nilmap import (
 )
 from nilmap import generators, jacobian
 from nilmap.errors import InexactValue, ParseError, ShapeError
+from stored_form import stored_terms
 from nilmap.linalg import (
     RationalMatrix,
     _det_bareiss,
@@ -238,15 +239,12 @@ def ref_matmul(a, b):
 
 
 def assert_clean_entries(m):
-    """Every stored coefficient is a nonzero int or a Fraction whose
-    denominator is not 1; the public `terms` still hands out Fractions."""
+    """Every stored key is a valid packed key and every stored coefficient
+    a nonzero int or a Fraction whose denominator is not 1; the public
+    `terms` still hands out Fractions."""
     for row in m.entries:
         for p in row:
-            for exps, coeff in p._terms.items():
-                assert type(exps) is tuple and len(exps) == p.n
-                assert type(coeff) in (int, Fraction) and coeff != 0
-                if type(coeff) is Fraction:
-                    assert coeff.denominator != 1
+            stored_terms(p)
             assert all(type(c) is Fraction for c in p.terms.values())
 
 
@@ -277,7 +275,7 @@ class TestMatmulInvariant:
         got = a * b
         assert_clean_entries(got)
         assert got == ref_matmul(a, b)
-        assert got[0, 0]._terms == {(1, 0): 1, (0, 2): 2}
+        assert stored_terms(got[0, 0]) == {(1, 0): 1, (0, 2): 2}
 
     def test_cancelling_entries_are_zero(self):
         x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
@@ -660,6 +658,4 @@ class TestAsPolyMap:
             for j in range(n):
                 want = want + Polynomial.variable(n, j + 1).scale(T.matrix[i, j])
             assert got[i] == want
-            for c in got[i]._terms.values():
-                assert type(c) in (int, Fraction) and c != 0
-                assert type(c) is int or c.denominator != 1
+            stored_terms(got[i])

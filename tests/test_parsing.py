@@ -69,6 +69,21 @@ class TestParseErrors:
             parse_polynomial("x + $", 3)
         assert info.value.column > 0
 
+    def test_message_forms(self):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial("x +\n  $", 3)
+        assert str(info.value) == "unexpected character '$' (line 2, column 3)"
+        assert (info.value.line, info.value.column) == (2, 3)
+        with pytest.raises(ParseError) as info:
+            map_from_document({"n": 1.5, "components": ["x"]})
+        assert str(info.value) == (
+            "malformed map document: n must be an integer, got 1.5"
+        )
+        assert info.value.line is None and info.value.column is None
+        with pytest.raises(ParseError) as info:
+            parse_map(" ; ")
+        assert str(info.value) == "empty map text"
+
     def test_out_of_range_variable(self):
         with pytest.raises(ParseError):
             parse_polynomial("z", 2)

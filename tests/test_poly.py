@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from nilmap import NilmapError, PolyMap, Polynomial, univariate_gcd
-from nilmap.errors import DimensionMismatch, InexactValue, ShapeError
+from nilmap.errors import DimensionMismatch, ExponentOverflow, InexactValue, ShapeError
+from stored_form import ref_mul_into, stored_terms
 
 
 def P(text, n=3):
@@ -87,14 +88,12 @@ class TestFloatRejection:
 
 def assert_clean(p):
     """Every stored term holds the invariant the trusted constructor assumes:
-    a nonzero int, or a Fraction whose denominator is not 1 (never a float
-    or a bool).  The public accessors still hand out Fractions."""
-    for exps, coeff in p._terms.items():
-        assert type(exps) is tuple and len(exps) == p.n
-        assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) in (int, Fraction) and coeff != 0
-        if type(coeff) is Fraction:
-            assert coeff.denominator != 1
+    a packed int key whose fields are below 2^16 and whose top field is the
+    sum of the others, and a nonzero int or a Fraction whose denominator is
+    not 1 (never a float or a bool).  The public accessors still hand out
+    exponent tuples and Fractions."""
+    stored = stored_terms(p)
+    assert p.terms == {e: Fraction(c) for e, c in stored.items()}
     for exps, coeff in p.terms.items():
         assert type(coeff) is Fraction
         assert type(p.coefficient(exps)) is Fraction
@@ -248,12 +247,12 @@ class TestStoredForm:
             ),
         ]:
             assert_clean(got)
-            assert all(type(c) is int for c in got._terms.values())
+            assert all(type(c) is int for c in stored_terms(got).values())
 
     def test_constructor_normalizes(self):
         p = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): True, (0, 0): "3/6"})
         assert_clean(p)
-        assert p._terms == {(1, 0): 2, (0, 1): 1, (0, 0): Fraction(1, 2)}
+        assert stored_terms(p) == {(1, 0): 2, (0, 1): 1, (0, 0): Fraction(1, 2)}
         assert_clean(Polynomial.const(2, Fraction(6, 3)))
         assert_clean(Polynomial.monomial(2, (1, 1), Fraction(-5, 1)))
 
@@ -277,7 +276,7 @@ class TestStoredForm:
         got = P("x^2*y + 3*z").integrate(1)
         assert_clean(got)
         assert got == P("1/3*x^3*y + 3*x*z")
-        assert got._terms[(3, 1, 0)] == Fraction(1, 3)
+        assert stored_terms(got)[(3, 1, 0)] == Fraction(1, 3)
 
     def test_exact_div_of_integers_is_exact(self):
         got = P("2*x^2 - 2*y^2").exact_div(P("4*x - 4*y"))
@@ -292,6 +291,90 @@ class TestStoredForm:
         g = univariate_gcd(p, q)
         assert_clean(g)
         assert g == x + Polynomial.const(1, Fraction(3, 2))
+
+
+class TestPackedKeys:
+    """The packed product loop against the tuple-key reference, the
+    accessors that decode keys, and the overflow guard at its edges."""
+
+    LIMIT = 2**16
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mul_into_matches_tuple_reference(self, seed):
+        from nilmap.poly import _drop_zeros, _mul_into
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        p = random_rational_poly(rng, n, rng.randint(0, 5), rng.randint(1, 8))
+        q = random_rational_poly(rng, n, rng.randint(0, 5), rng.randint(1, 8))
+        got = {}
+        _mul_into(got, p._terms, q._terms, n)
+        got = Polynomial._trusted(n, _drop_zeros(got))
+        want = {}
+        ref_mul_into(want, stored_terms(p), stored_terms(q))
+        assert stored_terms(got) == {e: c for e, c in want.items() if c}
+        assert_clean(got)
+
+    def test_accessors_decode_keys(self):
+        p = P("x^3*z - 2*y^2*z^4 + 5", 4)
+        assert p.total_degree() == 6
+        assert [p.degree_in(i) for i in (1, 2, 3, 4)] == [3, 2, 4, 0]
+        assert p.variables_used() == {1, 2, 3}
+        assert sorted(p.monomials()) == sorted(p.terms)
+        assert p.coefficient((0, 2, 4, 0)) == -2
+        assert p.coefficient((0, 0, 0, 0)) == 5
+        # Exponent tuples that no stored key can hold have coefficient 0.
+        for exps in [(0, 2, 4), (-1, 0, 0, 0), (self.LIMIT, 0, 0, 0)]:
+            assert p.coefficient(exps) == 0
+        assert P("7", 4).is_constant() and Polynomial.zero(4).is_constant()
+        assert not P("x", 4).is_constant()
+        assert p.leading_term() == ((0, 2, 4, 0), Fraction(-2))
+
+    def test_degree_limit_is_accepted(self):
+        top = self.LIMIT - 1
+        for p in [
+            Polynomial.monomial(1, (top,)),
+            Polynomial.monomial(3, (1, top - 2, 1), 5),
+            Polynomial.monomial(1, (top - 1,)) * Polynomial.variable(1, 1),
+            Polynomial.variable(1, 1) ** top,
+            Polynomial.monomial(2, (top - 1, 0)).integrate(2),
+            Polynomial.monomial(1, (top,)).lift(3, [2]),
+        ]:
+            assert_clean(p)
+            assert p.total_degree() == top
+        assert Polynomial.monomial(1, (top,)).partial(1) == Polynomial.monomial(
+            1, (top - 1,), top
+        )
+
+    def test_constructor_rejects_degree_at_limit(self):
+        with pytest.raises(ExponentOverflow):
+            Polynomial.monomial(1, (self.LIMIT,))
+        with pytest.raises(ExponentOverflow):
+            Polynomial(2, {(40000, 30000): 1})
+        with pytest.raises(ExponentOverflow):
+            Polynomial(3, {(0, 0, 1): 1, (self.LIMIT + 5, 0, 0): 2})
+        with pytest.raises(ExponentOverflow):
+            Polynomial.monomial(2, (2**70, 0))
+
+    def test_products_reaching_the_limit_raise(self):
+        top = self.LIMIT - 1
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        with pytest.raises(ExponentOverflow):
+            Polynomial.monomial(2, (top, 0)) * x
+        # Each field would fit, but the total degree would not.
+        with pytest.raises(ExponentOverflow):
+            Polynomial.monomial(2, (40000, 0)) * Polynomial.monomial(2, (0, 30000))
+        with pytest.raises(ExponentOverflow):
+            x ** self.LIMIT
+        with pytest.raises(ExponentOverflow):
+            (x**40000 + y) * (y**30000 + 1)
+        with pytest.raises(ExponentOverflow):
+            Polynomial.monomial(2, (top, 0)).integrate(1)
+        with pytest.raises(ExponentOverflow):
+            P("x^2", 2).substitute({1: Polynomial.monomial(2, (0, 40000))})
+
+    def test_overflow_is_a_nilmap_error(self):
+        assert issubclass(ExponentOverflow, NilmapError)
 
 
 class TestNonNumericOperands:

@@ -129,3 +129,26 @@ def test_jacobian_of_composition(components):
     G = PolyMap.identity(2)
     comp = F.compose(G)
     assert poly_det(jacobian(comp)) == poly_det(jacobian(F))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.sets(
+            st.tuples(*(st.integers(0, 2**16 // n - 1) for _ in range(n))),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+def test_packed_keys_sort_in_graded_lex_order(monomials):
+    # The int order of the stored keys is the graded-lex order of the
+    # exponent tuples, which the formatter and leading_term rely on.
+    from nilmap.poly import _grlex_key
+    from stored_form import decode_key, encode_key
+
+    n = len(next(iter(monomials)))
+    p = Polynomial(n, {e: 1 for e in monomials})
+    assert {encode_key(e) for e in monomials} == set(p._terms)
+    decoded = [decode_key(key, n) for key in sorted(p._terms)]
+    assert decoded == sorted(monomials, key=_grlex_key)
+    assert p.leading_term()[0] == decoded[-1]

@@ -1,0 +1,98 @@
+"""Differential tests against sympy, an oracle independent of this package.
+
+Skipped where sympy is not installed; it is never a runtime dependency.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nilmap import PolyMap, Polynomial, generators, jacobian, poly_det
+
+sympy = pytest.importorskip("sympy")
+
+
+def symbols(n):
+    return sympy.symbols(f"x1:{n + 1}")
+
+
+def to_sympy(p, xs):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v**e for v, e in zip(xs, exps)))
+            for exps, c in p.terms.items()
+        )
+    )
+
+
+def from_sympy(expr, xs):
+    """The term dict of a sympy expression, expanded, with Fraction values."""
+    terms = sympy.Poly(sympy.expand(expr), *xs).terms()
+    return {
+        tuple(exps): Fraction(int(c.p), int(c.q)) for exps, c in terms if c != 0
+    }
+
+
+def scaled_map(rng, n, degree, terms):
+    """A seeded random map with some non-integral coefficients."""
+    H = generators.random_map(rng, n, degree, terms=terms)
+    return PolyMap([p.scale(Fraction(1, rng.randint(1, 3))) for p in H])
+
+
+CASES = [(n, seed) for n in (2, 3, 4, 5) for seed in range(3)]
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_poly_det_matches_sympy(n, seed):
+    rng = random.Random(1000 * n + seed)
+    H = scaled_map(rng, n, 3 if n < 5 else 2, terms=3)
+    J = jacobian(H)
+    xs = symbols(n)
+    want = sympy.Matrix(
+        [[to_sympy(p, xs) for p in row] for row in J.entries]
+    ).det(method="berkowitz")
+    assert poly_det(J).terms == from_sympy(want, xs)
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_compose_matches_sympy(n, seed):
+    rng = random.Random(2000 * n + seed)
+    F = scaled_map(rng, n, 3 if n < 4 else 2, terms=4)
+    G = scaled_map(rng, n, 2, terms=3)
+    xs = symbols(n)
+    images = {x: to_sympy(g, xs) for x, g in zip(xs, G)}
+    for got, f in zip(F.compose(G), F):
+        want = to_sympy(f, xs).subs(images, simultaneous=True)
+        assert got.terms == from_sympy(want, xs)
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_substitute_into_another_ring_matches_sympy(n, seed):
+    # Every variable bound to a polynomial in m != n variables; the result
+    # lives in the m-variable ring.
+    rng = random.Random(3000 * n + seed)
+    m = rng.choice([k for k in (1, 2, 3, 4, 5) if k != n])
+    p = generators.random_polynomial(rng, n, 3, terms=5, zero_constant=False)
+    images = [
+        generators.random_polynomial(rng, m, 2, terms=2, zero_constant=False)
+        for _ in range(n)
+    ]
+    got = p.substitute({i + 1: q for i, q in enumerate(images)})
+    assert got.n == m
+    xs, ys = symbols(n), symbols(m)
+    want = to_sympy(p, xs).subs(
+        {x: to_sympy(q, ys) for x, q in zip(xs, images)}, simultaneous=True
+    )
+    assert got.terms == from_sympy(want, ys)
+
+
+def test_zero_and_constant_results():
+    xs = symbols(2)
+    p = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
+    same = Polynomial.variable(2, 1) + 3
+    got = p.substitute({1: same, 2: same})
+    assert got.terms == from_sympy(sympy.Integer(0), xs) == {}
+    J = jacobian(PolyMap([Polynomial.variable(2, 2) ** 2, Polynomial.zero(2)]))
+    assert poly_det(J).terms == {}
