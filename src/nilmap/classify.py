@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Sequence
 
 from .analysis import (
     DependenceCertificate,
@@ -41,10 +40,10 @@ from .errors import (
 )
 from .linalg import (
     LinearMap,
-    RationalMatrix,
     coefficient_kernel,
     elementary_permutation,
     elementary_row_add,
+    row_conjugator,
 )
 from .poly import Polynomial, PolyMap, _exact
 
@@ -183,27 +182,6 @@ def certify_dependence(H: FormAInstance) -> DependenceCertificate:
     return cert
 
 
-def _complete_to_basis(
-    lam: Sequence[Fraction],
-) -> tuple[RationalMatrix, RationalMatrix] | None:
-    """(m, m^-1) for the invertible matrix m with last row lam, completed
-    by the smallest-index unit vectors that keep it invertible."""
-    n = len(lam)
-    units = [
-        [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-    ]
-    import itertools
-
-    for idx in itertools.combinations(range(n), n - 1):
-        rows = [units[i] for i in idx] + [list(lam)]
-        m = RationalMatrix(rows)
-        try:
-            return m, m.inverse()
-        except NilmapError:
-            continue
-    return None
-
-
 def recognize_canonical_pair(
     H: PolyMap,
 ) -> tuple[LinearMap, CanonicalFormA] | None:
@@ -233,11 +211,7 @@ def recognize_canonical_pair(
             _instance_doc(H),
         )
     for lam in basis:
-        completed = _complete_to_basis(lam)
-        if completed is None:
-            continue
-        m, inverse = completed
-        T = LinearMap(inverse, m)
+        T = row_conjugator(lam, 3)
         try:
             params = _extract_canonical_params(conjugate(H, T))
         except NilmapError:
@@ -344,25 +318,14 @@ def triangularize_top_coefficients(H: PolyMap) -> tuple[LinearMap, PolyMap]:
         raise NotNilpotentTop(
             "the (x,y)-Jacobian of the top z-coefficients is not nilpotent"
         )
-    lam = _common_row_direction(rows)
-    if lam is None:
+    basis = coefficient_kernel(rows)
+    if not basis:
         raise TheoremViolation(
             "nilpotent top coefficients without a constant gradient direction",
             _instance_doc(H),
         )
-    a, b = lam[1], -lam[0]
-    if b != 0:
-        first = [Fraction(1), Fraction(0)]
-    else:
-        first = [Fraction(0), Fraction(1)]
-    m = RationalMatrix(
-        [
-            first + [Fraction(0)],
-            [a, b, Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(1)],
-        ]
-    )
-    T = LinearMap(m.inverse(), m)
+    l1, l2 = basis[0]
+    T = row_conjugator([l2, -l1, 0], 2)
     return T, conjugate(H, T)
 
 
@@ -371,12 +334,6 @@ def _z_coefficient(p: Polynomial, d: int) -> Polynomial:
     if d < len(coeffs):
         return coeffs[d]
     return Polynomial.zero(p.n)
-
-
-def _common_row_direction(rows) -> list[Fraction] | None:
-    """A rational (l1, l2) annihilating every gradient row, if one exists."""
-    basis = coefficient_kernel(rows)
-    return basis[0] if basis else None
 
 
 def normalize_low_z_degree(
@@ -417,18 +374,7 @@ def normalize_low_z_degree(
         if u1c == 0 and v1c == 0:
             T2 = LinearMap.identity(3)
         else:
-            if u1c != 0:
-                first = [Fraction(1), Fraction(0)]
-            else:
-                first = [Fraction(0), Fraction(1)]
-            m = RationalMatrix(
-                [
-                    first + [Fraction(0)],
-                    [v1c, -u1c, Fraction(0)],
-                    [Fraction(0), Fraction(0), Fraction(1)],
-                ]
-            )
-            T2 = LinearMap(m.inverse(), m)
+            T2 = row_conjugator([v1c, -u1c, 0], 2)
         T = T1 * T2
         return T, conjugate(H1, T2), ReductionStatus.EXTERNAL_FORM_REACHED
     if v1.is_zero():

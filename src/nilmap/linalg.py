@@ -7,16 +7,18 @@ immutable and exact.  Reduced row echelon forms, and through them kernels
 and inverses, come from one fraction-free Gauss-Jordan elimination
 (`_rref_den`): each row's denominators are cleared, the elimination runs on
 ints, and the result is divided by the last pivot once, at the end.
-Polynomial determinants come from fraction-free (Bareiss) elimination with
-a cofactor fallback for small sizes, and symbolic rank from fraction-free
-elimination with nonzero polynomial pivots.
+`row_conjugator` completes one nonzero row to an invertible matrix with
+unit rows; it is the linear change of coordinates behind every dependence
+and mixing conjugation of `classify` and `tame`.  Symbolic rank comes from
+fraction-free elimination with nonzero polynomial pivots.
 
-The principal-minor sums sigma_1..sigma_n of a polynomial matrix all come
-from one characteristic polynomial, computed by Berkowitz's division-free
-recursion (S. J. Berkowitz, "On computing the determinant in small parallel
-time using a small number of processors", Inf. Process. Lett. 18, 1984) in
-O(n^4) ring operations.  `principal_minor_sum` enumerates the C(n,k) minors
-explicitly; it is kept as the independent oracle for that recursion.
+The principal-minor sums sigma_1..sigma_n of a polynomial matrix, and with
+sigma_n its determinant, all come from one characteristic polynomial,
+computed by Berkowitz's division-free recursion (S. J. Berkowitz, "On
+computing the determinant in small parallel time using a small number of
+processors", Inf. Process. Lett. 18, 1984) in O(n^4) ring operations.
+`principal_minor_sum` enumerates the C(n,k) minors by cofactor expansion;
+it is kept as the independent oracle for that recursion.
 """
 
 from __future__ import annotations
@@ -314,6 +316,27 @@ def elementary_row_add(n: int, i: int, a, j: int) -> LinearMap:
     return LinearMap(RationalMatrix(fwd), RationalMatrix(back))
 
 
+def row_conjugator(row: Sequence[Fraction], position: int) -> LinearMap:
+    """The conjugation T whose inverse m carries `row` in slot `position`.
+
+    m has `row` as row `position` (1-based) and, in increasing order in the
+    other slots, the unit rows e_j for every j except the pivot, the last
+    index with row[pivot] != 0; so m is invertible, and slot `position` of
+    `conjugate(H, T)` is sum_j row[j] * (H o T)_j.  Returns
+    LinearMap(m^-1, m).
+    """
+    n = len(row)
+    if not 1 <= position <= n:
+        raise ShapeError(f"position {position} out of range 1..{n}")
+    pivot = max((j for j in range(n) if row[j]), default=None)
+    if pivot is None:
+        raise ShapeError("the zero row does not complete to a basis")
+    rows = [[int(i == j) for i in range(n)] for j in range(n) if j != pivot]
+    rows.insert(position - 1, row)
+    m = RationalMatrix(rows)
+    return LinearMap(m.inverse(), m)
+
+
 class PolyMatrix:
     """Immutable dense matrix of polynomials sharing one ambient ring."""
 
@@ -404,40 +427,12 @@ def _det_cofactor(m: PolyMatrix) -> Polynomial:
     return acc
 
 
-def _det_bareiss(m: PolyMatrix) -> Polynomial:
-    # Fraction-free elimination; every division is exact in the polynomial
-    # ring, which keeps intermediate entries polynomial instead of rational
-    # functions.
-    n = m.rows
-    work = [[m[i, j] for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Polynomial.const(m.n, 1)
-    for k in range(n - 1):
-        if work[k][k].is_zero():
-            pivot = next(
-                (r for r in range(k + 1, n) if not work[r][k].is_zero()), None
-            )
-            if pivot is None:
-                return Polynomial.zero(m.n)
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[k][k] * work[i][j] - work[i][k] * work[k][j]
-                work[i][j] = num.exact_div(prev)
-            work[i][k] = Polynomial.zero(m.n)
-        prev = work[k][k]
-    det = work[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def poly_det(m: PolyMatrix) -> Polynomial:
-    """Exact determinant of a square polynomial matrix."""
+    """Exact determinant of a square polynomial matrix: sigma_n, the last
+    coefficient of Berkowitz's characteristic polynomial."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    if m.rows <= 4:
-        return _det_cofactor(m)
-    return _det_bareiss(m)
+    return sigma_polynomials(m)[-1]
 
 
 def principal_minor_sum(m: PolyMatrix, k: int) -> Polynomial:
@@ -448,7 +443,7 @@ def principal_minor_sum(m: PolyMatrix, k: int) -> Polynomial:
         raise ShapeError(f"minor size {k} out of range 1..{m.rows}")
     acc = Polynomial.zero(m.n)
     for idx in itertools.combinations(range(m.rows), k):
-        acc = acc + poly_det(m.submatrix(idx, idx))
+        acc = acc + _det_cofactor(m.submatrix(idx, idx))
     return acc
 
 

@@ -26,6 +26,10 @@ DEFAULT_ALIASES = "xyzw"
 # recursion limit.
 MAX_NESTING = 100
 
+# Numbers and variable indices are ASCII digits: str.isdigit also accepts
+# characters such as superscripts that int() rejects.
+_DIGITS = "0123456789"
+
 
 class _Token:
     __slots__ = ("kind", "value", "line", "column")
@@ -57,9 +61,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), line, col))
             col += j - i
@@ -67,7 +71,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch.isalpha():
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("name", text[i:j], line, col))
             col += j - i

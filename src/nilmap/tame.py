@@ -6,7 +6,8 @@ map per nonzero component, applied in topological order.  When the digraph
 has cycles, a linear conjugation found by `classify_and_decompose` may
 break them: it repeatedly zeroes linearly dependent components and, when
 the first two components share a constant gradient direction, mixes them
-so their contribution collapses.
+so their contribution collapses.  Each move is one `linalg.row_conjugator`,
+which puts the combination it found in one coordinate slot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NotTriangularizable,
     ShapeError,
 )
-from .linalg import LinearMap, RationalMatrix, coefficient_kernel, poly_det
+from .linalg import LinearMap, coefficient_kernel, poly_det, row_conjugator
 from .poly import Polynomial, PolyMap
 
 Factor = Union["ElementaryMap", LinearMap]
@@ -230,16 +231,6 @@ def tame_decompose(
     return result
 
 
-def _component_mixing_kernel(H: PolyMap) -> list[Fraction] | None:
-    """(s1, s2) != 0 making s1*H_1 + s2*H_2 free of x1 and x2, if any."""
-    equations = [
-        (H.components[0].partial(k), H.components[1].partial(k))
-        for k in (1, 2)
-    ]
-    basis = coefficient_kernel(equations)
-    return basis[0] if basis else None
-
-
 def _zeroing_conjugation(H: PolyMap) -> LinearMap | None:
     """Conjugation replacing one nonzero dependent component by zero."""
     n = H.dimension
@@ -255,29 +246,20 @@ def _zeroing_conjugation(H: PolyMap) -> LinearMap | None:
     for idx, c in zip(nonzero, cert.coefficients):
         lam[idx - 1] = c
     target = max(i for i in nonzero if lam[i - 1] != 0)
-    rows = [
-        [Fraction(int(r == c)) for c in range(n)] for r in range(n)
-    ]
-    rows[target - 1] = lam
-    m = RationalMatrix(rows)
-    return LinearMap(m.inverse(), m)
+    return row_conjugator(lam, target)
 
 
 def _block_mixing_conjugation(H: PolyMap) -> LinearMap | None:
-    """Conjugation collapsing the (x1, x2)-dependence of the second slot."""
-    s = _component_mixing_kernel(H)
-    if s is None:
-        return None
+    """Conjugation putting s1*H_1 + s2*H_2, free of x1 and x2, in the
+    second slot; None when no such (s1, s2) != 0 exists or n < 2."""
     n = H.dimension
-    rows = [
-        [Fraction(int(r == c)) for c in range(n)] for r in range(n)
-    ]
-    rows[1] = [s[0], s[1]] + [Fraction(0)] * (n - 2)
-    if s[1] == 0:
-        # (s1, 0) is parallel to the first unit row; pivot on x2 instead.
-        rows[0] = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 2)
-    m = RationalMatrix(rows)
-    return LinearMap(m.inverse(), m)
+    if n < 2:
+        return None
+    H1, H2 = H.components[:2]
+    basis = coefficient_kernel([(H1.partial(k), H2.partial(k)) for k in (1, 2)])
+    if not basis:
+        return None
+    return row_conjugator(basis[0] + [0] * (n - 2), 2)
 
 
 def classify_and_decompose(F: PolyMap) -> TameFactorization:

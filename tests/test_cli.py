@@ -328,6 +328,16 @@ class TestInvertDecomposeKeller:
         code, out, _ = run(capsys, ["decompose", "-f", f])
         assert code == 1
 
+    def test_decompose_one_variable(self, tmp_path, capsys):
+        # 2*x has no (x1, x2) block to mix; it ends as 2*x; y does.
+        codes = []
+        for text in ("2*x", "2*x; y"):
+            f = write(tmp_path, "m.txt", text)
+            code, out, err = run(capsys, ["decompose", "-f", f])
+            assert "Traceback" not in out + err
+            codes.append(code)
+        assert codes[0] == codes[1]
+
     def test_keller4d_true(self, tmp_path, capsys):
         f = write(tmp_path, "m.txt", "y; 0; 0; 0")
         code, out, _ = run(capsys, ["keller4d", "-f", f, "--json"])

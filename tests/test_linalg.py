@@ -24,9 +24,9 @@ from nilmap.errors import InexactValue, ParseError, ShapeError
 from stored_form import stored_terms
 from nilmap.linalg import (
     RationalMatrix,
-    _det_bareiss,
     _det_cofactor,
     coefficient_kernel,
+    row_conjugator,
 )
 
 
@@ -147,6 +147,41 @@ class TestLinearMap:
         assert (t.matrix * t.inverse).is_identity()
 
 
+class TestRowConjugator:
+    """m = T^-1 carries the row in its slot and the unit rows e_j, j not the
+    pivot (the last nonzero index of the row), in the other slots."""
+
+    def layout(self, row, position):
+        T = row_conjugator(row, position)
+        assert (T.matrix * T.inverse).is_identity()
+        return T.inverse
+
+    def test_pivot_at_the_slot_replaces_one_identity_row(self):
+        assert self.layout([2, -1, 3], 3) == Q([[1, 0, 0], [0, 1, 0], [2, -1, 3]])
+        assert self.layout([0, 5, 0, 0], 2) == Q(
+            [[1, 0, 0, 0], [0, 5, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        )
+
+    def test_pivot_before_the_slot(self):
+        assert self.layout([4, 0, 0], 2) == Q([[0, 1, 0], [4, 0, 0], [0, 0, 1]])
+        assert self.layout([1, 1, 0], 3) == Q([[1, 0, 0], [0, 0, 1], [1, 1, 0]])
+        assert self.layout([3, -2, 0], 2) == Q([[1, 0, 0], [3, -2, 0], [0, 0, 1]])
+        assert self.layout([-1, 0, 0, 0], 2) == Q(
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        )
+
+    def test_fraction_entries(self):
+        T = row_conjugator([Fraction(1, 2), Fraction(-3, 4), Fraction(0)], 2)
+        assert T.inverse == Q([[1, 0, 0], ["1/2", "-3/4", 0], [0, 0, 1]])
+        assert T.matrix == Q([[1, 0, 0], ["2/3", "-4/3", 0], [0, 0, 1]])
+
+    def test_zero_row_and_bad_position_raise(self):
+        with pytest.raises(ShapeError):
+            row_conjugator([0, Fraction(0)], 1)
+        with pytest.raises(ShapeError):
+            row_conjugator([1, 0], 3)
+
+
 class TestPolyMatrix:
     def J(self, texts, n=3):
         return PolyMatrix(
@@ -165,7 +200,7 @@ class TestPolyMatrix:
     def test_det_methods_agree(self):
         rng = random.Random(11)
         for _ in range(10):
-            size = rng.choice([2, 3, 4])
+            size = rng.choice([2, 3, 4, 5, 6])
             m = PolyMatrix(
                 [
                     [
@@ -179,7 +214,7 @@ class TestPolyMatrix:
                     for _ in range(size)
                 ]
             )
-            assert _det_cofactor(m) == _det_bareiss(m)
+            assert _det_cofactor(m) == poly_det(m)
 
     def test_det_multiplicative(self):
         rng = random.Random(5)

@@ -64,6 +64,15 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_polynomial(bad, 3)
 
+    @pytest.mark.parametrize(
+        "bad", ["\u00b9", "x\u00b2", "x^\u00b2", "x\u2081", "\u0663"]
+    )
+    def test_non_ascii_digits_are_parse_errors(self, bad):
+        # Superscripts, subscripts and other Unicode digits are not numbers
+        # of the grammar; int() rejects some of them, so they must not reach it.
+        with pytest.raises(ParseError):
+            parse_polynomial(bad, 3)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as info:
             parse_polynomial("x + $", 3)

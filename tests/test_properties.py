@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nilmap import (
     PolyMap,
     Polynomial,
+    conjugate,
     format_polynomial,
     is_nilpotent,
     is_nilpotent_bruteforce,
@@ -14,7 +15,7 @@ from nilmap import (
     parse_polynomial,
     poly_det,
 )
-from nilmap.linalg import PolyMatrix
+from nilmap.linalg import PolyMatrix, row_conjugator
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -152,3 +153,36 @@ def test_packed_keys_sort_in_graded_lex_order(monomials):
     decoded = [decode_key(key, n) for key in sorted(p._terms)]
     assert decoded == sorted(monomials, key=_grlex_key)
     assert p.leading_term()[0] == decoded[-1]
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                min_size=n,
+                max_size=n,
+            ).filter(any),
+            st.integers(1, n),
+            st.lists(polynomials(n, max_exp=2, max_terms=3), min_size=n, max_size=n),
+        )
+    )
+)
+def test_row_conjugator_slots(case):
+    # Slot p of conjugate(H, T) is sum_j row_j (H o T)_j; every other slot i
+    # holds the unit row e_j and is (H o T)_j, the j in increasing order.
+    row, p, components = case
+    n = len(row)
+    H = PolyMap(components)
+    T = row_conjugator(row, p)
+    composed = H.compose(T.as_poly_map()).components
+    conjugated = conjugate(H, T).components
+    pivot = max(j for j in range(n) if row[j])
+    others = [i for i in range(n) if i != p - 1]
+    units = [j for j in range(n) if j != pivot]
+    for i, j in zip(others, units):
+        assert conjugated[i] == composed[j]
+    combination = Polynomial.zero(n)
+    for c, q in zip(row, composed):
+        combination = combination + q.scale(c)
+    assert conjugated[p - 1] == combination

@@ -156,6 +156,16 @@ class TestClassifyAndDecompose:
         with pytest.raises(NotTriangularizable):
             classify_and_decompose(parse_map("x + y^2; y + x^2"))
 
+    def test_one_variable_map(self):
+        # n = 1 has no second slot to mix into: the search ends in
+        # NotTriangularizable, as it does for 2*x; y.
+        from nilmap.tame import _block_mixing_conjugation
+
+        assert _block_mixing_conjugation(parse_map("x")) is None
+        for text in ("2*x", "0", "2*x; y"):
+            with pytest.raises(NotTriangularizable):
+                classify_and_decompose(parse_map(text))
+
     def test_already_triangular_passes_through(self):
         F = parse_map("x + y^2; y + z^3; z")
         fact = classify_and_decompose(F)
