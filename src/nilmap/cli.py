@@ -12,6 +12,7 @@ import functools
 import json
 import random
 import sys
+from typing import Callable
 
 from . import analysis, classify, generators, tame
 from .errors import (
@@ -52,29 +53,37 @@ def _read_map(args) -> PolyMap:
     return load_map_text(_read_text(args.file), aliases=args.var_alias)
 
 
-def _emit(args, doc: dict, plain: str | None = None):
+def _emit(args, doc: Callable[[], dict], plain: Callable[[], str]):
+    """Print the JSON document under --json, else the plain text.
+
+    Both are zero-argument callables, so only the form that is printed is
+    built (formatting polynomials is a large part of some verbs).
+    """
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc(), indent=2, sort_keys=True))
     else:
-        print(plain if plain is not None else json.dumps(doc, sort_keys=True))
+        print(plain())
 
 
 def _cmd_jacobian(args) -> int:
     H = _read_map(args)
     J = analysis.jacobian(H)
     rows = J.to_json()
-    _emit(args, {"jacobian": rows}, "\n".join("  ".join(r) for r in rows))
+    _emit(
+        args,
+        lambda: {"jacobian": rows},
+        lambda: "\n".join("  ".join(r) for r in rows),
+    )
     return EXIT_OK
 
 
 def _cmd_nilpotent(args) -> int:
     H = _read_map(args)
     report = analysis.nilpotency_equations(H)
-    doc = report.to_json()
     _emit(
         args,
-        doc,
-        "nilpotent" if report.nilpotent else
+        report.to_json,
+        lambda: "nilpotent" if report.nilpotent else
         f"not nilpotent: sigma_{report.witness[0]} = "
         f"{format_polynomial(report.witness[1])}",
     )
@@ -84,7 +93,7 @@ def _cmd_nilpotent(args) -> int:
 def _cmd_rank(args) -> int:
     H = _read_map(args)
     r = poly_matrix_rank(analysis.jacobian(H))
-    _emit(args, {"rank": r}, f"rank {r}")
+    _emit(args, lambda: {"rank": r}, lambda: f"rank {r}")
     return EXIT_OK
 
 
@@ -92,13 +101,12 @@ def _cmd_depend(args) -> int:
     H = _read_map(args)
     cert = analysis.linear_dependence(H.components)
     if cert is None:
-        _emit(args, {"dependent": False}, "independent")
+        _emit(args, lambda: {"dependent": False}, lambda: "independent")
         return EXIT_FALSE
-    doc = {"dependent": True, **cert.to_json()}
     _emit(
         args,
-        doc,
-        "dependent: " + ", ".join(str(c) for c in cert.coefficients),
+        lambda: {"dependent": True, **cert.to_json()},
+        lambda: "dependent: " + ", ".join(str(c) for c in cert.coefficients),
     )
     return EXIT_OK
 
@@ -112,7 +120,7 @@ def _cmd_conjugate(args) -> int:
     H = _read_map(args)
     T = _parse_matrix(args.matrix)
     result = analysis.conjugate(H, T)
-    _emit(args, map_to_document(result), format_map(result))
+    _emit(args, lambda: map_to_document(result), lambda: format_map(result))
     return EXIT_OK
 
 
@@ -123,23 +131,27 @@ def _cmd_classify(args) -> int:
         k, s = report.witness
         _emit(
             args,
-            {"nilpotent": False, "witness": {"k": k, "sigma_k": format_polynomial(s)}},
-            f"not nilpotent: sigma_{k} = {format_polynomial(s)}",
+            lambda: {
+                "nilpotent": False,
+                "witness": {"k": k, "sigma_k": format_polynomial(s)},
+            },
+            lambda: f"not nilpotent: sigma_{k} = {format_polynomial(s)}",
         )
         return EXIT_FALSE
-    doc: dict = {"nilpotent": True}
     if H.dimension == 3:
         recognized = classify.recognize_canonical_pair(H)
         if recognized is not None:
             T, params = recognized
-            doc.update(
-                {
+            _emit(
+                args,
+                lambda: {
+                    "nilpotent": True,
                     "route": "canonical-pair",
                     "T": T.matrix.to_json(),
                     "params": params.to_json(),
-                }
+                },
+                lambda: "canonical pair form recognized",
             )
-            _emit(args, doc, "canonical pair form recognized")
             return EXIT_OK
         try:
             instance = classify.FormAInstance(H)
@@ -147,15 +159,17 @@ def _cmd_classify(args) -> int:
             instance = None
         if instance is not None and analysis.linear_dependence(H.components) is None:
             T, reduced, status = classify.normalize_low_z_degree(instance)
-            doc.update(
-                {
+            _emit(
+                args,
+                lambda: {
+                    "nilpotent": True,
                     "route": "low-z-normalization",
                     "T": T.matrix.to_json(),
                     "status": status.value,
                     "map": map_to_document(reduced),
-                }
+                },
+                lambda: f"normalized: {status.value}",
             )
-            _emit(args, doc, f"normalized: {status.value}")
             return EXIT_OK
     try:
         instance_b = classify.GeneralizedFormB(H)
@@ -163,18 +177,23 @@ def _cmd_classify(args) -> int:
         instance_b = None
     if instance_b is not None and analysis.linear_dependence(H.components) is None:
         T, reduced, status = classify.reduce_generalized(instance_b)
-        doc.update(
-            {
+        _emit(
+            args,
+            lambda: {
+                "nilpotent": True,
                 "route": "generalized-reduction",
                 "T": T.matrix.to_json(),
                 "status": status.value,
                 "map": map_to_document(reduced),
-            }
+            },
+            lambda: f"reduced: {status.value}",
         )
-        _emit(args, doc, f"reduced: {status.value}")
         return EXIT_OK
-    doc["route"] = "unclassified"
-    _emit(args, doc, "nilpotent, but no classification route applies")
+    _emit(
+        args,
+        lambda: {"nilpotent": True, "route": "unclassified"},
+        lambda: "nilpotent, but no classification route applies",
+    )
     return EXIT_OK
 
 
@@ -196,7 +215,7 @@ def _cmd_build_canonical(args) -> int:
         parse_polynomial(doc["h"], 2, aliases="tz"),
     )
     H = classify.build_canonical_pair(params)
-    _emit(args, map_to_document(H), format_map(H))
+    _emit(args, lambda: map_to_document(H), lambda: format_map(H))
     return EXIT_OK
 
 
@@ -204,9 +223,11 @@ def _cmd_invert(args) -> int:
     F = _read_map(args)
     G = tame.formal_inverse(F, args.degree_bound)
     if G is None:
-        _emit(args, {"inverse": None}, "no polynomial inverse found")
+        _emit(
+            args, lambda: {"inverse": None}, lambda: "no polynomial inverse found"
+        )
         return EXIT_FALSE
-    _emit(args, {"inverse": map_to_document(G)}, format_map(G))
+    _emit(args, lambda: {"inverse": map_to_document(G)}, lambda: format_map(G))
     return EXIT_OK
 
 
@@ -215,12 +236,16 @@ def _cmd_decompose(args) -> int:
     try:
         factorization = tame.classify_and_decompose(F)
     except NotTriangularizable as exc:
-        _emit(args, {"tame": False, "reason": str(exc)}, f"not decomposed: {exc}")
+        _emit(
+            args,
+            lambda: {"tame": False, "reason": str(exc)},
+            lambda: f"not decomposed: {exc}",
+        )
         return EXIT_FALSE
     _emit(
         args,
-        factorization.to_json(),
-        f"{len(factorization.factors)} factors",
+        factorization.to_json,
+        lambda: f"{len(factorization.factors)} factors",
     )
     return EXIT_OK
 
@@ -233,8 +258,11 @@ def _cmd_keller4d(args) -> int:
     h = classify.ReducedForm4D(*polys)
     keller = classify.keller_parameterized_check(h)
     nilp = analysis.is_nilpotent(h.realize())
-    doc = {"keller_parameterized": keller, "realized_nilpotent": nilp}
-    _emit(args, doc, f"keller: {keller}, realized nilpotent: {nilp}")
+    _emit(
+        args,
+        lambda: {"keller_parameterized": keller, "realized_nilpotent": nilp},
+        lambda: f"keller: {keller}, realized nilpotent: {nilp}",
+    )
     return EXIT_OK if keller else EXIT_FALSE
 
 
@@ -348,7 +376,7 @@ def _cmd_verify(args) -> int:
         f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else "")
         for name, ok, detail in results
     ]
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, lambda: doc, lambda: "\n".join(lines))
     # Every suite asserts a proved guarantee, so a failed suite is a violation.
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VIOLATION
 

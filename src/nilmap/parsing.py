@@ -5,6 +5,12 @@ Grammar: variables ``x1..xN`` (aliases ``x, y, z, w`` for N <= 4), integer or
 tighter than ``*``, which binds tighter than ``+``/``-``; there is no
 implicit multiplication.  Whitespace is insignificant.
 
+The parser evaluates straight into packed term dicts, the stored form of
+`poly`: every grammar level returns a term dict, products go through
+`poly._product` and powers through `poly._power` (which
+``Polynomial.__pow__`` shares), both with the ExponentOverflow guard of
+polynomial multiplication, and one `Polynomial` is built per parsed text.
+
 The formatter emits graded-lexicographically sorted terms, so equal
 polynomials always format identically and ``format(parse(t))`` is a fixpoint
 of ``parse``/``format``.
@@ -17,7 +23,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, ParseError, ShapeError
-from .poly import Polynomial, PolyMap, _grlex_terms
+from .poly import (
+    Polynomial,
+    PolyMap,
+    Terms,
+    _add_into,
+    _coeff,
+    _drop_zeros,
+    _grlex_terms,
+    _power,
+    _product,
+    _unit,
+)
 
 DEFAULT_ALIASES = "xyzw"
 
@@ -29,6 +46,13 @@ MAX_NESTING = 100
 # Numbers and variable indices are ASCII digits: str.isdigit also accepts
 # characters such as superscripts that int() rejects.
 _DIGITS = "0123456789"
+
+
+def _negate(t: Terms) -> Terms:
+    """Negate the coefficients of a term dict in place and return it."""
+    for key, c in t.items():
+        t[key] = -c
+    return t
 
 
 class _Token:
@@ -114,40 +138,48 @@ class _Parser:
         p = self.expression()
         if self.peek().kind != "end":
             self.fail(f"trailing input starting at {self.peek().value!r}")
-        return p
+        return Polynomial._trusted(self.n, _drop_zeros(p))
 
-    def expression(self) -> Polynomial:
-        sign = 1
-        while self.peek().kind in "+-":
-            if self.advance().kind == "-":
-                sign = -sign
-        p = self.term().scale(sign)
+    # Each level returns a term dict it owns.  Sums may hold cancelled zero
+    # coefficients until `_drop_zeros`; products and powers are in stored
+    # form, so an empty dict is the zero polynomial and the overflow guard
+    # sees the same degrees as the Polynomial operators would.
+
+    def expression(self) -> Terms:
+        negative = self.signs()
+        p = self.term()
+        if negative:
+            _negate(p)
         while self.peek().kind in "+-":
             op = self.advance().kind
             q = self.term()
-            p = p + q if op == "+" else p - q
+            _add_into(p, q if op == "+" else _negate(q))
         return p
 
-    def term(self) -> Polynomial:
+    def term(self) -> Terms:
         p = self.factor()
         while self.peek().kind == "*":
             self.advance()
-            p = p * self.factor()
+            p = _product(p, self.factor(), self.n)
         return p
 
-    def factor(self) -> Polynomial:
-        sign = 1
-        while self.peek().kind in "+-":
-            if self.advance().kind == "-":
-                sign = -sign
+    def factor(self) -> Terms:
+        negative = self.signs()
         p = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            e = self.expect("int").value
-            p = p ** e
-        return p.scale(sign)
+            p = _power(p, self.expect("int").value, self.n)
+        return _negate(p) if negative else p
 
-    def atom(self) -> Polynomial:
+    def signs(self) -> bool:
+        """Consume a run of unary signs; True when it negates."""
+        negative = False
+        while self.peek().kind in "+-":
+            if self.advance().kind == "-":
+                negative = not negative
+        return negative
+
+    def atom(self) -> Terms:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
@@ -158,23 +190,23 @@ class _Parser:
                     tok.line,
                     tok.column,
                 )
-            p = self.expression()
+            p = _drop_zeros(self.expression())
             self.expect(")")
             self.depth -= 1
             return p
         if tok.kind == "int":
             self.advance()
-            num = tok.value
+            value = tok.value
             if self.peek().kind == "/":
                 self.advance()
                 den = self.expect("int").value
                 if den == 0:
                     raise ParseError("zero denominator", tok.line, tok.column)
-                return Polynomial.const(self.n, Fraction(num, den))
-            return Polynomial.const(self.n, num)
+                value = _coeff(Fraction(value, den))
+            return {0: value} if value else {}
         if tok.kind == "name":
             self.advance()
-            return Polynomial.variable(self.n, self.variable_index(tok))
+            return {_unit(self.n, self.variable_index(tok)): 1}
         self.fail(f"expected a number, variable or '(', found {tok.value!r}")
 
     def variable_index(self, tok: _Token) -> int:

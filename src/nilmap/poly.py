@@ -183,6 +183,75 @@ def _drop_zeros(out: Terms) -> Terms:
 _ONE: Terms = {0: 1}
 
 
+def _product(a: Terms, b: Terms, n: int) -> Terms:
+    """The product of the term dicts a and b, in n variables, in stored form.
+
+    Two single-term factors skip the accumulation loop but keep its
+    ExponentOverflow guard.
+    """
+    if len(a) == 1 and len(b) == 1:
+        ((ka, ca),) = a.items()
+        ((kb, cb),) = b.items()
+        top = _B * n
+        degree = (ka >> top) + (kb >> top)
+        if degree >= _LIMIT:
+            raise _overflow(degree)
+        c = ca * cb
+        if c.__class__ is not int and c.denominator == 1:
+            c = c.numerator
+        return {ka + kb: c}
+    out: Terms = {}
+    _mul_into(out, a, b, n)
+    return _drop_zeros(out)
+
+
+def _power(terms: Terms, k: int, n: int) -> Terms:
+    """The k-th power (k >= 0) of a term dict in n variables, in stored form,
+    by square-and-multiply; the result is a new dict."""
+    result: Terms = {0: 1}
+    base = terms
+    while k:
+        if k & 1:
+            result = _product(result, base, n)
+        if k > 1:
+            base = _product(base, base, n)
+        k >>= 1
+    return result
+
+
+def _substitute(
+    terms: Terms, n: int, images: Sequence[Terms], m: int, powers: list[list[Terms]]
+) -> Terms:
+    """The term dict, in m variables, of the polynomial in n variables with
+    term dict `terms` after the substitution x_k -> images[k - 1].
+
+    powers[k - 1] lists the term dicts of images[k - 1]^0, ^1, ... computed
+    so far (start it as [_ONE, images[k - 1]]); it grows as terms need
+    higher powers, so substituting the same images into several
+    polynomials with one table computes every power once.  The table's
+    dicts are shared and must not be modified.
+    """
+    # Each term coeff * prod_k x_k^e_k becomes coeff times the product of
+    # the image powers; the last factor is multiplied straight into out.
+    out: Terms = {}
+    for key, coeff in terms.items():
+        factors = []
+        for k, e in enumerate(_unpack(key, n)):
+            if e:
+                cache = powers[k]
+                while len(cache) <= e:
+                    cache.append(_product(cache[-1], images[k], m))
+                factors.append(cache[e])
+        if not factors:
+            _add_into(out, {0: coeff})
+            continue
+        term = {0: coeff}
+        for factor in factors[:-1]:
+            term = _product(term, factor, m)
+        _mul_into(out, term, factors[-1], m)
+    return _drop_zeros(out)
+
+
 def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
     """sum(x * y) over the pairs, summed into one term dict.
 
@@ -424,14 +493,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise NilmapError("negative polynomial powers are not defined")
-        result = Polynomial.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Polynomial._trusted(self.n, _power(self._terms, k, self.n))
 
     def scale(self, c) -> "Polynomial":
         c = _coeff(c)
@@ -515,36 +577,14 @@ class Polynomial:
                 f"variables {unbound} are unbound but the target ring has "
                 f"{m} != {self.n} variables"
             )
-        images: dict[int, Polynomial] = dict(bindings)
-        for i in unbound:
-            images[i] = Polynomial.variable(m, i)
-        # Cache the term dicts of the powers of each image, so that every
-        # power is computed once for the whole substitution.
-        powers: dict[int, list[Terms]] = {i: [_ONE] for i in images}
-
-        def image_power(i: int, e: int) -> Terms:
-            cache = powers[i]
-            while len(cache) <= e:
-                product: Terms = {}
-                _mul_into(product, cache[-1], images[i]._terms, m)
-                cache.append(_drop_zeros(product))
-            return cache[e]
-
-        # Each term coeff * prod_k x_k^e_k becomes coeff times the product of
-        # the image powers; the last factor is multiplied straight into out.
-        out: Terms = {}
-        n = self.n
-        for key, coeff in self._terms.items():
-            term = {0: coeff}
-            factors = [
-                image_power(k, e) for k, e in enumerate(_unpack(key, n), 1) if e
-            ]
-            for factor in factors[:-1]:
-                product = {}
-                _mul_into(product, term, factor, m)
-                term = _drop_zeros(product)
-            _mul_into(out, term, factors[-1] if factors else _ONE, m)
-        return Polynomial._trusted(m, _drop_zeros(out))
+        images = [
+            bindings[i]._terms if i in bindings else {_unit(m, i): 1}
+            for i in range(1, self.n + 1)
+        ]
+        powers = [[_ONE, t] for t in images]
+        return Polynomial._trusted(
+            m, _substitute(self._terms, self.n, images, m, powers)
+        )
 
     def coefficients_in(self, i: int) -> list["Polynomial"]:
         """Ascending coefficient list [p_0, ..., p_d] with p = sum p_j x_i^j.
@@ -634,22 +674,47 @@ class Polynomial:
         return _unpack(key, self.n), Fraction(self._terms[key])
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self / divisor; raises if the division has a remainder."""
+        """Exact quotient self / divisor; raises if the division has a remainder.
+
+        Divides on term dicts: one remainder dict loses its leading term
+        (its largest key) at each step, by subtracting qc * x^qk * divisor
+        in place, until it is empty.
+        """
         self._require_same_ring(divisor)
         if divisor.is_zero():
             raise NilmapError("division by the zero polynomial")
-        quotient = Polynomial.zero(self.n)
-        rem = self
-        de, dc = divisor.leading_term()
-        while not rem.is_zero():
-            re, rc = rem.leading_term()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(e < 0 for e in qe):
+        n = self.n
+        d = divisor._terms
+        dk = max(d)
+        dc = d[dk]
+        d_exps = _unpack(dk, n)
+        rem = dict(self._terms)
+        get = rem.get
+        quotient: Terms = {}
+        while rem:
+            rk = max(rem)
+            if any(r < e for r, e in zip(_unpack(rk, n), d_exps)):
                 raise NilmapError("polynomial division is not exact")
-            t = Polynomial.monomial(self.n, qe, rc / dc)
-            quotient = quotient + t
-            rem = rem - t * divisor
-        return quotient
+            # Every field of rk is at least that of dk, so rk - dk is the
+            # key of the quotient monomial, with no borrow between fields.
+            qk = rk - dk
+            rc = rem[rk]
+            if rc.__class__ is int and dc.__class__ is int and not rc % dc:
+                qc = rc // dc
+            else:
+                qc = _coeff(Fraction(rc, dc))
+            quotient[qk] = qc
+            for key, c in d.items():
+                key += qk
+                old = get(key)
+                value = -qc * c if old is None else old - qc * c
+                if not value:
+                    del rem[key]
+                elif value.__class__ is not int and value.denominator == 1:
+                    rem[key] = value.numerator
+                else:
+                    rem[key] = value
+        return Polynomial._trusted(n, quotient)
 
     def __repr__(self):
         from .parsing import format_polynomial
@@ -735,13 +800,25 @@ class PolyMap:
         return hash(self.components)
 
     def compose(self, other: "PolyMap") -> "PolyMap":
-        """(self o other)_i = self_i(other_1, ..., other_n)."""
+        """(self o other)_i = self_i(other_1, ..., other_n).
+
+        Every component goes through `_substitute` with one table of the
+        powers of other's components, so each power is computed once for
+        the whole map rather than once per component.
+        """
         if self.dimension != other.dimension:
             raise DimensionMismatch(
                 f"composing maps of dimension {self.dimension} and {other.dimension}"
             )
-        bindings = {i + 1: p for i, p in enumerate(other.components)}
-        return PolyMap([p.substitute(bindings) for p in self.components])
+        n = self.dimension
+        images = [p._terms for p in other.components]
+        powers = [[_ONE, t] for t in images]
+        return PolyMap(
+            [
+                Polynomial._trusted(n, _substitute(p._terms, n, images, n, powers))
+                for p in self.components
+            ]
+        )
 
     def __add__(self, other: "PolyMap") -> "PolyMap":
         if self.dimension != other.dimension:

@@ -213,6 +213,16 @@ def tame_decompose(
         raise NotTriangularizable(
             "the dependency digraph of the shift part has a cycle"
         )
+    return _factor(F, H, order, conjugation)
+
+
+def _factor(
+    F: PolyMap, H: PolyMap, order: list[int], conjugation: LinearMap | None
+) -> TameFactorization:
+    """The factorization of F whose chain adds the components of H, the
+    shift part of F conjugated by `conjugation` (None: not conjugated), in
+    the reverse of the topological `order` of its dependency digraph;
+    checked to recompose to F."""
     chain: list[Factor] = []
     for i in reversed(order):
         Q = H.components[i - 1]
@@ -276,8 +286,9 @@ def classify_and_decompose(F: PolyMap) -> TameFactorization:
     current = H
     block_used = False
     for _ in range(n + 2):
-        if _dependency_order(current) is not None:
-            return tame_decompose(F, conjugation=None if T.is_identity() else T)
+        order = _dependency_order(current)
+        if order is not None:
+            return _factor(F, current, order, T)
         step = _zeroing_conjugation(current)
         if step is None and not block_used:
             step = _block_mixing_conjugation(current)

@@ -45,6 +45,22 @@ def stored_terms(p):
     return out
 
 
+def assert_clean(p):
+    """Every stored term holds the invariant the trusted constructor assumes:
+    a packed int key whose fields are below 2^16 and whose top field is the
+    sum of the others, and a nonzero int or a Fraction whose denominator is
+    not 1 (never a float or a bool).  The public accessors still hand out
+    exponent tuples and Fractions."""
+    stored = stored_terms(p)
+    assert p.terms == {e: Fraction(c) for e, c in stored.items()}
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction
+        assert type(p.coefficient(exps)) is Fraction
+    assert type(p.constant_value()) is Fraction
+    if not p.is_zero():
+        assert type(p.leading_term()[1]) is Fraction
+
+
 def ref_mul_into(out, a, b):
     """Add the product of two tuple-key term dicts into out; the tuple-key
     product loop kept as a differential reference for the packed one."""

@@ -7,7 +7,7 @@ import pytest
 
 from nilmap import NilmapError, PolyMap, Polynomial, univariate_gcd
 from nilmap.errors import DimensionMismatch, ExponentOverflow, InexactValue, ShapeError
-from stored_form import ref_mul_into, stored_terms
+from stored_form import assert_clean, ref_mul_into, stored_terms
 
 
 def P(text, n=3):
@@ -86,22 +86,6 @@ class TestFloatRejection:
         }
 
 
-def assert_clean(p):
-    """Every stored term holds the invariant the trusted constructor assumes:
-    a packed int key whose fields are below 2^16 and whose top field is the
-    sum of the others, and a nonzero int or a Fraction whose denominator is
-    not 1 (never a float or a bool).  The public accessors still hand out
-    exponent tuples and Fractions."""
-    stored = stored_terms(p)
-    assert p.terms == {e: Fraction(c) for e, c in stored.items()}
-    for exps, coeff in p.terms.items():
-        assert type(coeff) is Fraction
-        assert type(p.coefficient(exps)) is Fraction
-    assert type(p.constant_value()) is Fraction
-    if not p.is_zero():
-        assert type(p.leading_term()[1]) is Fraction
-
-
 def random_rational_poly(rng, n, max_degree=3, terms=5):
     out = {}
     for _ in range(terms):
@@ -141,6 +125,25 @@ def ref_substitute(p, images):
                 term = ref_mul(term, image)
         acc = ref_add(acc, term)
     return acc
+
+
+def ref_exact_div(p, divisor):
+    """The division through public operators: one public Polynomial per
+    quotient term, the remainder rebuilt at every step."""
+    if divisor.is_zero():
+        raise NilmapError("division by the zero polynomial")
+    quotient = Polynomial.zero(p.n)
+    rem = p
+    de, dc = divisor.leading_term()
+    while not rem.is_zero():
+        re, rc = rem.leading_term()
+        qe = tuple(a - b for a, b in zip(re, de))
+        if any(e < 0 for e in qe):
+            raise NilmapError("polynomial division is not exact")
+        t = Polynomial.monomial(p.n, qe, rc / dc)
+        quotient = quotient + t
+        rem = rem - t * divisor
+    return quotient
 
 
 class TestTrustedInvariant:
@@ -225,6 +228,41 @@ class TestTrustedInvariant:
         assert got == P("y*z - x*y", 3)
         got = P("x - z", 3).substitute({1: P("y"), 3: P("y")})
         assert got.is_zero() and got.terms == {}
+
+
+class TestExactDivReference:
+    """exact_div on term dicts against the operator-based division, on
+    seeded exact products (rational and integer coefficients) and on
+    dividends with a remainder."""
+
+    @staticmethod
+    def outcome(divide, p, d):
+        try:
+            return divide(p, d), None
+        except NilmapError as exc:
+            return None, str(exc)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            q = random_rational_poly(rng, n, 3, rng.randint(1, 5))
+            d = random_rational_poly(rng, n, 2, rng.randint(1, 4))
+            if rng.random() < 0.5:
+                # Integer coefficients take the int path of the division.
+                q = Polynomial(n, {e: c.numerator for e, c in q.terms.items()})
+                d = Polynomial(n, {e: c.numerator for e, c in d.terms.items()})
+            r = random_rational_poly(rng, n, 2, rng.randint(1, 3))
+            for p in (q * d, q * d + r, r, Polynomial.zero(n)):
+                got, error = self.outcome(Polynomial.exact_div, p, d)
+                want, ref_error = self.outcome(ref_exact_div, p, d)
+                assert error == ref_error
+                if error is None:
+                    assert_clean(got)
+                    assert got == want
+                    if p == q * d and not d.is_zero():
+                        assert got == q
 
 
 class TestStoredForm:

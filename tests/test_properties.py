@@ -186,3 +186,38 @@ def test_row_conjugator_slots(case):
     for c, q in zip(row, composed):
         combination = combination + q.scale(c)
     assert conjugated[p - 1] == combination
+
+
+def maps(n, max_exp=2, max_terms=3):
+    return st.lists(
+        polynomials(n, max_exp=max_exp, max_terms=max_terms), min_size=n, max_size=n
+    ).map(PolyMap)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(maps(n), maps(n))))
+def test_compose_matches_substitute(pair):
+    # compose shares one table of image powers across the components; each
+    # component must still equal its own substitution.
+    F, G = pair
+    bindings = {i: g for i, g in enumerate(G, 1)}
+    assert F.compose(G).components == tuple(f.substitute(bindings) for f in F)
+
+
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.tuples(maps(n), polynomials(n, max_exp=2, max_terms=3))
+    )
+)
+def test_compose_cancels_to_zero(case):
+    # F_i = (x1 - x2) * P_i vanishes on any G with G_1 = G_2, so every
+    # component of F o G cancels to the zero polynomial.
+    P, g = case
+    n = P.dimension
+    diff = Polynomial.variable(n, 1) - Polynomial.variable(n, 2)
+    F = PolyMap([diff * p for p in P])
+    G = PolyMap([g, g] + [Polynomial.variable(n, i) for i in range(3, n + 1)])
+    composed = F.compose(G)
+    assert composed.is_zero()
+    assert all(c._terms == {} for c in composed)
+    bindings = {i: q for i, q in enumerate(G, 1)}
+    assert composed.components == tuple(f.substitute(bindings) for f in F)
