@@ -7,9 +7,9 @@ implicit multiplication.  Whitespace is insignificant.
 
 The parser evaluates straight into packed term dicts, the stored form of
 `poly`: every grammar level returns a term dict, products go through
-`poly._product` and powers through `poly._power` (which
-``Polynomial.__pow__`` shares), both with the ExponentOverflow guard of
-polynomial multiplication, and one `Polynomial` is built per parsed text.
+`poly._product` and powers through `poly._power` (the helpers behind
+``Polynomial`` ``*`` and ``**``, with their ExponentOverflow guard), and one
+`Polynomial` is built per parsed text.
 
 The formatter emits graded-lexicographically sorted terms, so equal
 polynomials always format identically and ``format(parse(t))`` is a fixpoint

@@ -184,22 +184,8 @@ _ONE: Terms = {0: 1}
 
 
 def _product(a: Terms, b: Terms, n: int) -> Terms:
-    """The product of the term dicts a and b, in n variables, in stored form.
-
-    Two single-term factors skip the accumulation loop but keep its
-    ExponentOverflow guard.
-    """
-    if len(a) == 1 and len(b) == 1:
-        ((ka, ca),) = a.items()
-        ((kb, cb),) = b.items()
-        top = _B * n
-        degree = (ka >> top) + (kb >> top)
-        if degree >= _LIMIT:
-            raise _overflow(degree)
-        c = ca * cb
-        if c.__class__ is not int and c.denominator == 1:
-            c = c.numerator
-        return {ka + kb: c}
+    """The product of the term dicts a and b, in n variables, as a new
+    dict in stored form."""
     out: Terms = {}
     _mul_into(out, a, b, n)
     return _drop_zeros(out)
@@ -220,36 +206,39 @@ def _power(terms: Terms, k: int, n: int) -> Terms:
 
 
 def _substitute(
-    terms: Terms, n: int, images: Sequence[Terms], m: int, powers: list[list[Terms]]
-) -> Terms:
-    """The term dict, in m variables, of the polynomial in n variables with
-    term dict `terms` after the substitution x_k -> images[k - 1].
+    polys: Sequence[Terms], n: int, images: Sequence[Terms], m: int
+) -> list[Terms]:
+    """The term dicts, in m variables, of the polynomials in n variables
+    with term dicts `polys` after the substitution x_k -> images[k - 1].
 
-    powers[k - 1] lists the term dicts of images[k - 1]^0, ^1, ... computed
-    so far (start it as [_ONE, images[k - 1]]); it grows as terms need
-    higher powers, so substituting the same images into several
-    polynomials with one table computes every power once.  The table's
-    dicts are shared and must not be modified.
+    One table of image powers serves all of `polys`, so each power is
+    computed once however many polynomials need it.
     """
-    # Each term coeff * prod_k x_k^e_k becomes coeff times the product of
-    # the image powers; the last factor is multiplied straight into out.
-    out: Terms = {}
-    for key, coeff in terms.items():
-        factors = []
-        for k, e in enumerate(_unpack(key, n)):
-            if e:
-                cache = powers[k]
-                while len(cache) <= e:
-                    cache.append(_product(cache[-1], images[k], m))
-                factors.append(cache[e])
-        if not factors:
-            _add_into(out, {0: coeff})
-            continue
-        term = {0: coeff}
-        for factor in factors[:-1]:
-            term = _product(term, factor, m)
-        _mul_into(out, term, factors[-1], m)
-    return _drop_zeros(out)
+    # powers[k][e] is the term dict of images[k]^e; a list grows as terms
+    # need higher powers.  Each term coeff * prod_k x_k^e_k becomes coeff
+    # times the product of the image powers; the last factor is multiplied
+    # straight into out.
+    powers = [[_ONE, image] for image in images]
+    results = []
+    for terms in polys:
+        out: Terms = {}
+        for key, coeff in terms.items():
+            factors = []
+            for k, e in enumerate(_unpack(key, n)):
+                if e:
+                    cache = powers[k]
+                    while len(cache) <= e:
+                        cache.append(_product(cache[-1], images[k], m))
+                    factors.append(cache[e])
+            if not factors:
+                _add_into(out, {0: coeff})
+                continue
+            term = {0: coeff}
+            for factor in factors[:-1]:
+                term = _product(term, factor, m)
+            _mul_into(out, term, factors[-1], m)
+        results.append(_drop_zeros(out))
+    return results
 
 
 def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
@@ -477,9 +466,8 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._require_same_ring(other)
-        out: Terms = {}
-        _mul_into(out, self._terms, other._terms, self.n)
-        return Polynomial._trusted(self.n, _drop_zeros(out))
+        terms = _product(self._terms, other._terms, self.n)
+        return Polynomial._trusted(self.n, terms)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -581,10 +569,8 @@ class Polynomial:
             bindings[i]._terms if i in bindings else {_unit(m, i): 1}
             for i in range(1, self.n + 1)
         ]
-        powers = [[_ONE, t] for t in images]
-        return Polynomial._trusted(
-            m, _substitute(self._terms, self.n, images, m, powers)
-        )
+        (terms,) = _substitute([self._terms], self.n, images, m)
+        return Polynomial._trusted(m, terms)
 
     def coefficients_in(self, i: int) -> list["Polynomial"]:
         """Ascending coefficient list [p_0, ..., p_d] with p = sum p_j x_i^j.
@@ -812,12 +798,9 @@ class PolyMap:
             )
         n = self.dimension
         images = [p._terms for p in other.components]
-        powers = [[_ONE, t] for t in images]
+        polys = [p._terms for p in self.components]
         return PolyMap(
-            [
-                Polynomial._trusted(n, _substitute(p._terms, n, images, n, powers))
-                for p in self.components
-            ]
+            [Polynomial._trusted(n, t) for t in _substitute(polys, n, images, n)]
         )
 
     def __add__(self, other: "PolyMap") -> "PolyMap":

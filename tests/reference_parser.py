@@ -4,7 +4,8 @@
 reads the same token stream and follows the same grammar, but builds every
 value through the public `Polynomial` operators (`+`, `-`, `*`, `scale`,
 `const`, `variable`), and takes powers by its own square-and-multiply over
-`*`, so it shares no evaluation code with the parser under test.
+`*`.  It shares with the parser under test only the product behind `*`
+(`poly._product`), which `test_poly` checks against a tuple-key product.
 """
 
 from fractions import Fraction

@@ -16,6 +16,8 @@ from nilmap import (
     poly_det,
 )
 from nilmap.linalg import PolyMatrix, row_conjugator
+from stored_form import assert_clean
+from test_poly import ref_substitute
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
@@ -197,10 +199,15 @@ def maps(n, max_exp=2, max_terms=3):
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(maps(n), maps(n))))
 def test_compose_matches_substitute(pair):
     # compose shares one table of image powers across the components; each
-    # component must still equal its own substitution.
+    # component must still equal its own substitution, computed term by
+    # term through the reference operators of test_poly (no code shared
+    # with poly's substitution helper).
     F, G = pair
-    bindings = {i: g for i, g in enumerate(G, 1)}
-    assert F.compose(G).components == tuple(f.substitute(bindings) for f in F)
+    images = list(G)
+    composed = F.compose(G)
+    assert composed.components == tuple(ref_substitute(f, images) for f in F)
+    for c in composed:
+        assert_clean(c)
 
 
 @given(
@@ -219,5 +226,4 @@ def test_compose_cancels_to_zero(case):
     composed = F.compose(G)
     assert composed.is_zero()
     assert all(c._terms == {} for c in composed)
-    bindings = {i: q for i, q in enumerate(G, 1)}
-    assert composed.components == tuple(f.substitute(bindings) for f in F)
+    assert all(ref_substitute(f, list(G)).is_zero() for f in F)
