@@ -10,16 +10,34 @@ independently checks J(H)^n = 0 by exact matrix powering, so the two
 definitions guard each other in the test suite; `linalg.principal_minor_sum`,
 which enumerates the C(n,k) minors explicitly, is kept as a further oracle
 for the sigma polynomials themselves.
+
+The J^n oracle refutes at a point first.  Evaluation at a point x0 is a
+ring homomorphism, so (J^n)(x0) = J(x0)^n: when the exact rational matrix
+J(x0)^n is nonzero, J^n is not the zero matrix, which proves the map is
+not nilpotent.  Only when J(x0)^n = 0, as for every nilpotent map, is J^n
+computed symbolically.  A nonzero polynomial rarely vanishes at a given
+point (J. T. Schwartz, J. ACM 27, 1980), so almost every non-nilpotent map
+is settled by n - 1 small integer matrix products.  The probe point
+x0 = (2, -3, 5, -7, 11, ...) has nonzero coordinates with distinct
+absolute values.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError, ShapeError
-from .linalg import LinearMap, PolyMatrix, coefficient_kernel, sigma_polynomials
-from .poly import Polynomial, PolyMap, _combination, _exact
+from .linalg import (
+    LinearMap,
+    PolyMatrix,
+    RationalMatrix,
+    coefficient_kernel,
+    sigma_polynomials,
+)
+from .poly import Polynomial, PolyMap, _combination, _exact, _unpack
 
 
 class NilpotencyReport:
@@ -134,6 +152,43 @@ def jacobian(H: PolyMap) -> PolyMatrix:
     )
 
 
+@functools.cache
+def _probe_point(n: int) -> tuple[int, ...]:
+    """The point x0 = (2, -3, 5, -7, 11, ...) in n variables: the first n
+    primes with alternating signs."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return tuple(-p if i % 2 else p for i, p in enumerate(primes))
+
+
+def _jacobian_at(H: PolyMap, point: Sequence[int]) -> RationalMatrix:
+    """J(H) evaluated at an integer point, read off H's term dicts.
+
+    Each term c * x^e of H_i adds c * e_j * prod_k point_k^(e_k - [k = j])
+    to entry (i, j) for every j with e_j > 0.  No coordinate is divided
+    by, so the point may have zero coordinates.
+    """
+    n = H.dimension
+    rows = []
+    for p in H.components:
+        row = [0] * n
+        for key, c in p._terms.items():
+            exps = _unpack(key, n)
+            values = [x**e for x, e in zip(point, exps)]
+            for j, e in enumerate(exps):
+                if e:
+                    row[j] += (
+                        c * e * point[j] ** (e - 1)
+                        * prod(values[:j]) * prod(values[j + 1:])
+                    )
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
 def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
     """All principal-minor sums sigma_1..sigma_n of J(H)."""
     return NilpotencyReport(sigma_polynomials(jacobian(H)))
@@ -153,8 +208,21 @@ def is_nilpotent(H: PolyMap) -> bool:
 
 
 def is_nilpotent_bruteforce(H: PolyMap) -> bool:
-    """Independent oracle: J(H)^n computed by exact matrix powering."""
-    return jacobian(H).power(H.dimension).is_zero()
+    """Independent oracle: J(H)^n = 0, by exact matrix powering.
+
+    J(H)(x0)^n is computed first at the probe point x0.  It equals
+    (J(H)^n)(x0), since evaluation is a ring homomorphism, so when it is
+    nonzero J(H)^n is not zero and the answer is False.  Otherwise J(H)^n
+    is computed symbolically.  Neither step reads a sigma polynomial.
+    """
+    n = H.dimension
+    at_point = _jacobian_at(H, _probe_point(n))
+    power = at_point
+    for _ in range(n - 1):
+        power = power * at_point
+    if any(v for row in power.entries for v in row):
+        return False
+    return jacobian(H).power(n).is_zero()
 
 
 def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:

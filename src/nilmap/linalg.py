@@ -7,6 +7,9 @@ immutable and exact.  Reduced row echelon forms, and through them kernels
 and inverses, come from one fraction-free Gauss-Jordan elimination
 (`_rref_den`): each row's denominators are cleared, the elimination runs on
 ints, and the result is divided by the last pivot once, at the end.
+Products are fraction-free too: each entry is an integer dot product of a
+row and a column with their denominators cleared, divided once by the two
+denominators.
 `row_conjugator` completes one nonzero row to an invertible matrix with
 unit rows; it is the linear change of coordinates behind every dependence
 and mixing conjugation of `classify` and `tame`.  Symbolic rank comes from
@@ -23,6 +26,7 @@ it is kept as the independent oracle for that recursion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -66,6 +70,18 @@ class RationalMatrix:
         raise AttributeError("RationalMatrix instances are immutable")
 
     @classmethod
+    def _trusted(
+        cls, grid: tuple[tuple[int | Fraction, ...], ...]
+    ) -> "RationalMatrix":
+        # Takes ownership of a non-empty rectangular grid of tuples whose
+        # entries are already in stored form; no checks.
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(grid))
+        object.__setattr__(self, "cols", len(grid[0]))
+        object.__setattr__(self, "entries", grid)
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -86,10 +102,29 @@ class RationalMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        columns = list(zip(*other.entries))
-        return RationalMatrix(
-            [[sum(map(mul, row, col)) for col in columns] for row in self.entries]
+        # Fraction-free: integer dot products of the rows of self and the
+        # columns of other with their denominators cleared, each divided by
+        # its two denominators once.
+        rows = [_clear_denominators(row) for row in self.entries]
+        columns = [_clear_denominators(col) for col in zip(*other.entries)]
+        return RationalMatrix._trusted(
+            tuple(
+                tuple(
+                    sum(map(mul, row, col)) if rd == cd == 1
+                    else _quotient(sum(map(mul, row, col)), rd * cd)
+                    for col, cd in columns
+                )
+                for row, rd in rows
+            )
         )
+
+    def det(self) -> Fraction:
+        """Exact determinant, by the Berkowitz recursion behind `poly_det`
+        run on the entries themselves."""
+        if self.rows != self.cols:
+            raise ShapeError("determinant of a non-square matrix")
+        c = _charpoly(self.entries, _rational_dot, 1)[-1]
+        return Fraction(-c if self.rows % 2 else c)
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
@@ -120,13 +155,16 @@ class RationalMatrix:
         den, pivots = _rref_den(work)
         if pivots != list(range(n)):
             raise NilmapError("matrix is singular")
-        return RationalMatrix([_divided(row[n:], den) for row in work])
+        return RationalMatrix._trusted(
+            tuple(_divided(row[n:], den) for row in work)
+        )
 
     def rref(self) -> tuple["RationalMatrix", list[int]]:
         """Reduced row echelon form plus the pivot column indices."""
         work = [_clear_denominators(row)[0] for row in self.entries]
         den, pivots = _rref_den(work)
-        return RationalMatrix([_divided(row, den) for row in work]), pivots
+        reduced = RationalMatrix._trusted(tuple(_divided(row, den) for row in work))
+        return reduced, pivots
 
     def to_json(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
@@ -194,9 +232,18 @@ def _rref_den(work: list[list[int]]) -> tuple[int, list[int]]:
     return den, pivots
 
 
-def _divided(values: list[int], den: int) -> list[int | Fraction]:
+def _rational_dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
+def _quotient(value: int, den: int) -> int | Fraction:
+    """value / den in stored form."""
+    return value // den if not value % den else Fraction(value, den)
+
+
+def _divided(values: list[int], den: int) -> tuple[int | Fraction, ...]:
     """The values over den, each in stored form."""
-    return [v // den if not v % den else Fraction(v, den) for v in values]
+    return tuple(_quotient(v, den) for v in values)
 
 
 def kernel(m: RationalMatrix) -> list[list[Fraction]]:
@@ -460,10 +507,17 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
     """
     if m.rows != m.cols:
         raise ShapeError("principal minors need a square matrix")
-    size = m.rows
-    e = m.entries
     n = m.n
-    one = Polynomial.const(n, 1)
+    q = _charpoly(m.entries, functools.partial(_dot, n), Polynomial.const(n, 1))
+    return [q[k] if k % 2 == 0 else -q[k] for k in range(1, m.rows + 1)]
+
+
+def _charpoly(e, dot, one) -> list:
+    """Coefficients of det(tI - M), highest power first, for the square grid
+    e of M's rows, by Berkowitz's recursion (see `sigma_polynomials`);
+    `dot(xs, ys)` is sum(x * y) in the ring of the entries, `one` its unit.
+    """
+    size = len(e)
     # Coefficients of det(tI - A), highest power first, for the trailing
     # block A = M[k+1:, k+1:].
     q = [one]
@@ -474,12 +528,12 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
         d = size - k
         t = [one, -e[k][k]]
         for l in range(2, d + 1):
-            t.append(-_dot(n, row, col))
+            t.append(-dot(row, col))
             if l < d:
-                col = [_dot(n, r, col) for r in block]
+                col = [dot(r, col) for r in block]
         # Coefficient i of the product is sum_j t[i - j] * q[j].
-        q = [_dot(n, t[i::-1], q) for i in range(d + 1)]
-    return [q[k] if k % 2 == 0 else -q[k] for k in range(1, size + 1)]
+        q = [dot(t[i::-1], q) for i in range(d + 1)]
+    return q
 
 
 def poly_matrix_rank(m: PolyMatrix) -> int:

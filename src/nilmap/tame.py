@@ -8,6 +8,13 @@ break them: it repeatedly zeroes linearly dependent components and, when
 the first two components share a constant gradient direction, mixes them
 so their contribution collapses.  Each move is one `linalg.row_conjugator`,
 which puts the combination it found in one coordinate slot.
+
+A polynomial automorphism has a nonzero constant Jacobian determinant, so
+`keller_check` and `formal_inverse` first compare det JF at the origin and
+at the probe point of `analysis.is_nilpotent_bruteforce`: a zero at the
+origin, or two different values, proves that F is not invertible.  Both
+determinants are numbers, taken by `RationalMatrix.det`, the Berkowitz
+recursion of `poly_det` run on the entries themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import graphlib
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .analysis import conjugate, jacobian
+from .analysis import _jacobian_at, _probe_point, conjugate, jacobian
 from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
@@ -132,8 +139,22 @@ def compose_factorization(f: TameFactorization) -> PolyMap:
     return result
 
 
+def _keller_refuted(F: PolyMap) -> bool:
+    """True when det JF is provably not a nonzero constant: it vanishes at
+    the origin, or differs between the origin and the probe point."""
+    n = F.dimension
+    at_origin = _jacobian_at(F, (0,) * n).det()
+    return not at_origin or _jacobian_at(F, _probe_point(n)).det() != at_origin
+
+
 def keller_check(F: PolyMap) -> bool:
-    """True iff the Jacobian determinant is a nonzero constant."""
+    """True iff the Jacobian determinant is a nonzero constant.
+
+    det JF is first compared at the origin and at the probe point; only a
+    determinant that is nonzero and agrees there is computed symbolically.
+    """
+    if _keller_refuted(F):
+        return False
     det = poly_det(jacobian(F))
     return det.is_constant() and not det.is_zero()
 
@@ -155,11 +176,18 @@ def formal_inverse(
     (deg F)^(n-1), the classical automorphism-inverse bound).  An exact
     fixpoint is verified by composing both ways; None means no polynomial
     inverse was found within the bound.
+
+    Before iterating, None is returned at once when det JF(0) = 0 or det
+    JF differs between the origin and the probe point: the determinant of
+    an invertible map is a nonzero constant, so either case proves that no
+    polynomial inverse exists, and the iteration would end in None too.
     """
     n = F.dimension
     H = _shift_part(F)
     if H.is_zero():
         return PolyMap.identity(n)
+    if _keller_refuted(F):
+        return None
     if degree_bound is None:
         degree_bound = max(F.max_total_degree(), 1) ** max(n - 1, 1)
     identity = PolyMap.identity(n)

@@ -26,8 +26,9 @@ from nilmap import (
     poly_matrix_rank,
 )
 from nilmap import generators
+from nilmap.analysis import _jacobian_at, _probe_point
 from nilmap.errors import InexactValue, ShapeError
-from nilmap.linalg import RationalMatrix
+from nilmap.linalg import PolyMatrix, RationalMatrix
 from stored_form import stored_terms
 
 
@@ -83,6 +84,113 @@ class TestNilpotency:
             n = rng.choice([2, 3, 4])
             H = generators.random_map(rng, n, 3, terms=3)
             assert is_nilpotent(H) == is_nilpotent_bruteforce(H)
+
+
+# PolyMatrix.power as defined, captured before any test patches it.
+SYMBOLIC_POWER = PolyMatrix.power
+
+
+def symbolic_power_is_zero(H):
+    """J(H)^n = 0 by symbolic powering alone, the reference for the
+    bruteforce oracle."""
+    return SYMBOLIC_POWER(jacobian(H), H.dimension).is_zero()
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """Counts the calls of PolyMatrix.power, the symbolic path of the
+    bruteforce oracle."""
+    calls = []
+
+    def counted(self, k):
+        calls.append(k)
+        return SYMBOLIC_POWER(self, k)
+
+    monkeypatch.setattr(PolyMatrix, "power", counted)
+    return calls
+
+
+class TestBruteforceRefutation:
+    """`is_nilpotent_bruteforce` settles J(x0)^n != 0 at the probe point x0
+    with no symbolic power, and powers J(H) only when J(x0)^n = 0."""
+
+    def test_probe_point(self):
+        assert _probe_point(1) == (2,)
+        assert _probe_point(6) == (2, -3, 5, -7, 11, -13)
+        point = _probe_point(40)
+        assert len({abs(x) for x in point}) == 40 and all(point)
+
+    def test_jacobian_at_matches_symbolic_jacobian(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            H = generators.random_map(rng, n, 3, terms=4)
+            H = PolyMap([c.scale(Fraction(1, rng.randint(1, 4))) for c in H])
+            J = jacobian(H)
+            for point in (_probe_point(n), (0,) * n):
+                at = _jacobian_at(H, point)
+                bindings = {k + 1: Polynomial.const(n, x) for k, x in enumerate(point)}
+                want = [
+                    [J[i, j].substitute(bindings).constant_value() for j in range(n)]
+                    for i in range(n)
+                ]
+                assert [[at[i, j] for j in range(n)] for i in range(n)] == want
+
+    def test_one_variable_fallback(self, power_calls):
+        # H = (x - x0)^2: J = 2(x - x0) vanishes at x0, but J^1 does not.
+        (x0,) = _probe_point(1)
+        H = PolyMap([parse_polynomial(f"(x - {x0})^2", 1)])
+        assert not is_nilpotent_bruteforce(H)
+        assert power_calls == [1]
+
+    def test_two_variable_fallback(self, power_calls):
+        # J(x0) = [[0, 1], [0, 0]] is nonzero and nilpotent; J^2 is not zero.
+        a, b = _probe_point(2)
+        H = parse_map(f"y + (x - {a})^2 * (y - {b}); 0")
+        assert _jacobian_at(H, (a, b)) == RationalMatrix([[0, 1], [0, 0]])
+        assert not symbolic_power_is_zero(H)
+        assert not is_nilpotent_bruteforce(H)
+        assert power_calls == [2]
+
+    def test_zero_jacobian_at_the_point_falls_back(self, power_calls):
+        a, b = _probe_point(2)
+        H = parse_map(f"(x - {a})^2; (y - {b})^2")
+        assert not is_nilpotent_bruteforce(H)
+        assert power_calls == [2]
+
+    def test_nilpotent_map_takes_the_symbolic_path(self, power_calls):
+        assert is_nilpotent_bruteforce(parse_map("(z*x + y)^2; -z*(z*x + y)^2; 0"))
+        assert power_calls == [3]
+
+    def test_refuted_maps_never_power_symbolically(self, power_calls):
+        assert not is_nilpotent_bruteforce(parse_map("x; y"))
+        assert not is_nilpotent_bruteforce(parse_map("x*y + z^2; x^2; y*z"))
+        assert power_calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_symbolic_power(self, n, power_calls):
+        rng = random.Random(100 + n)
+        maps = []
+        for _ in range(25):
+            d, terms = rng.randint(1, 3), rng.randint(1, 4)
+            H = generators.random_map(rng, n, d, terms=terms)
+            if rng.random() < 0.5:
+                c = Fraction(rng.choice([-3, 1, 2]), rng.randint(2, 5))
+                H = PolyMap([p.scale(c) for p in H])
+            maps.append(H)
+        if n in (2, 3, 4):
+            for _ in range(8):
+                H = generators.random_nilpotent_map(rng, n)
+                if rng.random() < 0.5:
+                    # rational coefficients, still nilpotent
+                    H = conjugate(H, generators.random_invertible(rng, n))
+                maps.append(H)
+        for H in maps:
+            before = len(power_calls)
+            got = is_nilpotent_bruteforce(H)
+            assert got == symbolic_power_is_zero(H)
+            if len(power_calls) == before:
+                assert got is False
 
 
 class TestDependence:

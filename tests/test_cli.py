@@ -309,6 +309,17 @@ class TestInvertDecomposeKeller:
         assert code == 1
         assert "no polynomial inverse" in out
 
+    def test_invert_non_keller_map_exits_at_once(self, tmp_path, capsys):
+        # det JF is -6 at the origin and 32,496 at (2, -3, 5)
+        f = write(
+            tmp_path,
+            "m.txt",
+            "-2*x*z - 3*y*z + y; 3*x*y*z + 2*x^2 + 2*z; 2*y*z^2 + 3*x^2 - 3*x",
+        )
+        code, out, _ = run(capsys, ["invert", "-f", f])
+        assert code == 1
+        assert out == "no polynomial inverse found\n"
+
     def test_invert_wrong_shape(self, tmp_path, capsys):
         # the shift part must vanish at the origin
         f = write(tmp_path, "m.txt", "x + 1; y")

@@ -1,5 +1,6 @@
 """Unit tests for exact rational and polynomial linear algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -513,6 +514,87 @@ def assert_stored_form(m):
             if type(v) is Fraction:
                 assert v.denominator != 1
             assert type(m[i, j]) is Fraction and m[i, j] == v
+
+
+def ref_product(a, b):
+    """Plain Fraction matrix product of two grids."""
+    return [
+        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
+         for col in zip(*b)]
+        for row in a
+    ]
+
+
+class TestRationalProduct:
+    """The fraction-free product against plain Fraction arithmetic."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    @pytest.mark.parametrize(
+        "rows,inner,cols",
+        [(1, 1, 1), (3, 3, 3), (5, 5, 5), (2, 4, 3), (4, 1, 2), (1, 5, 1)],
+    )
+    def test_matches_fraction_reference(self, kind, rows, inner, cols):
+        rng = random.Random(f"{kind}{rows}{inner}{cols}")
+
+        def entry():
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                return rng.randint(-9, 9)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+
+        for _ in range(30):
+            a = [[entry() for _ in range(inner)] for _ in range(rows)]
+            b = [[entry() for _ in range(cols)] for _ in range(inner)]
+            got = RationalMatrix(a) * RationalMatrix(b)
+            assert_stored_form(got)
+            assert (got.rows, got.cols) == (rows, cols)
+            want = ref_product(a, b)
+            assert [[got[i, j] for j in range(cols)] for i in range(rows)] == want
+
+    def test_integral_and_cancelling_entries_are_ints(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        a = RationalMatrix([[half, third], [half, -half]])
+        got = a * RationalMatrix([[2, 3], [3, 3]])
+        assert got.entries == ((2, Fraction(5, 2)), (-Fraction(1, 2), 0))
+        assert_stored_form(got)
+
+    def test_inverse_products_are_the_identity(self):
+        rng = random.Random(3)
+        for n in (2, 3, 4, 5):
+            T = generators.random_invertible(rng, n)
+            for got in (T.matrix * T.inverse, T.inverse * T.matrix):
+                assert got.is_identity()
+                assert all(type(v) is int for row in got.entries for v in row)
+
+
+def ref_det(grid):
+    """Leibniz expansion in Fractions: the sum over permutations."""
+    n = len(grid)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= grid[i][j]
+        total += term
+    return total
+
+
+class TestRationalDet:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_leibniz_and_poly_det(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(20):
+            grid = random_grid(rng, n, n)
+            got = RationalMatrix(grid).det()
+            assert type(got) is Fraction
+            assert got == ref_det(grid)
+            constants = [[Polynomial.const(1, v) for v in row] for row in grid]
+            assert got == poly_det(PolyMatrix(constants)).constant_value()
+
+    def test_singular_and_non_square(self):
+        assert RationalMatrix([[1, 2], [2, 4]]).det() == 0
+        with pytest.raises(ShapeError):
+            RationalMatrix([[1, 2]]).det()
 
 
 # (rows, cols): wide, tall and square, including single rows and columns.

@@ -20,7 +20,16 @@ from nilmap import (
     parse_polynomial,
     tame_decompose,
 )
-from nilmap import generators
+from nilmap import generators, tame
+from nilmap.analysis import _jacobian_at, _probe_point
+
+# det JF is -6 at the origin and 32,496 at the probe point (2, -3, 5); the
+# inverse iteration used to run to its full degree bound on this map.
+NON_KELLER = "-2*x*z - 3*y*z + y; 3*x*y*z + 2*x^2 + 2*z; 2*y*z^2 + 3*x^2 - 3*x"
+
+
+def det_at(F, point):
+    return _jacobian_at(F, point).det()
 
 
 class TestElementaryMap:
@@ -55,6 +64,59 @@ class TestKellerCheck:
     def test_non_keller(self):
         assert not keller_check(parse_map("x^2; y"))
         assert not keller_check(parse_map("x*y; y"))
+
+
+@pytest.fixture
+def no_symbolic_work(monkeypatch):
+    """Makes composition and the symbolic Jacobian fail, so a test passes
+    only when the answer comes from the determinants at the two points."""
+
+    def forbidden(*args):
+        raise AssertionError("symbolic path taken")
+
+    monkeypatch.setattr(PolyMap, "compose", forbidden)
+    monkeypatch.setattr(tame, "jacobian", forbidden)
+
+
+class TestKellerRefutation:
+    def test_determinants_at_the_two_points(self):
+        F = parse_map(NON_KELLER)
+        assert det_at(F, (0, 0, 0)) == -6
+        assert det_at(F, _probe_point(3)) == 32496
+
+    def test_non_keller_map_is_refuted(self, no_symbolic_work):
+        F = parse_map(NON_KELLER)
+        assert formal_inverse(F) is None
+        assert not keller_check(F)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^2 + y; y",  # det JF = 2x vanishes at the origin
+            "x + y; x + y",  # det JF = 0 at both points
+        ],
+    )
+    def test_singular_linear_part_is_refuted(self, text, no_symbolic_work):
+        F = parse_map(text)
+        assert formal_inverse(F) is None
+        assert not keller_check(F)
+
+    def test_agreeing_points_fall_back_to_the_symbolic_check(self):
+        # det JF = 1 - 6x + 3x^2 is 1 at both x = 0 and x = 2 but not constant
+        F = parse_map("x - 3*x^2 + x^3")
+        assert det_at(F, (0,)) == det_at(F, _probe_point(1)) == 1
+        assert not keller_check(F)
+        assert formal_inverse(F) is None
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_decomposable_shifts_pass_and_invert(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            F = PolyMap.identity(n) + generators.decomposable_shift(rng, n)
+            assert det_at(F, (0,) * n) == det_at(F, _probe_point(n)) == 1
+            assert keller_check(F)
+            G = formal_inverse(F)
+            assert G is not None and F.compose(G).is_identity()
 
 
 class TestFormalInverse:
