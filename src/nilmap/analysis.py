@@ -214,13 +214,17 @@ def is_nilpotent_bruteforce(H: PolyMap) -> bool:
     (J(H)^n)(x0), since evaluation is a ring homomorphism, so when it is
     nonzero J(H)^n is not zero and the answer is False.  Otherwise J(H)^n
     is computed symbolically.  Neither step reads a sigma polynomial.
+    The powering of J(H)(x0) stops at its first zero power, since every
+    later power is zero too.
     """
     n = H.dimension
     at_point = _jacobian_at(H, _probe_point(n))
     power = at_point
     for _ in range(n - 1):
+        if not any(map(any, power.entries)):
+            break
         power = power * at_point
-    if any(v for row in power.entries for v in row):
+    if any(map(any, power.entries)):
         return False
     return jacobian(H).power(n).is_zero()
 

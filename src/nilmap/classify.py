@@ -45,7 +45,7 @@ from .linalg import (
     elementary_row_add,
     row_conjugator,
 )
-from .poly import Polynomial, PolyMap, _exact
+from .poly import Polynomial, PolyMap, _coeff, _combination, _exact, _unit
 
 
 class ReductionStatus(enum.Enum):
@@ -187,29 +187,21 @@ def recognize_canonical_pair(
 ) -> tuple[LinearMap, CanonicalFormA] | None:
     """Recover (T, params) with conjugate(H, T) = build_canonical_pair(params).
 
-    Returns None when the preconditions (dimension 3, H(0)=0, nilpotent
-    Jacobian, deg_z v = 1, deg_z u >= 2, third component free of z) are
-    not met.  Raises TheoremViolation if the guaranteed dependence
-    certificate is missing, and ConstructionMismatch if no certificate
-    leads to an exact rebuild.
+    Returns None when the preconditions (the `FormAInstance` shape,
+    deg_z v = 1, deg_z u >= 2, nilpotent Jacobian) are not met.  A
+    returned pair is a proof of nilpotency by itself, since
+    `build_canonical_pair` checks its output, so the Jacobian is tested
+    only after every dependence certificate has failed.  Raises
+    TheoremViolation if a nilpotent H has no dependence certificate, and
+    ConstructionMismatch if no certificate leads to an exact rebuild.
     """
-    if H.dimension != 3:
-        return None
-    u, v, h = H.components
-    if any(c != 0 for c in H.value_at_zero()):
-        return None
-    if h.degree_in(3) > 0:
+    try:
+        u, v, _ = FormAInstance(H).map.components
+    except ShapeError:
         return None
     if v.degree_in(3) != 1 or u.degree_in(3) < 2:
         return None
-    if not is_nilpotent(H):
-        return None
     basis = coefficient_kernel([H.components])
-    if not basis:
-        raise TheoremViolation(
-            "components are linearly independent despite guaranteed dependence",
-            _instance_doc(H),
-        )
     for lam in basis:
         T = row_conjugator(lam, 3)
         try:
@@ -218,6 +210,13 @@ def recognize_canonical_pair(
             continue
         if params is not None:
             return T, params
+    if not is_nilpotent(H):
+        return None
+    if not basis:
+        raise TheoremViolation(
+            "components are linearly independent despite guaranteed dependence",
+            _instance_doc(H),
+        )
     raise ConstructionMismatch(
         "no dependence certificate yielded an exact canonical rebuild"
     )
@@ -348,10 +347,10 @@ def normalize_low_z_degree(
     raises TheoremViolation.
     """
     u, v, h = H.map.components
-    if not is_nilpotent(H.map):
-        raise PreconditionError("the Jacobian must be nilpotent")
     if linear_dependence(H.map.components) is not None:
         raise PreconditionError("components must be linearly independent")
+    if not is_nilpotent(H.map):
+        raise PreconditionError("the Jacobian must be nilpotent")
     if u.degree_in(3) >= 2:
         raise PreconditionError(
             "deg_z u >= 2 forces linear dependence, contradicting independence"
@@ -395,7 +394,7 @@ def normalize_low_z_degree(
 class GeneralizedFormB:
     """H = (H_1(x), b3 x3+...+bn xn + H2_0, H_3(x1,x2), ..., H_n(x1,x2))."""
 
-    __slots__ = ("map", "b", "H2_0")
+    __slots__ = ("map", "b", "H2_0", "_H1_split")
 
     def __init__(self, map: PolyMap):
         n = map.dimension
@@ -407,24 +406,19 @@ class GeneralizedFormB:
                 raise ShapeError(
                     f"component {i + 1} involves variables {sorted(extra)}"
                 )
-        H2 = map.components[1]
-        b = []
-        tail = H2
-        for i in range(3, n + 1):
-            e = [0] * n
-            e[i - 1] = 1
-            bi = H2.coefficient(e)
-            b.append(bi)
-            tail = tail - Polynomial.variable(n, i).scale(bi)
-        if tail.variables_used() - {1, 2}:
+        b, H2_0 = _split_linear_tail(map.components[1])
+        if H2_0.variables_used() - {1, 2}:
             raise ShapeError(
                 "the second component must be linear in x3..xn"
             )
         if any(c != 0 for c in map.value_at_zero()):
             raise ShapeError("the map must vanish at the origin")
         object.__setattr__(self, "map", map)
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "H2_0", tail)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "H2_0", H2_0)
+        object.__setattr__(
+            self, "_H1_split", _split_linear_tail(map.components[0])
+        )
 
     def __setattr__(self, *args):
         raise AttributeError("GeneralizedFormB instances are immutable")
@@ -435,31 +429,31 @@ class GeneralizedFormB:
 
     def linear_tail_coefficients(self) -> tuple[Fraction, ...] | None:
         """(a3..an) with H_1 = a3 x3+...+an xn + H_1^(0), or None."""
-        n = self.dimension
-        H1 = self.map.components[0]
-        a = []
-        tail = H1
-        for i in range(3, n + 1):
-            e = [0] * n
-            e[i - 1] = 1
-            ai = H1.coefficient(e)
-            a.append(ai)
-            tail = tail - Polynomial.variable(n, i).scale(ai)
-        if tail.variables_used() - {1, 2}:
-            return None
-        return tuple(a)
+        a, H1_0 = self._H1_split
+        return None if H1_0.variables_used() - {1, 2} else a
 
     def head_part(self) -> Polynomial:
         """H_1^(0): the part of H_1 free of x3..xn (requires linear tail)."""
-        n = self.dimension
-        H1 = self.map.components[0]
-        a = self.linear_tail_coefficients()
-        if a is None:
+        if self.linear_tail_coefficients() is None:
             raise ShapeError("H_1 is not linear in x3..xn")
-        tail = Polynomial.zero(n)
-        for ai, i in zip(a, range(3, n + 1)):
-            tail = tail + Polynomial.variable(n, i).scale(ai)
-        return H1 - tail
+        return self._H1_split[1]
+
+
+def _split_linear_tail(p: Polynomial) -> tuple[tuple[Fraction, ...], Polynomial]:
+    """(c3..cn, p0): the coefficients of the monomials x3..xn in p, and
+    p0, the sum of every other term of p, in one pass over its terms."""
+    units = [_unit(p.n, i) for i in range(3, p.n + 1)]
+    skip = set(units)
+    rest = {key: c for key, c in p._terms.items() if key not in skip}
+    coeffs = tuple(Fraction(p._terms.get(key, 0)) for key in units)
+    return coeffs, Polynomial._trusted(p.n, rest)
+
+
+def _tail_sum(H: GeneralizedFormB, coeffs) -> Polynomial:
+    """sum c_i H_i over the components H_3..H_n."""
+    return _combination(
+        H.dimension, [_coeff(c) for c in coeffs], H.map.components[2:]
+    )
 
 
 def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
@@ -480,9 +474,7 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
     n = H.dimension
     m = H.map
     H1, H2 = m.components[0], m.components[1]
-    h2 = Polynomial.zero(n)
-    for bi, i in zip(H.b, range(3, n + 1)):
-        h2 = h2 + m.components[i - 1].scale(bi)
+    h2 = _tail_sum(H, H.b)
     e1 = H1.partial(1) + H2.partial(2)
     e2 = H2.partial(2) ** 2 + H1.partial(2) * H2.partial(1) + h2.partial(2)
     for i in range(3, n + 1):
@@ -513,10 +505,10 @@ def leading_part_degree(H: GeneralizedFormB) -> int:
     A degree above 1, or a degree-1 leading part with non-constant
     coefficients, falsifies a proved bound and raises TheoremViolation.
     """
-    if not is_nilpotent(H.map):
-        raise PreconditionError("the Jacobian must be nilpotent")
     if linear_dependence(H.map.components) is not None:
         raise PreconditionError("components must be linearly independent")
+    if not is_nilpotent(H.map):
+        raise PreconditionError("the Jacobian must be nilpotent")
     n = H.dimension
     H1 = H.map.components[0]
     parts = H1.homogeneous_parts(range(3, n + 1))
@@ -541,31 +533,31 @@ def reduce_generalized(
 ) -> tuple[LinearMap, PolyMap, ReductionStatus]:
     """One elementary conjugation bringing H to the external classified form.
 
-    Requires the narrower shape with H_2 free of x1.  With b = 0 the map
-    is already of the external form.  Otherwise the leading part of H_1
-    in x3..xn has degree 0 (swap the first two coordinates) or degree 1
-    (add c = c2/c1 times the first coordinate to the second, where the
-    proportionality h2 = c h1 is guaranteed).
+    Requires the narrower shape with H_2 free of x1, and linearly
+    independent components: dependent components raise PreconditionError.
+    With b = 0 the map is already of the external form.  Otherwise the
+    leading part of H_1 in x3..xn has degree 0 (swap the first two
+    coordinates) or degree 1 (add c = c2/c1 times the first coordinate to
+    the second, where the proportionality h2 = c h1 is guaranteed).
     """
     n = H.dimension
     if 1 in H.H2_0.variables_used():
         raise PreconditionError("the second component must be free of x1")
     if all(bi == 0 for bi in H.b):
+        if linear_dependence(H.map.components) is not None:
+            raise PreconditionError("components must be linearly independent")
         return (
             LinearMap.identity(n),
             H.map,
             ReductionStatus.EXTERNAL_FORM_REACHED,
         )
+    # leading_part_degree checks independence and nilpotency.
     d = leading_part_degree(H)
     if d == 0:
         T = elementary_permutation(n, 1, 2)
         return T, conjugate(H.map, T), ReductionStatus.EXTERNAL_FORM_REACHED
     a = H.linear_tail_coefficients()
-    h1 = Polynomial.zero(n)
-    h2 = Polynomial.zero(n)
-    for ai, bi, i in zip(a, H.b, range(3, n + 1)):
-        h1 = h1 + H.map.components[i - 1].scale(ai)
-        h2 = h2 + H.map.components[i - 1].scale(bi)
+    h1, h2 = _tail_sum(H, a), _tail_sum(H, H.b)
     cert = linear_dependence([h1, h2])
     if cert is None or cert.coefficients[1] == 0:
         raise TheoremViolation(
@@ -644,15 +636,10 @@ def reduce_4d(H: GeneralizedFormB) -> ReducedForm4D:
     two variables (x1, x2).  The construction is verified on every call:
     the realized 4-map is nilpotent exactly when the input is.
     """
-    n = H.dimension
     a = H.linear_tail_coefficients()
     if a is None:
         raise ShapeError("H_1 must be linear in x3..xn")
-    h3 = Polynomial.zero(n)
-    h4 = Polynomial.zero(n)
-    for ai, bi, i in zip(a, H.b, range(3, n + 1)):
-        h3 = h3 + H.map.components[i - 1].scale(ai)
-        h4 = h4 + H.map.components[i - 1].scale(bi)
+    h3, h4 = _tail_sum(H, a), _tail_sum(H, H.b)
     parts = []
     for p in (H.head_part(), H.H2_0, h3, h4):
         parts.append(

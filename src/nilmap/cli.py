@@ -18,8 +18,11 @@ from . import analysis, classify, generators, tame
 from .errors import (
     ConstructionMismatch,
     NilmapError,
+    NotNilpotentTop,
     NotTriangularizable,
     ParseError,
+    PreconditionError,
+    ShapeError,
     TheoremViolation,
 )
 from .linalg import LinearMap, RationalMatrix, poly_matrix_rank
@@ -138,55 +141,43 @@ def _cmd_classify(args) -> int:
             lambda: f"not nilpotent: sigma_{k} = {format_polynomial(s)}",
         )
         return EXIT_FALSE
-    if H.dimension == 3:
-        recognized = classify.recognize_canonical_pair(H)
-        if recognized is not None:
-            T, params = recognized
-            _emit(
-                args,
-                lambda: {
-                    "nilpotent": True,
-                    "route": "canonical-pair",
-                    "T": T.matrix.to_json(),
-                    "params": params.to_json(),
-                },
-                lambda: "canonical pair form recognized",
-            )
-            return EXIT_OK
-        try:
-            instance = classify.FormAInstance(H)
-        except NilmapError:
-            instance = None
-        if instance is not None and analysis.linear_dependence(H.components) is None:
-            T, reduced, status = classify.normalize_low_z_degree(instance)
-            _emit(
-                args,
-                lambda: {
-                    "nilpotent": True,
-                    "route": "low-z-normalization",
-                    "T": T.matrix.to_json(),
-                    "status": status.value,
-                    "map": map_to_document(reduced),
-                },
-                lambda: f"normalized: {status.value}",
-            )
-            return EXIT_OK
-    try:
-        instance_b = classify.GeneralizedFormB(H)
-    except NilmapError:
-        instance_b = None
-    if instance_b is not None and analysis.linear_dependence(H.components) is None:
-        T, reduced, status = classify.reduce_generalized(instance_b)
+    recognized = classify.recognize_canonical_pair(H)
+    if recognized is not None:
+        T, params = recognized
         _emit(
             args,
             lambda: {
                 "nilpotent": True,
-                "route": "generalized-reduction",
+                "route": "canonical-pair",
+                "T": T.matrix.to_json(),
+                "params": params.to_json(),
+            },
+            lambda: "canonical pair form recognized",
+        )
+        return EXIT_OK
+    routes = (
+        ("low-z-normalization", "normalized",
+         lambda: classify.normalize_low_z_degree(classify.FormAInstance(H))),
+        ("generalized-reduction", "reduced",
+         lambda: classify.reduce_generalized(classify.GeneralizedFormB(H))),
+    )
+    for route, verb, attempt in routes:
+        try:
+            T, reduced, status = attempt()
+        except NotNilpotentTop:
+            raise
+        except (ShapeError, PreconditionError):
+            continue  # this route does not apply to H
+        _emit(
+            args,
+            lambda: {
+                "nilpotent": True,
+                "route": route,
                 "T": T.matrix.to_json(),
                 "status": status.value,
                 "map": map_to_document(reduced),
             },
-            lambda: f"reduced: {status.value}",
+            lambda: f"{verb}: {status.value}",
         )
         return EXIT_OK
     _emit(

@@ -167,6 +167,26 @@ class TestBruteforceRefutation:
         assert not is_nilpotent_bruteforce(parse_map("x*y + z^2; x^2; y*z"))
         assert power_calls == []
 
+    def test_point_powering_stops_at_the_first_zero_power(
+        self, monkeypatch, power_calls
+    ):
+        # J(x0) has the single nonzero row (0, 1, 1, 0), so J(x0)^2 = 0 at
+        # n = 4, and the zero map has J(x0) = 0.
+        products = []
+        mul = RationalMatrix.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+        assert is_nilpotent_bruteforce(parse_map("x2 + x3; 0; 0; 0"))
+        assert len(products) == 1
+        products.clear()
+        assert is_nilpotent_bruteforce(parse_map("0; 0; 0"))
+        assert products == []
+        assert power_calls == [4, 3]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_symbolic_power(self, n, power_calls):
         rng = random.Random(100 + n)

@@ -224,6 +224,12 @@ class TestNormalizeLowZ:
         with pytest.raises(PreconditionError):
             normalize_low_z_degree(FormAInstance(H))
 
+    def test_rejects_independent_non_nilpotent(self):
+        H = parse_map("x + z; y; x^2")
+        assert linear_dependence(H.components) is None
+        with pytest.raises(PreconditionError, match="nilpotent"):
+            normalize_low_z_degree(FormAInstance(H))
+
     def test_rejects_high_first_z_degree(self):
         # deg_z u >= 2 forces linear dependence, contradicting independence
         H = parse_map("z^2; x*z; y")
@@ -231,11 +237,10 @@ class TestNormalizeLowZ:
             normalize_low_z_degree(FormAInstance(H))
 
     def test_nilpotent_instances_of_this_shape_are_always_dependent(self):
-        # Hand derivation backed by a large random search: when the third
-        # component is free of z and deg_z v <= 1, a nilpotent Jacobian
-        # with H(0) = 0 forces the components to be linearly dependent.
-        # The independence precondition therefore rejects every genuinely
-        # nilpotent instance, and the reduction never proceeds past it.
+        # Conjugated canonical pairs are linearly dependent by construction,
+        # so the independence precondition rejects each of these draws.
+        # Not every nilpotent map of this shape is dependent: H3 in
+        # test_independent_nilpotent_instance_is_normalized is not.
         rng = random.Random(42)
         hits = 0
         for _ in range(120):
@@ -247,6 +252,18 @@ class TestNormalizeLowZ:
             with pytest.raises(PreconditionError):
                 normalize_low_z_degree(FormAInstance(Hc))
         assert hits == 120
+
+    def test_independent_nilpotent_instance_is_normalized(self):
+        # H3: nilpotent, with linearly independent components, deg_z u = 1
+        # and v, h free of z, so it is already of the target shape.
+        H = parse_map("z + 2*y*(x + y^2); -(x + y^2); (x + y^2)^2")
+        assert is_nilpotent(H)
+        assert linear_dependence(H.components) is None
+        assert recognize_canonical_pair(H) is None
+        T, reduced, status = normalize_low_z_degree(FormAInstance(H))
+        assert status is ReductionStatus.EXTERNAL_FORM_REACHED
+        assert T.is_identity()
+        assert reduced == H
 
 
 class TestGeneralizedShape:
@@ -312,6 +329,12 @@ class TestLeadingPartDegree:
         with pytest.raises(PreconditionError):
             leading_part_degree(inst)
 
+    def test_rejects_independent_non_nilpotent(self):
+        inst = GeneralizedFormB(parse_map("x3 + x1; x2; x1^2; x2^2"))
+        assert linear_dependence(inst.map.components) is None
+        with pytest.raises(PreconditionError, match="nilpotent"):
+            leading_part_degree(inst)
+
     def test_rejects_dependent_components(self):
         inst = generators.nilpotent_generalized(random.Random(14), 4)
         assert linear_dependence(inst.map.components) is not None
@@ -354,6 +377,14 @@ class TestReduceGeneralized:
         H = parse_map("x3; x1^2; x2^2; 0")
         with pytest.raises(PreconditionError):
             reduce_generalized(GeneralizedFormB(H))
+
+    def test_requires_independent_components(self):
+        # b = 0 and H_2 free of x1, but H_4 = 2 H_3.
+        H = parse_map("x3 + x1*x2; x2^2; x1; 2*x1")
+        inst = GeneralizedFormB(H)
+        assert all(b == 0 for b in inst.b)
+        with pytest.raises(PreconditionError, match="independent"):
+            reduce_generalized(inst)
 
     def test_coupled_nilpotent_instances_are_dependent(self):
         # Searched exhaustively: within this shape, nonzero linear coupling

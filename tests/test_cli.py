@@ -1,11 +1,19 @@
 """Exit-code and output tests for the command-line interface."""
 
 import json
+import random
 
 import pytest
 
 from nilmap import cli
 from nilmap.errors import ConstructionMismatch, TheoremViolation
+
+
+# Nilpotent maps with linearly independent components: H3 has the
+# three-variable shape (u, v, h) with deg_z v <= 1, and H4 the generalized
+# shape with an x1 in H_2.
+H3 = "z + 2*y*(x + y^2); -(x + y^2); (x + y^2)^2"
+H4 = "x3 + 2*x2*(x1 + x2^2); -(x1 + x2^2); (x1 + x2^2)^2; (x1 + x2^2)^3"
 
 
 def write(tmp_path, name, text):
@@ -232,6 +240,89 @@ class TestClassify:
         code, out, _ = run(capsys, ["classify", "-f", f, "--json"])
         assert code == 0
         assert json.loads(out)["route"] == "unclassified"
+
+    def test_independent_nilpotent_map_takes_the_low_z_route(
+        self, tmp_path, capsys
+    ):
+        f = write(tmp_path, "m.txt", H3)
+        code, out, err = run(capsys, ["classify", "-f", f, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "T": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            "map": {
+                "components": [
+                    "2*y^3 + 2*x*y + z",
+                    "-y^2 - x",
+                    "y^4 + 2*x*y^2 + x^2",
+                ],
+                "n": 3,
+            },
+            "nilpotent": True,
+            "route": "low-z-normalization",
+            "status": "external-form-reached",
+        }
+        code, out, _ = run(capsys, ["classify", "-f", f])
+        assert (code, out) == (0, "normalized: external-form-reached\n")
+
+    def test_generalized_map_outside_every_route_is_unclassified(
+        self, tmp_path, capsys
+    ):
+        # H4 has the generalized shape, but H_2 involves x1.
+        f = write(tmp_path, "m.txt", H4)
+        code, out, err = run(capsys, ["classify", "-f", f, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"nilpotent": True, "route": "unclassified"}
+
+    @pytest.mark.parametrize("text", [H3, H4], ids=["H3", "H4"])
+    def test_independent_nilpotent_maps(self, tmp_path, capsys, text):
+        f = write(tmp_path, "m.txt", text)
+        assert run(capsys, ["nilpotent", "-f", f])[0] == 0
+        code, out, _ = run(capsys, ["depend", "-f", f])
+        assert (code, out) == (1, "independent\n")
+
+    def test_canonical_pair_takes_two_charpolys(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from nilmap import analysis, generators
+        from nilmap.classify import build_canonical_pair
+        from nilmap.parsing import format_map
+
+        rng = random.Random(5)
+        H = build_canonical_pair(generators.random_canonical_params(rng))
+        Hc = analysis.conjugate(H, generators.random_form_a_conjugator(rng))
+        f = write(tmp_path, "m.txt", format_map(Hc))
+        calls = []
+        sigma = analysis.sigma_polynomials
+
+        def counted(J):
+            calls.append(J)
+            return sigma(J)
+
+        monkeypatch.setattr(analysis, "sigma_polynomials", counted)
+        code, out, _ = run(capsys, ["classify", "-f", f, "--json"])
+        assert code == 0
+        assert json.loads(out)["route"] == "canonical-pair"
+        assert len(calls) == 2
+
+    def test_low_z_route_checks_dependence_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from nilmap import analysis, classify
+
+        calls = []
+        dependence = analysis.linear_dependence
+
+        def counted(components):
+            calls.append(components)
+            return dependence(components)
+
+        monkeypatch.setattr(analysis, "linear_dependence", counted)
+        monkeypatch.setattr(classify, "linear_dependence", counted)
+        f = write(tmp_path, "m.txt", H3)
+        code, out, _ = run(capsys, ["classify", "-f", f, "--json"])
+        assert code == 0
+        assert json.loads(out)["route"] == "low-z-normalization"
+        assert len(calls) == 1
 
     def test_theorem_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         f = write(tmp_path, "m.txt", "x + y + z^2; -x - y + z; 0")
