@@ -34,7 +34,7 @@ from .linalg import (
     LinearMap,
     PolyMatrix,
     RationalMatrix,
-    coefficient_kernel,
+    _kernel_vectors,
     sigma_polynomials,
 )
 from .poly import Polynomial, PolyMap, _combination, _exact, _unpack
@@ -189,6 +189,20 @@ def _jacobian_at(H: PolyMap, point: Sequence[int]) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+def _nilpotency_index(m: RationalMatrix) -> int | None:
+    """The least k >= 1 with m^k = 0 for a square rational matrix, or None
+    when m is not nilpotent, that is when m^size != 0.  The powering stops
+    at the first zero power."""
+    power = m
+    k = 1
+    while any(map(any, power.entries)):
+        if k == m.rows:
+            return None
+        power = power * m
+        k += 1
+    return k
+
+
 def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
     """All principal-minor sums sigma_1..sigma_n of J(H)."""
     return NilpotencyReport(sigma_polynomials(jacobian(H)))
@@ -214,19 +228,22 @@ def is_nilpotent_bruteforce(H: PolyMap) -> bool:
     (J(H)^n)(x0), since evaluation is a ring homomorphism, so when it is
     nonzero J(H)^n is not zero and the answer is False.  Otherwise J(H)^n
     is computed symbolically.  Neither step reads a sigma polynomial.
-    The powering of J(H)(x0) stops at its first zero power, since every
-    later power is zero too.
+    The powering of J(H)(x0) stops at its first zero power k0, since every
+    later power is zero too.  The symbolic powering stops there as well
+    when J(H)^k0 is already zero, since then J(H)^n is; otherwise it goes
+    on to J(H)^n.
     """
     n = H.dimension
-    at_point = _jacobian_at(H, _probe_point(n))
-    power = at_point
-    for _ in range(n - 1):
-        if not any(map(any, power.entries)):
-            break
-        power = power * at_point
-    if any(map(any, power.entries)):
+    k0 = _nilpotency_index(_jacobian_at(H, _probe_point(n)))
+    if k0 is None:
         return False
-    return jacobian(H).power(n).is_zero()
+    J = jacobian(H)
+    power = J.power(k0)
+    if power.is_zero():
+        return True
+    for _ in range(n - k0):
+        power = power * J
+    return power.is_zero()
 
 
 def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:
@@ -245,10 +262,13 @@ def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:
 def linear_dependence(
     components: Sequence[Polynomial],
 ) -> DependenceCertificate | None:
-    """Exact kernel computation over the monomial coefficient vectors.
+    """The first vector of `coefficient_kernel` on the components, as a
+    normalized certificate, or None when they are linearly independent
+    over the rationals.
 
-    Returns a normalized certificate if the components are linearly
-    dependent over the rationals, else None.
+    The kernel's vectors are produced one column at a time
+    (`linalg._kernel_vectors`), so the components after the first one that
+    depends on its predecessors are never read.
     """
     components = list(components)
     if not components:
@@ -257,10 +277,10 @@ def linear_dependence(
     for p in components:
         if p.n != n:
             raise DimensionMismatch("components live in different rings")
-    basis = coefficient_kernel([components])
-    if not basis:
+    vector = next(_kernel_vectors([components]), None)
+    if vector is None:
         return None
-    return DependenceCertificate(basis[0])
+    return DependenceCertificate(vector)
 
 
 def coefficient_system(

@@ -7,6 +7,12 @@ immutable and exact.  Reduced row echelon forms, and through them kernels
 and inverses, come from one fraction-free Gauss-Jordan elimination
 (`_rref_den`): each row's denominators are cleared, the elimination runs on
 ints, and the result is divided by the last pivot once, at the end.
+Coefficient kernels, the linear relations among polynomials behind every
+dependence certificate, build no matrix: `_kernel_vectors` eliminates one
+polynomial at a time on the polynomials' own term dicts, on integers as
+in fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968), with
+each stored column divided by its content, and yields the vectors of the
+dense `kernel` of the stacked monomial rows, one free column at a time.
 Products are fraction-free too: each entry is an integer dot product of a
 row and a column with their denominators cleared, divided once by the two
 denominators.
@@ -30,6 +36,7 @@ import functools
 import itertools
 import json
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -39,7 +46,6 @@ from .poly import (
     Polynomial,
     _clear_denominators,
     _coeff,
-    _coefficient_rows,
     _dot,
     _exact,
     _linear,
@@ -266,15 +272,82 @@ def coefficient_kernel(
     """Basis of the rational vectors lam with sum_j lam[j] * eq[j] = 0 for
     every equation eq (all equations of one length).
 
-    Each monomial of an equation gives one row of a coefficient matrix,
-    whose `kernel` this is; when every polynomial is zero, the basis is the
-    unit vectors.
+    The basis is the `kernel` of the coefficient matrix with one row per
+    equation and monomial, vector for vector, but no such matrix is built:
+    the vectors come from `_kernel_vectors`, which eliminates on the
+    polynomials' term dicts.  When every polynomial is zero, the basis is
+    the unit vectors.
     """
-    rows = [row for eq in equations for row in _coefficient_rows(eq)]
-    if not rows:
-        size = len(equations[0])
-        return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    return kernel(RationalMatrix(rows))
+    return list(_kernel_vectors(equations))
+
+
+def _kernel_vectors(equations: Sequence[Sequence[Polynomial]]):
+    """Yield the vectors of `coefficient_kernel`, one free column at a time.
+
+    Column j is one integer term dict keyed by (equation, monomial), or by
+    the monomial alone for a single equation, with its denominators cleared
+    once.  Each column is reduced, in order, against an echelon list of the
+    earlier independent columns, each with its pivot key.  The reduction
+    keeps the integer combination C with R = sum_i C[i] * column_i; a step
+    against echelon element b replaces R by a*R - f*R_b and C by a*C - f*C_b,
+    where a is R_b's pivot entry and f is R's entry at that key, both
+    divided by their gcd.  A column that reduces to zero yields C / C[j]:
+    1 at j, minus the unique expression of column j in the earlier
+    independent columns, which is the vector `kernel` gives the free column
+    j of the stacked matrix.  Any other column joins the echelon list,
+    divided by the content of R and C together, with its first key as its
+    pivot.  A caller that stops after the first vector never reads the
+    later columns.
+    """
+    size = len(equations[0])
+    if len(equations) == 1:
+        columns = (p._terms for p in equations[0])
+    else:
+        columns = (
+            {
+                (e, key): c
+                for e, eq in enumerate(equations)
+                for key, c in eq[j]._terms.items()
+            }
+            for j in range(size)
+        )
+    echelon: list[tuple[object, dict, list[int]]] = []
+    for j, terms in enumerate(columns):
+        values, den = _clear_denominators(terms.values())
+        reduced = dict(zip(terms, values)) if den != 1 else terms
+        combination = [0] * size
+        combination[j] = den
+        for key, rb, cb in echelon:
+            f = reduced.get(key)
+            if f:
+                a = rb[key]
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                reduced = _eliminate(reduced, a, rb, f)
+                combination = [a * c - f * d for c, d in zip(combination, cb)]
+        if not reduced:
+            lead = combination[j]
+            yield [Fraction(c, lead) for c in combination]
+            continue
+        g = gcd(*reduced.values(), *combination)
+        if g != 1:
+            reduced = {k: v // g for k, v in reduced.items()}
+            combination = [c // g for c in combination]
+        echelon.append((next(iter(reduced)), reduced, combination))
+
+
+def _eliminate(r: dict, a: int, rb: dict, f: int) -> dict:
+    """a * r - f * rb for integer term dicts, as a new dict without zero
+    entries (f and every entry of rb nonzero)."""
+    out = dict(r) if a == 1 else {k: a * v for k, v in r.items()}
+    get = out.get
+    for k, v in rb.items():
+        w = get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
 
 
 class LinearMap:

@@ -27,7 +27,9 @@ from .poly import (
     Polynomial,
     PolyMap,
     Terms,
+    _B,
     _add_into,
+    _clear_denominators,
     _coeff,
     _drop_zeros,
     _grlex_terms,
@@ -43,6 +45,11 @@ DEFAULT_ALIASES = "xyzw"
 # recursion limit.
 MAX_NESTING = 100
 
+# A power p^k is rejected before it is computed when the estimated size
+# of its result, term count times coefficient bits, exceeds this many bits
+# (see `_power_size`), so a short input cannot demand unbounded work.
+MAX_POWER_BITS = 1 << 20
+
 # Numbers and variable indices are ASCII digits: str.isdigit also accepts
 # characters such as superscripts that int() rejects.
 _DIGITS = "0123456789"
@@ -53,6 +60,44 @@ def _negate(t: Terms) -> Terms:
     for key, c in t.items():
         t[key] = -c
     return t
+
+
+def _power_size(p: Terms, k: int, n: int) -> int:
+    """An upper bound, in bits, on the size of p^k (k >= 1, p nonzero, in n
+    variables): its term count times the bits of its largest coefficient.
+
+    With D the lcm of p's denominators and S the sum of |c| * D over its
+    coefficients c, every coefficient of p^k has numerator at most S^k and
+    denominator at most D^k, so at most k times the bits of max(S, D).
+    A monomial with coefficient 1 or -1 has the one-term power of 1 bit.
+    p^k has at most C(t - 1 + k, k) terms, the multisets of k of p's t
+    terms, and at most C(n + k*d, n), the monomials of total degree at
+    most k*d for d = deg p.  A count is cut off once the bound is past
+    MAX_POWER_BITS, so the estimate never costs more than a few dozen
+    steps.
+    """
+    if len(p) == 1 and abs(next(iter(p.values()))) == 1:
+        return 1
+    ints, den = _clear_denominators(p.values())
+    bits = k * max(sum(map(abs, ints)), den).bit_length()
+    limit = MAX_POWER_BITS // bits + 1
+    degree = max(p) >> (_B * n)
+    terms = min(
+        _binomial_at_most(len(p) - 1, k, limit),
+        _binomial_at_most(n, k * degree, limit),
+    )
+    return terms * bits
+
+
+def _binomial_at_most(a: int, b: int, limit: int) -> int:
+    """C(a + b, a), or limit + 1 once it exceeds limit."""
+    m, r = max(a, b), min(a, b)
+    value = 1
+    for i in range(1, r + 1):
+        value = value * (m + i) // i
+        if value > limit:
+            return limit + 1
+    return value
 
 
 class _Token:
@@ -168,7 +213,16 @@ class _Parser:
         p = self.atom()
         if self.peek().kind == "^":
             self.advance()
-            p = _power(p, self.expect("int").value, self.n)
+            tok = self.expect("int")
+            k = tok.value
+            if p and k and _power_size(p, k, self.n) > MAX_POWER_BITS:
+                raise ParseError(
+                    f"power with exponent {k} is too large: its result is "
+                    f"estimated beyond {MAX_POWER_BITS} bits",
+                    tok.line,
+                    tok.column,
+                )
+            p = _power(p, k, self.n)
         return _negate(p) if negative else p
 
     def signs(self) -> bool:

@@ -307,13 +307,6 @@ def _linear(n: int, coeffs: Sequence[Coeff]) -> Polynomial:
     )
 
 
-def _coefficient_rows(polys: Sequence[Polynomial]) -> list[list[Coeff]]:
-    """One row per monomial that occurs in any of the polynomials, holding
-    its stored coefficient (0 where absent) in each of them."""
-    keys = {key for p in polys for key in p._terms}
-    return [[p._terms.get(key, 0) for p in polys] for key in keys]
-
-
 def _grlex_terms(p: Polynomial) -> list[tuple[Exponent, Fraction]]:
     """(exponents, coefficient) pairs in descending graded-lex order."""
     terms = p._terms

@@ -14,7 +14,9 @@ A polynomial automorphism has a nonzero constant Jacobian determinant, so
 at the probe point of `analysis.is_nilpotent_bruteforce`: a zero at the
 origin, or two different values, proves that F is not invertible.  Both
 determinants are numbers, taken by `RationalMatrix.det`, the Berkowitz
-recursion of `poly_det` run on the entries themselves.
+recursion of `poly_det` run on the entries themselves.  The inverse
+iteration needs a unipotent linear part A = JF(0); any other invertible A
+is factored out first, as the inverse of A^-1 o F followed by A^-1.
 """
 
 from __future__ import annotations
@@ -23,14 +25,20 @@ import graphlib
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .analysis import _jacobian_at, _probe_point, conjugate, jacobian
+from .analysis import _jacobian_at, _nilpotency_index, _probe_point, conjugate, jacobian
 from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
     NotTriangularizable,
     ShapeError,
 )
-from .linalg import LinearMap, coefficient_kernel, poly_det, row_conjugator
+from .linalg import (
+    LinearMap,
+    RationalMatrix,
+    coefficient_kernel,
+    poly_det,
+    row_conjugator,
+)
 from .poly import Polynomial, PolyMap
 
 Factor = Union["ElementaryMap", LinearMap]
@@ -139,11 +147,12 @@ def compose_factorization(f: TameFactorization) -> PolyMap:
     return result
 
 
-def _keller_refuted(F: PolyMap) -> bool:
+def _keller_refuted(F: PolyMap, linear: RationalMatrix) -> bool:
     """True when det JF is provably not a nonzero constant: it vanishes at
-    the origin, or differs between the origin and the probe point."""
+    the origin, or differs between the origin and the probe point.
+    `linear` is JF(0)."""
     n = F.dimension
-    at_origin = _jacobian_at(F, (0,) * n).det()
+    at_origin = linear.det()
     return not at_origin or _jacobian_at(F, _probe_point(n)).det() != at_origin
 
 
@@ -153,7 +162,7 @@ def keller_check(F: PolyMap) -> bool:
     det JF is first compared at the origin and at the probe point; only a
     determinant that is nonzero and agrees there is computed symbolically.
     """
-    if _keller_refuted(F):
+    if _keller_refuted(F, _jacobian_at(F, (0,) * F.dimension)):
         return False
     det = poly_det(jacobian(F))
     return det.is_constant() and not det.is_zero()
@@ -170,41 +179,59 @@ def _shift_part(F: PolyMap) -> PolyMap:
 def formal_inverse(
     F: PolyMap, degree_bound: int | None = None
 ) -> PolyMap | None:
-    """Polynomial inverse of F = x + H by truncated fixpoint iteration.
+    """Polynomial inverse of F = x + H, with F(0) = 0, by truncated
+    fixpoint iteration.
 
     Iterates G <- x - H(G) with truncation at the degree bound (default
-    (deg F)^(n-1), the classical automorphism-inverse bound).  An exact
+    (deg F)^(n-1), the classical automorphism-inverse bound).  That
+    iteration converges when the linear part A = JF(0) of F is unipotent
+    (A - I nilpotent); otherwise it runs on A^-1 o F, whose linear part is
+    the identity, and its inverse G' gives G = G' o A^-1.  An exact
     fixpoint is verified by composing both ways; None means no polynomial
     inverse was found within the bound.
 
-    Before iterating, None is returned at once when det JF(0) = 0 or det
-    JF differs between the origin and the probe point: the determinant of
-    an invertible map is a nonzero constant, so either case proves that no
+    Before iterating, None is returned at once when det A = 0 or det JF
+    differs between the origin and the probe point: the determinant of an
+    invertible map is a nonzero constant, so either case proves that no
     polynomial inverse exists, and the iteration would end in None too.
     """
     n = F.dimension
     H = _shift_part(F)
     if H.is_zero():
         return PolyMap.identity(n)
-    if _keller_refuted(F):
+    origin = (0,) * n
+    linear = _jacobian_at(F, origin)
+    if _keller_refuted(F, linear):
         return None
     if degree_bound is None:
         degree_bound = max(F.max_total_degree(), 1) ** max(n - 1, 1)
+    # JH(0) = A - I.
+    if _nilpotency_index(_jacobian_at(H, origin)) is not None:
+        G = _fixpoint_inverse(H, degree_bound)
+    else:
+        undo = LinearMap(linear.inverse(), linear).as_poly_map()
+        G = _fixpoint_inverse(_shift_part(undo.compose(F)), degree_bound)
+        if G is not None:
+            G = G.compose(undo)
     identity = PolyMap.identity(n)
+    if G is not None and F.compose(G) == identity and G.compose(F) == identity:
+        return G
+    return None
+
+
+def _fixpoint_inverse(H: PolyMap, degree_bound: int) -> PolyMap | None:
+    """The fixpoint of G <- x - H(G), truncated at the degree bound, or
+    None when the iteration repeats a map or runs out of rounds first."""
+    identity = PolyMap.identity(H.dimension)
     G = identity
-    max_rounds = (degree_bound + 2) * n
-    for _ in range(max_rounds):
+    for _ in range((degree_bound + 2) * H.dimension):
         R = identity - H.compose(G)
         if R == G:
-            break
+            return G
         G_next = R.truncate(degree_bound)
         if G_next == G:
             return None
         G = G_next
-    else:
-        return None
-    if F.compose(G) == identity and G.compose(F) == identity:
-        return G
     return None
 
 

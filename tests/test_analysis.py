@@ -28,7 +28,7 @@ from nilmap import (
 from nilmap import generators
 from nilmap.analysis import _jacobian_at, _probe_point
 from nilmap.errors import InexactValue, ShapeError
-from nilmap.linalg import PolyMatrix, RationalMatrix
+from nilmap.linalg import PolyMatrix, RationalMatrix, kernel
 from stored_form import stored_terms
 
 
@@ -153,10 +153,12 @@ class TestBruteforceRefutation:
         assert power_calls == [2]
 
     def test_zero_jacobian_at_the_point_falls_back(self, power_calls):
+        # J(x0) = 0, so the symbolic path starts at J^1 = J, which is not
+        # zero, and goes on to J^2.
         a, b = _probe_point(2)
         H = parse_map(f"(x - {a})^2; (y - {b})^2")
         assert not is_nilpotent_bruteforce(H)
-        assert power_calls == [2]
+        assert power_calls == [1]
 
     def test_nilpotent_map_takes_the_symbolic_path(self, power_calls):
         assert is_nilpotent_bruteforce(parse_map("(z*x + y)^2; -z*(z*x + y)^2; 0"))
@@ -171,7 +173,8 @@ class TestBruteforceRefutation:
         self, monkeypatch, power_calls
     ):
         # J(x0) has the single nonzero row (0, 1, 1, 0), so J(x0)^2 = 0 at
-        # n = 4, and the zero map has J(x0) = 0.
+        # n = 4, and the zero map has J(x0) = 0.  The symbolic powers stop
+        # at the same exponents, J^2 and J^1, since both are zero.
         products = []
         mul = RationalMatrix.__mul__
 
@@ -185,7 +188,30 @@ class TestBruteforceRefutation:
         products.clear()
         assert is_nilpotent_bruteforce(parse_map("0; 0; 0"))
         assert products == []
-        assert power_calls == [4, 3]
+        assert power_calls == [2, 1]
+
+    def test_symbolic_powering_stops_at_the_point_index(self, monkeypatch):
+        # x2 + x3; 0; 0; 0 has J^2 = 0 at n = 4: one symbolic product, not
+        # the three of J^4.
+        products = []
+        mul = PolyMatrix.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(PolyMatrix, "__mul__", counted)
+        assert is_nilpotent_bruteforce(parse_map("x2 + x3; 0; 0; 0"))
+        assert len(products) == 1
+        # (z - 5)*y; z; 0: J(x0)^2 = 0, but J^2 = [[0, 0, z - 5], 0, 0] is
+        # not zero, so the powering goes on to J^3 = 0.
+        H = parse_map("(z - 5)*y; z; 0")
+        at = _jacobian_at(H, _probe_point(3))
+        assert at * at == RationalMatrix([[0] * 3] * 3)
+        assert SYMBOLIC_POWER(jacobian(H), 2)[0, 2] == parse_polynomial("z - 5", 3)
+        products.clear()
+        assert is_nilpotent_bruteforce(H)
+        assert len(products) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_symbolic_power(self, n, power_calls):
@@ -234,6 +260,56 @@ class TestDependence:
         cert = linear_dependence(H.components)
         assert cert is not None
         assert cert.verify(H.components)
+
+    @staticmethod
+    def reference(components):
+        """The first vector of the dense `kernel` of the monomial
+        coefficient matrix, the reference for `linear_dependence`."""
+        monomials = sorted({e for p in components for e in p.terms})
+        if not monomials:
+            return [Fraction(int(j == 0)) for j in range(len(components))]
+        rows = [[p.coefficient(e) for p in components] for e in monomials]
+        basis = kernel(RationalMatrix(rows))
+        return basis[0] if basis else None
+
+    def test_matches_dense_kernel(self):
+        rng = random.Random(31)
+        maps = []
+        for n in (2, 3, 4):
+            for _ in range(12):
+                degree, terms = rng.randint(1, 3), rng.randint(1, 4)
+                maps.append(generators.random_map(rng, n, degree, terms=terms))
+                maps.append(generators.random_nilpotent_map(rng, n))
+        maps += [
+            conjugate(H, generators.random_invertible(rng, H.dimension)) for H in maps
+        ]
+        dependent = 0
+        for H in maps:
+            want = self.reference(H.components)
+            got = linear_dependence(H.components)
+            if want is None:
+                assert got is None
+            else:
+                dependent += 1
+                assert got == DependenceCertificate(want)
+                assert got.verify(H.components)
+        assert 0 < dependent < len(maps)
+
+    def test_stops_at_the_first_dependent_component(self):
+        class Unread(Polynomial):
+            """A polynomial whose terms must never be read."""
+
+            __slots__ = ()
+
+            @property
+            def _terms(self):
+                raise AssertionError("a component after the dependence was read")
+
+        unread = object.__new__(Unread)
+        object.__setattr__(unread, "n", 2)
+        x = Polynomial.variable(2, 1)
+        cert = linear_dependence([x, x.scale(2), unread])
+        assert cert.coefficients == (Fraction(1), Fraction(-1, 2), Fraction(0))
 
     def test_certificate_normalization(self):
         c = DependenceCertificate([0, -2, 4])

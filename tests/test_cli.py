@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -112,6 +113,23 @@ class TestInputHandling:
         assert code == 2
         assert "total degree 65536" in err
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("text", ["3^20000000", "(x + y + 1)^300; y"])
+    def test_power_past_the_size_cap_exits_at_once(self, tmp_path, capsys, text):
+        f = write(tmp_path, "m.txt", text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["nilpotent", "-f", f])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "too large" in err
+        assert "Traceback" not in out + err
+
+    def test_power_below_the_size_cap(self, tmp_path, capsys):
+        # (x + y + 1)^100 has 5,151 terms of at most 200 bits, under the
+        # cap of 2^20 bits; 1^20000000 and 0^20000000 need no bits at all.
+        for text in ["(x + y + 1)^100; y", "1^20000000; 0^20000000"]:
+            f = write(tmp_path, "m.txt", text)
+            assert run(capsys, ["jacobian", "-f", f])[0] == 0
 
     def test_parse_error_positions(self, tmp_path, capsys):
         # Text syntax errors carry a position; errors about the structure
@@ -410,6 +428,17 @@ class TestInvertDecomposeKeller:
         code, out, _ = run(capsys, ["invert", "-f", f])
         assert code == 1
         assert out == "no polynomial inverse found\n"
+
+    @pytest.mark.parametrize(
+        "text, inverse",
+        [("2*x", "1/2*x"), ("2*x + y^2; y", "-1/2*y^2 + 1/2*x; y")],
+    )
+    def test_invert_non_unipotent_linear_part(self, tmp_path, capsys, text, inverse):
+        # JF(0) - I is not nilpotent: the inverse comes from A^-1 o F.
+        f = write(tmp_path, "m.txt", text)
+        code, out, _ = run(capsys, ["invert", "-f", f])
+        assert code == 0
+        assert out.strip() == inverse
 
     def test_invert_wrong_shape(self, tmp_path, capsys):
         # the shift part must vanish at the origin

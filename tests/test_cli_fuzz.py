@@ -70,6 +70,21 @@ map_tokens = st.sampled_from(
 )
 map_text = st.lists(map_tokens, max_size=16).map("".join)
 
+# Powers of map-like bases in x, which every dimension has: exponents either
+# small, or far past the parser's size cap, so that every input is parsed,
+# refused, or fails fast.
+power_exponents = st.sampled_from(["2", "3", "20000000"])
+power_bases = st.lists(
+    st.sampled_from(["x", "-x", "2*x", "x*x", "1", "3", "3/2", "x + "]),
+    min_size=1,
+    max_size=4,
+).map(" + ".join)
+power_text = st.lists(
+    st.tuples(power_bases, power_exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+    min_size=1,
+    max_size=3,
+).map("; ".join)
+
 keys = st.sampled_from(["n", "components", "a1", "h"]) | st.text(max_size=3)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | map_text,
@@ -104,7 +119,7 @@ matrices = (
 
 
 @fuzz_settings
-@given(st.text(max_size=40) | st.binary(max_size=40) | map_text, matrices)
+@given(st.text(max_size=40) | st.binary(max_size=40) | map_text | power_text, matrices)
 def test_random_text(content, matrix):
     check_every_verb(content, matrix)
 

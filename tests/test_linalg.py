@@ -765,6 +765,81 @@ class TestCoefficientKernel:
             assert coefficient_kernel(equations) == self.stacked_reference(equations)
 
 
+    def test_zero_columns_anywhere(self):
+        # A zero column is free, and depends on nothing: its kernel vector
+        # is its unit vector, wherever it stands.
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        zero = Polynomial.zero(2)
+        half = x.scale(Fraction(1, 2)) + y.scale(Fraction(-2, 3))
+        for columns in ([zero, half, x], [half, zero, x], [half, x, zero]):
+            got = coefficient_kernel([columns])
+            assert got == self.stacked_reference([columns])
+            position = columns.index(zero)
+            assert [int(i == position) for i in range(3)] in got
+
+    def test_fraction_coefficients(self):
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        a = x.scale(Fraction(3, 4)) + y.scale(Fraction(-5, 6))
+        b = x.scale(Fraction(1, 7))
+        c = a.scale(Fraction(-2, 9)) + b.scale(Fraction(11, 5))
+        equations = [[a, b, c], [b, a, c.scale(Fraction(1, 3))]]
+        first = equations[:1]
+        assert coefficient_kernel(first) == self.stacked_reference(first)
+        assert coefficient_kernel(first) == [
+            [Fraction(2, 9), Fraction(-11, 5), Fraction(1)]
+        ]
+        assert coefficient_kernel(equations) == self.stacked_reference(equations)
+
+    def test_repeated_columns(self):
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        p = x * y + y.scale(Fraction(-1, 2))
+        got = coefficient_kernel([[p, p, x, p]])
+        assert got == [
+            [Fraction(-1), Fraction(1), Fraction(0), Fraction(0)],
+            [Fraction(-1), Fraction(0), Fraction(0), Fraction(1)],
+        ]
+        assert got == self.stacked_reference([[p, p, x, p]])
+
+    def test_all_zero_equations_give_unit_vectors(self):
+        z = Polynomial.zero(2)
+        equations = [[z] * 4, [z] * 4]
+        assert coefficient_kernel(equations) == self.stacked_reference(equations)
+        assert coefficient_kernel(equations) == [
+            [Fraction(int(i == j)) for j in range(4)] for i in range(4)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sparse_elimination_matches_dense_kernel(self, n):
+        # One to three equations of up to 12 columns; the columns are
+        # combinations of a few random polynomials, with zero and repeated
+        # columns and Fraction coefficients mixed in.
+        rng = random.Random(500 + n)
+        for _ in range(30):
+            width = rng.randint(1, 12)
+            rank = rng.randint(1, 4)
+            equations = []
+            for _ in range(rng.randint(1, 3)):
+                base = [
+                    generators.random_polynomial(rng, n, rng.randint(1, 3), terms=3)
+                    for _ in range(rank)
+                ]
+                eq = []
+                for _ in range(width):
+                    roll = rng.random()
+                    if roll < 0.1:
+                        eq.append(Polynomial.zero(n))
+                    elif roll < 0.2 and eq:
+                        eq.append(rng.choice(eq))
+                    else:
+                        p = Polynomial.zero(n)
+                        for b in base:
+                            c = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 5]))
+                            p = p + b.scale(c)
+                        eq.append(p)
+                equations.append(eq)
+            assert coefficient_kernel(equations) == self.stacked_reference(equations)
+
+
 class TestAsPolyMap:
     def test_rows_become_linear_components(self):
         T = LinearMap.from_matrix([[2, Fraction(1, 2), 0], [0, -3, 0], [1, 0, 1]])

@@ -21,7 +21,7 @@ from nilmap import (
     tame_decompose,
 )
 from nilmap import generators, tame
-from nilmap.analysis import _jacobian_at, _probe_point
+from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
 
 # det JF is -6 at the origin and 32,496 at the probe point (2, -3, 5); the
 # inverse iteration used to run to its full degree bound on this map.
@@ -140,6 +140,31 @@ class TestFormalInverse:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):
             formal_inverse(parse_map("x + 1; y"))
+
+    @pytest.mark.parametrize(
+        "text, inverse",
+        [("2*x", "1/2*x"), ("2*x + y^2; y", "1/2*x - 1/2*y^2; y")],
+    )
+    def test_non_unipotent_linear_part(self, text, inverse):
+        # JF(0) - I is not nilpotent, so x - H(G) does not converge; the
+        # iteration runs on A^-1 o F instead.
+        G = formal_inverse(parse_map(text))
+        assert G == parse_map(inverse)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_linear_map_after_a_decomposable_shift_inverts(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(4):
+            A = generators.random_invertible(rng, n)
+            F = A.as_poly_map().compose(
+                PolyMap.identity(n) + generators.decomposable_shift(rng, n)
+            )
+            shift = F - PolyMap.identity(n)
+            assert _nilpotency_index(_jacobian_at(shift, (0,) * n)) is None
+            G = formal_inverse(F)
+            assert G is not None
+            assert F.compose(G).is_identity()
+            assert G.compose(F).is_identity()
 
     def test_nilpotent_families_invert(self):
         rng = random.Random(30)
