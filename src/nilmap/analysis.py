@@ -228,22 +228,13 @@ def is_nilpotent_bruteforce(H: PolyMap) -> bool:
     (J(H)^n)(x0), since evaluation is a ring homomorphism, so when it is
     nonzero J(H)^n is not zero and the answer is False.  Otherwise J(H)^n
     is computed symbolically.  Neither step reads a sigma polynomial.
-    The powering of J(H)(x0) stops at its first zero power k0, since every
-    later power is zero too.  The symbolic powering stops there as well
-    when J(H)^k0 is already zero, since then J(H)^n is; otherwise it goes
-    on to J(H)^n.
+    The powering of J(H)(x0) stops at its first zero power, since every
+    later power is zero too.
     """
     n = H.dimension
-    k0 = _nilpotency_index(_jacobian_at(H, _probe_point(n)))
-    if k0 is None:
+    if _nilpotency_index(_jacobian_at(H, _probe_point(n))) is None:
         return False
-    J = jacobian(H)
-    power = J.power(k0)
-    if power.is_zero():
-        return True
-    for _ in range(n - k0):
-        power = power * J
-    return power.is_zero()
+    return jacobian(H).power(n).is_zero()
 
 
 def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:

@@ -15,8 +15,8 @@ at the probe point of `analysis.is_nilpotent_bruteforce`: a zero at the
 origin, or two different values, proves that F is not invertible.  Both
 determinants are numbers, taken by `RationalMatrix.det`, the Berkowitz
 recursion of `poly_det` run on the entries themselves.  The inverse
-iteration needs a unipotent linear part A = JF(0); any other invertible A
-is factored out first, as the inverse of A^-1 o F followed by A^-1.
+iteration runs on A^-1 o F, where A = JF(0), so that its linear part is
+the identity; the inverse of F is its inverse followed by A^-1.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import graphlib
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .analysis import _jacobian_at, _nilpotency_index, _probe_point, conjugate, jacobian
+from .analysis import _jacobian_at, _probe_point, conjugate, jacobian
 from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
@@ -182,13 +182,12 @@ def formal_inverse(
     """Polynomial inverse of F = x + H, with F(0) = 0, by truncated
     fixpoint iteration.
 
-    Iterates G <- x - H(G) with truncation at the degree bound (default
-    (deg F)^(n-1), the classical automorphism-inverse bound).  That
-    iteration converges when the linear part A = JF(0) of F is unipotent
-    (A - I nilpotent); otherwise it runs on A^-1 o F, whose linear part is
-    the identity, and its inverse G' gives G = G' o A^-1.  An exact
-    fixpoint is verified by composing both ways; None means no polynomial
-    inverse was found within the bound.
+    Let A = JF(0), the linear part of F.  The iteration G' <- x - H'(G')
+    runs on A^-1 o F = x + H', whose linear part is the identity, with
+    truncation at the degree bound (default (deg F)^(n-1), the classical
+    automorphism-inverse bound); its fixpoint G' gives G = G' o A^-1.  An
+    exact fixpoint is verified by composing both ways; None means no
+    polynomial inverse was found within the bound.
 
     Before iterating, None is returned at once when det A = 0 or det JF
     differs between the origin and the probe point: the determinant of an
@@ -196,25 +195,20 @@ def formal_inverse(
     polynomial inverse exists, and the iteration would end in None too.
     """
     n = F.dimension
-    H = _shift_part(F)
-    if H.is_zero():
+    if _shift_part(F).is_zero():
         return PolyMap.identity(n)
-    origin = (0,) * n
-    linear = _jacobian_at(F, origin)
+    linear = _jacobian_at(F, (0,) * n)
     if _keller_refuted(F, linear):
         return None
     if degree_bound is None:
         degree_bound = max(F.max_total_degree(), 1) ** max(n - 1, 1)
-    # JH(0) = A - I.
-    if _nilpotency_index(_jacobian_at(H, origin)) is not None:
-        G = _fixpoint_inverse(H, degree_bound)
-    else:
-        undo = LinearMap(linear.inverse(), linear).as_poly_map()
-        G = _fixpoint_inverse(_shift_part(undo.compose(F)), degree_bound)
-        if G is not None:
-            G = G.compose(undo)
+    undo = LinearMap(linear.inverse(), linear).as_poly_map()
+    G = _fixpoint_inverse(_shift_part(undo.compose(F)), degree_bound)
+    if G is None:
+        return None
+    G = G.compose(undo)
     identity = PolyMap.identity(n)
-    if G is not None and F.compose(G) == identity and G.compose(F) == identity:
+    if F.compose(G) == identity and G.compose(F) == identity:
         return G
     return None
 
