@@ -11,21 +11,29 @@ definitions guard each other in the test suite; `linalg.principal_minor_sum`,
 which enumerates the C(n,k) minors explicitly, is kept as a further oracle
 for the sigma polynomials themselves.
 
+Both oracles work on term dicts, not on polynomial objects.
+`_jacobian_terms` reads J(H) off each component's terms in one pass.  The
+recursion and the powering then run on the integer grid cJ(H), with c the
+lcm of J(H)'s denominators (`linalg._cleared`): sigma_k(cJ) = c^k sigma_k(J),
+so each sigma is divided by c^k once, and (cJ)^n = 0 exactly when J^n = 0.
+Only the n sigma polynomials of a report are built as `Polynomial`s.
+
 The J^n oracle refutes at a point first.  Evaluation at a point x0 is a
 ring homomorphism, so (J^n)(x0) = J(x0)^n: when the exact rational matrix
 J(x0)^n is nonzero, J^n is not the zero matrix, which proves the map is
 not nilpotent.  Only when J(x0)^n = 0, as for every nilpotent map, is J^n
 computed symbolically.  A nonzero polynomial rarely vanishes at a given
 point (J. T. Schwartz, J. ACM 27, 1980), so almost every non-nilpotent map
-is settled by n - 1 small integer matrix products.  The probe point
-x0 = (2, -3, 5, -7, 11, ...) has nonzero coordinates with distinct
-absolute values.
+is settled by n - 1 small integer matrix products, of d J(x0) for d the lcm
+of its denominators.  The probe point x0 = (2, -3, 5, -7, 11, ...) has
+nonzero coordinates with distinct absolute values.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from typing import Sequence
 
@@ -34,10 +42,23 @@ from .linalg import (
     LinearMap,
     PolyMatrix,
     RationalMatrix,
+    _cleared,
+    _grid_power,
+    _int_matmul,
     _kernel_vectors,
-    sigma_polynomials,
+    _sigma_terms,
 )
-from .poly import Polynomial, PolyMap, _combination, _exact, _unpack
+from .poly import (
+    Polynomial,
+    PolyMap,
+    Terms,
+    _add_into,
+    _clear_denominators,
+    _combination,
+    _exact,
+    _unit,
+    _unpack,
+)
 
 
 class NilpotencyReport:
@@ -148,8 +169,29 @@ def jacobian(H: PolyMap) -> PolyMatrix:
     """The matrix of partial derivatives, entry (i,j) = d H_i / d x_j."""
     n = H.dimension
     return PolyMatrix(
-        [[H[i].partial(j) for j in range(1, n + 1)] for i in range(n)]
+        [[Polynomial._trusted(n, t) for t in row] for row in _jacobian_terms(H)]
     )
+
+
+def _jacobian_terms(H: PolyMap) -> list[list[Terms]]:
+    """The term dicts of J(H), in stored form, from one pass over each
+    component's terms: the term c * x^e adds c * e_j * x^(e - u_j) to entry
+    (i, j) for every j with e_j > 0.  Distinct terms of H_i give distinct
+    keys in each entry, so nothing is summed."""
+    n = H.dimension
+    units = [_unit(n, j) for j in range(1, n + 1)]
+    grid = []
+    for p in H.components:
+        row: list[Terms] = [{} for _ in range(n)]
+        for key, c in p._terms.items():
+            for j, e in enumerate(_unpack(key, n)):
+                if e:
+                    v = c * e
+                    if v.__class__ is not int and v.denominator == 1:
+                        v = v.numerator
+                    row[j][key - units[j]] = v
+        grid.append(row)
+    return grid
 
 
 @functools.cache
@@ -166,46 +208,64 @@ def _probe_point(n: int) -> tuple[int, ...]:
 
 
 def _jacobian_at(H: PolyMap, point: Sequence[int]) -> RationalMatrix:
-    """J(H) evaluated at an integer point, read off H's term dicts.
+    """J(H) evaluated at the origin or at an integer point with no zero
+    coordinate, read off H's term dicts.
 
-    Each term c * x^e of H_i adds c * e_j * prod_k point_k^(e_k - [k = j])
-    to entry (i, j) for every j with e_j > 0.  No coordinate is divided
-    by, so the point may have zero coordinates.
+    At the origin this is the linear part of H: entry (i, j) is the
+    coefficient of x_j in H_i.  Elsewhere the monomial of each term
+    c * x^e is evaluated once, to m, and the term adds c * e_j * m / point_j
+    to entry (i, j) for every j with e_j > 0; point_j divides m, so the
+    quotient is an exact integer.
     """
     n = H.dimension
+    if not any(point):
+        units = [_unit(n, j) for j in range(1, n + 1)]
+        return RationalMatrix._trusted(
+            tuple(tuple(p._terms.get(u, 0) for u in units) for p in H.components)
+        )
     rows = []
     for p in H.components:
         row = [0] * n
         for key, c in p._terms.items():
             exps = _unpack(key, n)
-            values = [x**e for x, e in zip(point, exps)]
+            m = prod(map(pow, point, exps))
             for j, e in enumerate(exps):
                 if e:
-                    row[j] += (
-                        c * e * point[j] ** (e - 1)
-                        * prod(values[:j]) * prod(values[j + 1:])
-                    )
+                    row[j] += c * (m * e // point[j])
         rows.append(row)
     return RationalMatrix(rows)
 
 
 def _nilpotency_index(m: RationalMatrix) -> int | None:
     """The least k >= 1 with m^k = 0 for a square rational matrix, or None
-    when m is not nilpotent, that is when m^size != 0.  The powering stops
-    at the first zero power."""
-    power = m
+    when m is not nilpotent, that is when m^size != 0.
+
+    The powers are integer products of dm, where d is the lcm of m's
+    denominators: (dm)^k = d^k m^k vanishes exactly when m^k does.  The
+    powering stops at the first zero power.
+    """
+    size = m.rows
+    flat, _ = _clear_denominators(chain.from_iterable(m.entries))
+    rows = [flat[i:i + size] for i in range(0, size * size, size)]
+    columns = list(zip(*rows))
+    power = rows
     k = 1
-    while any(map(any, power.entries)):
-        if k == m.rows:
+    while any(map(any, power)):
+        if k == size:
             return None
-        power = power * m
+        power = _int_matmul(power, columns)
         k += 1
     return k
 
 
 def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
-    """All principal-minor sums sigma_1..sigma_n of J(H)."""
-    return NilpotencyReport(sigma_polynomials(jacobian(H)))
+    """All principal-minor sums sigma_1..sigma_n of J(H), from the
+    characteristic polynomial of J(H) computed on its term dicts
+    (`linalg._sigma_terms`)."""
+    n = H.dimension
+    return NilpotencyReport(
+        [Polynomial._trusted(n, s) for s in _sigma_terms(_jacobian_terms(H), n)]
+    )
 
 
 def is_nilpotent(H: PolyMap) -> bool:
@@ -215,10 +275,13 @@ def is_nilpotent(H: PolyMap) -> bool:
     rejected without computing the characteristic polynomial.
     """
     n = H.dimension
-    J = jacobian(H)
-    if not sum((J[i, i] for i in range(n)), Polynomial.zero(n)).is_zero():
+    grid = _jacobian_terms(H)
+    trace: Terms = {}
+    for i in range(n):
+        _add_into(trace, grid[i][i])
+    if any(trace.values()):
         return False
-    return all(s.is_zero() for s in sigma_polynomials(J))
+    return not any(_sigma_terms(grid, n))
 
 
 def is_nilpotent_bruteforce(H: PolyMap) -> bool:
@@ -227,14 +290,16 @@ def is_nilpotent_bruteforce(H: PolyMap) -> bool:
     J(H)(x0)^n is computed first at the probe point x0.  It equals
     (J(H)^n)(x0), since evaluation is a ring homomorphism, so when it is
     nonzero J(H)^n is not zero and the answer is False.  Otherwise J(H)^n
-    is computed symbolically.  Neither step reads a sigma polynomial.
-    The powering of J(H)(x0) stops at its first zero power, since every
-    later power is zero too.
+    is computed symbolically, on the integer term dicts of cJ(H) for c the
+    lcm of J(H)'s denominators: (cJ)^n = c^n J^n is zero exactly when J^n
+    is.  Neither step reads a sigma polynomial.  The powering of J(H)(x0)
+    stops at its first zero power, since every later power is zero too.
     """
     n = H.dimension
     if _nilpotency_index(_jacobian_at(H, _probe_point(n))) is None:
         return False
-    return jacobian(H).power(n).is_zero()
+    ints, _ = _cleared(_jacobian_terms(H))
+    return not any(chain.from_iterable(_grid_power(ints, n, n)))
 
 
 def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:

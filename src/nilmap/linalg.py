@@ -26,8 +26,15 @@ sigma_n its determinant, all come from one characteristic polynomial,
 computed by Berkowitz's division-free recursion (S. J. Berkowitz, "On
 computing the determinant in small parallel time using a small number of
 processors", Inf. Process. Lett. 18, 1984) in O(n^4) ring operations.
-`principal_minor_sum` enumerates the C(n,k) minors by cofactor expansion;
-it is kept as the independent oracle for that recursion.
+One loop (`_charpoly`) serves every ring: it takes the ring's dot product,
+unit and negation, so `RationalMatrix.det` runs it on rationals and
+`_sigma_terms` on term dicts, with `poly._dot_terms` as the dot product.
+No Polynomial is built inside the loop, and the denominators are cleared
+once: the loop runs on the integer grid cM, c the lcm of M's denominators,
+and sigma_k(M) = sigma_k(cM) / c^k.  `_grid_power` powers such a grid for
+the J^n oracle of `analysis`.  `principal_minor_sum` enumerates the C(n,k)
+minors by cofactor expansion; it is kept as the independent oracle for
+that recursion.
 """
 
 from __future__ import annotations
@@ -37,18 +44,22 @@ import itertools
 import json
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, neg
 from typing import Sequence
 
 from .errors import DimensionMismatch, NilmapError, ParseError, ShapeError
 from .poly import (
+    _ONE,
     PolyMap,
     Polynomial,
+    Terms,
     _clear_denominators,
     _coeff,
     _dot,
+    _dot_terms,
     _exact,
     _linear,
+    _negated,
 )
 
 
@@ -129,7 +140,7 @@ class RationalMatrix:
         run on the entries themselves."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        c = _charpoly(self.entries, _rational_dot, 1)[-1]
+        c = _charpoly(self.entries, _rational_dot, 1, neg)[-1]
         return Fraction(-c if self.rows % 2 else c)
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
@@ -240,6 +251,12 @@ def _rref_den(work: list[list[int]]) -> tuple[int, list[int]]:
 
 def _rational_dot(xs, ys):
     return sum(map(mul, xs, ys))
+
+
+def _int_matmul(rows: list[list[int]], columns: list) -> list[list[int]]:
+    """The integer product of a matrix, given by its rows, and a matrix
+    given by its columns."""
+    return [[sum(map(mul, row, col)) for col in columns] for row in rows]
 
 
 def _quotient(value: int, den: int) -> int | Fraction:
@@ -575,20 +592,69 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
     recursion: for M = [[a, R], [C, A]] the coefficients of det(tI - M) are
     the Toeplitz product of (1, -a, -RC, -RAC, -RA^2C, ...) with those of
     det(tI - A).  The loop grows A from the bottom-right corner one row and
-    column at a time.  Equal, term for term, to
+    column at a time.  It runs on integer term dicts (`_sigma_terms`), and
+    only the n sums are built as polynomials.  Equal, term for term, to
     ``[principal_minor_sum(m, k) for k in 1..n]``.
     """
     if m.rows != m.cols:
         raise ShapeError("principal minors need a square matrix")
     n = m.n
-    q = _charpoly(m.entries, functools.partial(_dot, n), Polynomial.const(n, 1))
-    return [q[k] if k % 2 == 0 else -q[k] for k in range(1, m.rows + 1)]
+    grid = [[p._terms for p in row] for row in m.entries]
+    return [Polynomial._trusted(n, s) for s in _sigma_terms(grid, n)]
 
 
-def _charpoly(e, dot, one) -> list:
+def _sigma_terms(grid: list[list[Terms]], n: int) -> list[Terms]:
+    """The term dicts of sigma_1..sigma_size of a square grid of term dicts
+    in n variables, each in stored form.
+
+    The denominators are cleared once: with c the lcm of the grid's
+    denominators, the recursion runs on the integer grid cM, and
+    sigma_k(M) = sigma_k(cM) / c^k takes one division per coefficient.
+    """
+    ints, den = _cleared(grid)
+    q = _charpoly(ints, functools.partial(_dot_terms, n), _ONE, _negated)
+    sigma = [q[k] if k % 2 == 0 else _negated(q[k]) for k in range(1, len(q))]
+    if den == 1:
+        return sigma
+    return [
+        {key: _quotient(c, den**k) for key, c in s.items()}
+        for k, s in enumerate(sigma, 1)
+    ]
+
+
+def _cleared(grid: list[list[Terms]]) -> tuple[list[list[Terms]], int]:
+    """(ints, den): den is the lcm of the denominators of every coefficient
+    in the grid of term dicts, and ints is den times the grid, as integer
+    term dicts (the grid itself when den is 1)."""
+    values, den = _clear_denominators(
+        c for row in grid for terms in row for c in terms.values()
+    )
+    if den == 1:
+        return grid, 1
+    # The scaled values come in the order of the grid's terms; zip takes
+    # from `scaled` only while the entry has keys left.
+    scaled = iter(values)
+    return [[dict(zip(terms, scaled)) for terms in row] for row in grid], den
+
+
+def _grid_power(grid: list[list[Terms]], k: int, n: int) -> list[list[Terms]]:
+    """The k-th power (k >= 1) of a square grid of term dicts in n
+    variables, by k - 1 products with the grid; every entry in stored
+    form."""
+    columns = list(zip(*grid))
+    power = grid
+    for _ in range(k - 1):
+        power = [
+            [_dot_terms(n, row, col) for col in columns] for row in power
+        ]
+    return power
+
+
+def _charpoly(e, dot, one, negate) -> list:
     """Coefficients of det(tI - M), highest power first, for the square grid
     e of M's rows, by Berkowitz's recursion (see `sigma_polynomials`);
-    `dot(xs, ys)` is sum(x * y) in the ring of the entries, `one` its unit.
+    `dot(xs, ys)` is sum(x * y) in the ring of the entries, `one` its unit
+    and `negate` its negation.
     """
     size = len(e)
     # Coefficients of det(tI - A), highest power first, for the trailing
@@ -599,9 +665,9 @@ def _charpoly(e, dot, one) -> list:
         block = [r[k + 1:] for r in e[k + 1:]]
         col = [r[k] for r in e[k + 1:]]
         d = size - k
-        t = [one, -e[k][k]]
+        t = [one, negate(e[k][k])]
         for l in range(2, d + 1):
-            t.append(-dot(row, col))
+            t.append(negate(dot(row, col)))
             if l < d:
                 col = [dot(r, col) for r in block]
         # Coefficient i of the product is sum_j t[i - j] * q[j].

@@ -9,7 +9,9 @@ The parser evaluates straight into packed term dicts, the stored form of
 `poly`: every grammar level returns a term dict, products go through
 `poly._product` and powers through `poly._power` (the helpers behind
 ``Polynomial`` ``*`` and ``**``, with their ExponentOverflow guard), and one
-`Polynomial` is built per parsed text.
+`Polynomial` is built per parsed text.  Both are bounded before they run:
+a power by the estimated size of its result (`MAX_POWER_BITS`), a product
+by its number of term pairs (`MAX_PRODUCT_PAIRS`).
 
 The formatter emits graded-lexicographically sorted terms, so equal
 polynomials always format identically and ``format(parse(t))`` is a fixpoint
@@ -49,6 +51,11 @@ MAX_NESTING = 100
 # of its result, term count times coefficient bits, exceeds this many bits
 # (see `_power_size`), so a short input cannot demand unbounded work.
 MAX_POWER_BITS = 1 << 20
+
+# A product p * q is rejected before it is computed when it would multiply
+# more than this many pairs of terms, len(p) * len(q), so a short input
+# cannot demand unbounded work through products of powers either.
+MAX_PRODUCT_PAIRS = 1 << 21
 
 # Numbers and variable indices are ASCII digits: str.isdigit also accepts
 # characters such as superscripts that int() rejects.
@@ -204,8 +211,16 @@ class _Parser:
     def term(self) -> Terms:
         p = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            p = _product(p, self.factor(), self.n)
+            tok = self.advance()
+            q = self.factor()
+            if len(p) * len(q) > MAX_PRODUCT_PAIRS:
+                raise ParseError(
+                    f"product of {len(p)} and {len(q)} terms is too large: it "
+                    f"multiplies more than {MAX_PRODUCT_PAIRS} pairs of terms",
+                    tok.line,
+                    tok.column,
+                )
+            p = _product(p, q, self.n)
         return p
 
     def factor(self) -> Terms:

@@ -35,7 +35,7 @@ Normalization happens in two places.  The public constructor, ``const``,
 operations build their results through the private
 ``Polynomial._trusted``, which takes ownership of a dict that already holds
 the invariant; products, substitutions and the sums of products behind
-matrix multiplication (``_dot``) accumulate into one output dict, and
+matrix multiplication (``_dot_terms``) accumulate into one output dict, and
 ``_drop_zeros`` then deletes its zero coefficients and turns an integral
 Fraction such as (1/2)*2 back into an int.
 
@@ -241,15 +241,15 @@ def _substitute(
     return results
 
 
-def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
-    """sum(x * y) over the pairs, summed into one term dict.
+def _dot_terms(n: int, xs: Iterable[Terms], ys: Iterable[Terms]) -> Terms:
+    """sum(x * y) over the pairs of term dicts in n variables, summed into
+    one new term dict in stored form.
 
     A factor equal to the constant 1 adds the other factor's terms instead
     of multiplying them.
     """
     out: Terms = {}
-    for x, y in zip(xs, ys):
-        a, b = x._terms, y._terms
+    for a, b in zip(xs, ys):
         if not a or not b:
             continue
         if a == _ONE:
@@ -258,7 +258,19 @@ def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomi
             _add_into(out, a)
         else:
             _mul_into(out, a, b, n)
-    return Polynomial._trusted(n, _drop_zeros(out))
+    return _drop_zeros(out)
+
+
+def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
+    """sum(x * y) over the pairs of polynomials (`_dot_terms`)."""
+    return Polynomial._trusted(
+        n, _dot_terms(n, (x._terms for x in xs), (y._terms for y in ys))
+    )
+
+
+def _negated(terms: Terms) -> Terms:
+    """The term dict of -p, as a new dict."""
+    return {key: -c for key, c in terms.items()}
 
 
 def _clear_denominators(values: Iterable[Coeff]) -> tuple[list[int], int]:
@@ -446,7 +458,7 @@ class Polynomial:
         return Polynomial._trusted(self.n, _drop_zeros(out))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.n, _negated(self._terms))
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)

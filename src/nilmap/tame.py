@@ -14,7 +14,9 @@ A polynomial automorphism has a nonzero constant Jacobian determinant, so
 at the probe point of `analysis.is_nilpotent_bruteforce`: a zero at the
 origin, or two different values, proves that F is not invertible.  Both
 determinants are numbers, taken by `RationalMatrix.det`, the Berkowitz
-recursion of `poly_det` run on the entries themselves.  The inverse
+recursion of `poly_det` run on the entries themselves.  The symbolic
+determinant of `keller_check` is sigma_n of the same recursion run on the
+integer term dicts of cJF (`linalg._sigma_terms`).  The inverse
 iteration runs on A^-1 o F, where A = JF(0), so that its linear part is
 the identity; the inverse of F is its inverse followed by A^-1.
 """
@@ -25,7 +27,7 @@ import graphlib
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .analysis import _jacobian_at, _probe_point, conjugate, jacobian
+from .analysis import _jacobian_at, _jacobian_terms, _probe_point, conjugate
 from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
@@ -35,8 +37,8 @@ from .errors import (
 from .linalg import (
     LinearMap,
     RationalMatrix,
+    _sigma_terms,
     coefficient_kernel,
-    poly_det,
     row_conjugator,
 )
 from .poly import Polynomial, PolyMap
@@ -160,12 +162,14 @@ def keller_check(F: PolyMap) -> bool:
     """True iff the Jacobian determinant is a nonzero constant.
 
     det JF is first compared at the origin and at the probe point; only a
-    determinant that is nonzero and agrees there is computed symbolically.
+    determinant that is nonzero and agrees there is computed symbolically,
+    as sigma_n of the characteristic polynomial of JF on its term dicts
+    (`linalg._sigma_terms`, which runs on the integer grid cJF).
     """
-    if _keller_refuted(F, _jacobian_at(F, (0,) * F.dimension)):
+    n = F.dimension
+    if _keller_refuted(F, _jacobian_at(F, (0,) * n)):
         return False
-    det = poly_det(jacobian(F))
-    return det.is_constant() and not det.is_zero()
+    return _sigma_terms(_jacobian_terms(F), n)[-1].keys() == {0}
 
 
 def _shift_part(F: PolyMap) -> PolyMap:

@@ -25,8 +25,8 @@ from nilmap import (
     parse_polynomial,
     poly_matrix_rank,
 )
-from nilmap import generators
-from nilmap.analysis import _jacobian_at, _probe_point
+from nilmap import analysis, generators
+from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
 from nilmap.errors import InexactValue, ShapeError
 from nilmap.linalg import PolyMatrix, RationalMatrix, kernel
 from stored_form import stored_terms
@@ -40,6 +40,29 @@ class TestJacobian:
         assert J[0, 1] == parse_polynomial("1", 3)
         assert J[1, 2] == parse_polynomial("y", 3)
         assert J[2, 0].is_zero()
+
+    def test_one_pass_matches_partial(self):
+        # Per-term denominators 1-6 make some entries integral Fractions,
+        # such as (1/2) * 2, which must be stored as ints.
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            H = generators.random_map(rng, n, rng.randint(1, 4), terms=rng.randint(1, 5))
+            H = PolyMap([
+                Polynomial(n, {e: c / rng.randint(1, 6) for e, c in p.terms.items()})
+                for p in H
+            ])
+            J = jacobian(H)
+            for i in range(n):
+                for j in range(n):
+                    want = stored_terms(H[i].partial(j + 1))
+                    assert stored_terms(J[i, j]) == want
+
+    def test_integral_fraction_entries_are_ints(self):
+        J = jacobian(parse_map("1/2*x^2 + 1/3*y^3; 2/3*x*y"))
+        assert stored_terms(J[0, 0]) == {(1, 0): 1}
+        assert stored_terms(J[0, 1]) == {(0, 2): 1}
+        assert stored_terms(J[1, 0]) == {(0, 1): Fraction(2, 3)}
 
 
 class TestNilpotency:
@@ -98,15 +121,17 @@ def symbolic_power_is_zero(H):
 
 @pytest.fixture
 def power_calls(monkeypatch):
-    """Counts the calls of PolyMatrix.power, the symbolic path of the
-    bruteforce oracle."""
+    """Counts the exponents of the symbolic powerings of the bruteforce
+    oracle, which powers the integer term dicts of cJ(H) with
+    `linalg._grid_power`."""
     calls = []
+    grid_power = analysis._grid_power
 
-    def counted(self, k):
+    def counted(grid, k, n):
         calls.append(k)
-        return SYMBOLIC_POWER(self, k)
+        return grid_power(grid, k, n)
 
-    monkeypatch.setattr(PolyMatrix, "power", counted)
+    monkeypatch.setattr(analysis, "_grid_power", counted)
     return calls
 
 
@@ -135,6 +160,33 @@ class TestBruteforceRefutation:
                     for i in range(n)
                 ]
                 assert [[at[i, j] for j in range(n)] for i in range(n)] == want
+
+    def test_nilpotency_index_matches_rational_powers(self):
+        # T N T^-1 for strictly upper triangular N has rational entries and
+        # every index from 1 to n; a random dense matrix is rarely nilpotent.
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            if rng.random() < 0.7:
+                N = RationalMatrix([
+                    [rng.choice([0, 1, -2]) if j > i else 0 for j in range(n)]
+                    for i in range(n)
+                ])
+                T = generators.random_invertible(rng, n)
+                m = T.matrix * N * T.inverse
+            else:
+                m = RationalMatrix([
+                    [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)
+                ])
+            power, want = m, 1
+            while any(map(any, power.entries)):
+                if want == n:
+                    want = None
+                    break
+                power = power * m
+                want += 1
+            assert _nilpotency_index(m) == want
 
     def test_one_variable_fallback(self, power_calls):
         # H = (x - x0)^2: J = 2(x - x0) vanishes at x0, but J^1 does not.
@@ -173,13 +225,13 @@ class TestBruteforceRefutation:
         # J(x0) has the single nonzero row (0, 1, 1, 0), so J(x0)^2 = 0 at
         # n = 4, and the zero map has J(x0) = 0.
         products = []
-        mul = RationalMatrix.__mul__
+        int_matmul = analysis._int_matmul
 
-        def counted(self, other):
-            products.append(other)
-            return mul(self, other)
+        def counted(rows, columns):
+            products.append(columns)
+            return int_matmul(rows, columns)
 
-        monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+        monkeypatch.setattr(analysis, "_int_matmul", counted)
         assert is_nilpotent_bruteforce(parse_map("x2 + x3; 0; 0; 0"))
         assert len(products) == 1
         products.clear()

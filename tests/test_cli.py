@@ -113,6 +113,16 @@ class TestInputHandling:
         assert "total degree 65536" in err
         assert "Traceback" not in out + err
 
+    def test_sigma_past_the_degree_limit_exits_2(self, tmp_path, capsys):
+        # J = diag(40000 x^39999, 40000 y^39999), so sigma_2 has total
+        # degree 79,998: the characteristic polynomial on term dicts keeps
+        # the overflow guard of the polynomial product.
+        f = write(tmp_path, "m.txt", "x^40000; y^40000")
+        code, out, err = run(capsys, ["nilpotent", "-f", f])
+        assert code == 2
+        assert "total degree 79998" in err
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("text", ["3^20000000", "(x + y + 1)^300; y"])
     def test_power_past_the_size_cap_exits_2_without_powering(
         self, tmp_path, capsys, monkeypatch, text
@@ -142,6 +152,38 @@ class TestInputHandling:
             f = write(tmp_path, "m.txt", text)
             assert run(capsys, ["jacobian", "-f", f])[0] == 0
         assert exponents == [20, 20000000, 20000000]
+
+    def test_product_past_the_pair_cap_exits_2_without_multiplying(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # (x + y + z + w + 1)^12 has 1,820 terms, so the product multiplies
+        # 3,312,400 pairs of terms, past the cap of 2^21.
+        def refuse(*args):
+            raise AssertionError("a product past the cap was computed")
+
+        monkeypatch.setattr(parsing, "_product", refuse)
+        f = write(
+            tmp_path, "m.txt",
+            "(x + y + z + w + 1)^12 * (x + y + z + w + 1)^12; 0; 0; 0",
+        )
+        code, out, err = run(capsys, ["nilpotent", "-f", f])
+        assert code == 2
+        assert "too large" in err and "1820 and 1820 terms" in err
+        assert "Traceback" not in out + err
+
+    def test_product_below_the_pair_cap(self, tmp_path, capsys, monkeypatch):
+        # 231 * 231 pairs of terms, under the cap of 2^21.
+        sizes = []
+        product = parsing._product
+
+        def counted(p, q, n):
+            sizes.append((len(p), len(q)))
+            return product(p, q, n)
+
+        monkeypatch.setattr(parsing, "_product", counted)
+        f = write(tmp_path, "m.txt", "(x + y + 1)^20 * (x + y + 1)^20; y")
+        assert run(capsys, ["jacobian", "-f", f])[0] == 0
+        assert sizes == [(231, 231)]
 
     def test_parse_error_positions(self, tmp_path, capsys):
         # Text syntax errors carry a position; errors about the structure
@@ -322,13 +364,13 @@ class TestClassify:
         Hc = analysis.conjugate(H, generators.random_form_a_conjugator(rng))
         f = write(tmp_path, "m.txt", format_map(Hc))
         calls = []
-        sigma = analysis.sigma_polynomials
+        sigma = analysis._sigma_terms
 
-        def counted(J):
-            calls.append(J)
-            return sigma(J)
+        def counted(grid, n):
+            calls.append(grid)
+            return sigma(grid, n)
 
-        monkeypatch.setattr(analysis, "sigma_polynomials", counted)
+        monkeypatch.setattr(analysis, "_sigma_terms", counted)
         code, out, _ = run(capsys, ["classify", "-f", f, "--json"])
         assert code == 0
         assert json.loads(out)["route"] == "canonical-pair"

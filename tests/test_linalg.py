@@ -20,9 +20,9 @@ from nilmap import (
     principal_minor_sum,
     sigma_polynomials,
 )
-from nilmap import generators, jacobian
+from nilmap import PolyMap, conjugate, generators, jacobian
 from nilmap.errors import InexactValue, ParseError, ShapeError
-from stored_form import stored_terms
+from stored_form import assert_clean, stored_terms
 from nilmap.linalg import (
     RationalMatrix,
     _det_cofactor,
@@ -394,6 +394,47 @@ class TestSigmaPolynomials:
             sigma = sigma_polynomials(J)
             assert sigma == enumerated_sigmas(J)
             assert all(s.is_zero() for s in sigma)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_fraction_coefficients_match_enumeration(self, n):
+        # Per-term denominators 1-6: the recursion runs on the integer grid
+        # cJ and divides sigma_k by c^k once.
+        rng = random.Random(200 + n)
+        fractions = 0
+        for _ in range(6 if n < 5 else 3):
+            H = generators.random_map(rng, n, rng.randint(1, 3))
+            H = PolyMap([
+                Polynomial(n, {e: c / rng.randint(1, 6) for e, c in p.terms.items()})
+                for p in H
+            ])
+            J = jacobian(H)
+            sigma = sigma_polynomials(J)
+            assert sigma == enumerated_sigmas(J)
+            for s in sigma:
+                assert_clean(s)
+                fractions += any(type(c) is Fraction for c in s._terms.values())
+        assert fractions
+
+    def test_conjugated_generalized_maps_with_nonzero_trace(self):
+        # The coupled generalized family plus x_i * x_(i+1) in H_i, so that
+        # no sigma vanishes.  The sigma of T^-1 H(T x) are those of H at
+        # T x, so conjugating by the inverse of an integer matrix T gives
+        # sigma with Fraction coefficients.
+        rng = random.Random(41)
+        for _ in range(2):
+            G = generators.nilpotent_generalized_coupled(rng, 5).map
+            H = PolyMap([
+                c + parse_polynomial(f"x{i}*x{i % 5 + 1}", 5)
+                for i, c in enumerate(G, 1)
+            ])
+            T = generators.random_invertible(rng, 5).inverted()
+            J = jacobian(conjugate(H, T))
+            sigma = sigma_polynomials(J)
+            assert sigma == enumerated_sigmas(J)
+            for s in sigma:
+                assert not s.is_zero()
+                assert any(type(c) is Fraction for c in s._terms.values())
+                assert_clean(s)
 
     def test_matches_sympy_charpoly(self):
         sympy = pytest.importorskip("sympy")
