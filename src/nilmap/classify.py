@@ -342,9 +342,10 @@ def normalize_low_z_degree(
 
     Preconditions: nilpotent Jacobian, linearly independent components.
     A first z-degree of 2 or more contradicts independence (the
-    dependence certificate would be guaranteed) and is rejected.  The
-    branch where neither normalization applies is provably impossible and
-    raises TheoremViolation.
+    dependence certificate would be guaranteed) and is rejected.  A
+    non-nilpotent top coefficient pair, and the branch where neither
+    normalization applies, are provably impossible and raise
+    TheoremViolation.
     """
     u, v, h = H.map.components
     if linear_dependence(H.map.components) is not None:
@@ -362,7 +363,16 @@ def normalize_low_z_degree(
             H.map,
             ReductionStatus.EXTERNAL_FORM_REACHED,
         )
-    T1, H1 = triangularize_top_coefficients(H.map)
+    try:
+        T1, H1 = triangularize_top_coefficients(H.map)
+    except NotNilpotentTop as exc:
+        # With deg_z u, v <= 1 and h free of z, the z^1 coefficient of
+        # sigma_1 is the trace of J_{x,y}(u1, v1) and the z^2 coefficient
+        # of sigma_2 its determinant; both vanish, H being nilpotent.
+        raise TheoremViolation(
+            "a nilpotent map has a non-nilpotent top coefficient pair",
+            _instance_doc(H.map),
+        ) from exc
     u1 = _z_coefficient(H1.components[0], 1)
     v1 = _z_coefficient(H1.components[1], 1)
     if u1.is_constant():

@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from typing import Callable
 
-from . import analysis, classify, generators, tame
+from . import analysis, classify, tame
 from .errors import (
     ConstructionMismatch,
     NilmapError,
-    NotNilpotentTop,
     NotTriangularizable,
     ParseError,
     PreconditionError,
@@ -164,8 +162,6 @@ def _cmd_classify(args) -> int:
     for route, verb, attempt in routes:
         try:
             T, reduced, status = attempt()
-        except NotNilpotentTop:
-            raise
         except (ShapeError, PreconditionError):
             continue  # this route does not apply to H
         _emit(
@@ -257,119 +253,28 @@ def _cmd_keller4d(args) -> int:
     return EXIT_OK if keller else EXIT_FALSE
 
 
-def _verify_suites(rng: random.Random) -> list[tuple[str, bool, str]]:
-    results = []
+def _cmd_verify(args) -> int:
+    from . import suites  # imports the generators, which only `verify` uses
 
-    def run(name, fn):
+    results = []
+    for index, (name, _) in enumerate(suites.SUITES):
+        result = {"name": name, "passed": True, "detail": "", "counts": {}}
         try:
-            fn()
-            results.append((name, True, ""))
+            result["counts"] = suites.run(index, args.seed)
         except (TheoremViolation, ConstructionMismatch):
             raise
         except (AssertionError, NilmapError) as exc:
-            results.append((name, False, str(exc)))
-
-    def oracle_agreement():
-        for _ in range(50):
-            n = rng.choice([2, 3, 4])
-            H = generators.random_map(rng, n, 3, terms=3)
-            assert analysis.is_nilpotent(H) == analysis.is_nilpotent_bruteforce(H)
-        for _ in range(20):
-            H = generators.random_nilpotent_map(rng, rng.choice([2, 3, 4]))
-            assert analysis.is_nilpotent(H) and analysis.is_nilpotent_bruteforce(H)
-
-    def conjugation_invariance():
-        for _ in range(20):
-            n = rng.choice([2, 3])
-            H = (
-                generators.random_nilpotent_map(rng, n)
-                if rng.random() < 0.5
-                else generators.random_map(rng, n, 2, terms=3)
-            )
-            T = generators.random_invertible(rng, n)
-            assert analysis.is_nilpotent(H) == analysis.is_nilpotent(
-                analysis.conjugate(H, T)
-            )
-
-    def canonical_round_trip():
-        for _ in range(10):
-            params = generators.random_canonical_params(rng)
-            H = classify.build_canonical_pair(params)
-            T0 = generators.random_form_a_conjugator(rng)
-            Hc = analysis.conjugate(H, T0)
-            recognized = classify.recognize_canonical_pair(Hc)
-            assert recognized is not None
-            T, found = recognized
-            assert analysis.conjugate(Hc, T) == classify.build_canonical_pair(found)
-
-    def generalized_equivalence():
-        for _ in range(20):
-            n = rng.choice([4, 5])
-            draw = rng.random()
-            if draw < 0.4:
-                inst = generators.nilpotent_generalized(rng, n)
-            elif draw < 0.6:
-                inst = generators.nilpotent_generalized_coupled(rng, n)
-            else:
-                inst = generators.random_generalized(rng, n)
-            system = classify.nilpotency_system(inst)
-            assert all(e.is_zero() for e in system) == analysis.is_nilpotent(
-                inst.map
-            )
-
-    def keller_equivalence():
-        for _ in range(20):
-            h = (
-                generators.nilpotent_reduced4d(rng)[0]
-                if rng.random() < 0.4
-                else generators.random_reduced4d(rng)
-            )
-            assert classify.keller_parameterized_check(h) == analysis.is_nilpotent(
-                h.realize()
-            )
-
-    def divergence_coefficients():
-        for _ in range(20):
-            u, v = generators.divergence_pair(rng)
-            assert analysis.check_divergence_coefficients(u, v)
-
-    def tame_round_trip():
-        for _ in range(6):
-            n = rng.choice([3, 4, 5])
-            H = generators.decomposable_shift(rng, n)
-            F = PolyMap.identity(n) + H
-            factorization = tame.classify_and_decompose(F)
-            assert tame.compose_factorization(factorization) == F
-            G = tame.formal_inverse(F)
-            assert G is not None
-
-    run("oracle agreement", oracle_agreement)
-    run("conjugation invariance", conjugation_invariance)
-    run("canonical round trip", canonical_round_trip)
-    run("generalized equivalence", generalized_equivalence)
-    run("parameterized Keller equivalence", keller_equivalence)
-    run("divergence coefficients", divergence_coefficients)
-    run("tame round trip", tame_round_trip)
-    return results
-
-
-def _cmd_verify(args) -> int:
-    rng = random.Random(args.seed)
-    results = _verify_suites(rng)
-    doc = {
-        "seed": args.seed,
-        "suites": [
-            {"name": name, "passed": ok, "detail": detail}
-            for name, ok, detail in results
-        ],
-    }
+            result.update(passed=False, detail=str(exc))
+        results.append(result)
     lines = [
-        f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else "")
-        for name, ok, detail in results
+        f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}"
+        + (f": {r['detail']}" if r["detail"] else "")
+        for r in results
     ]
+    doc = {"seed": args.seed, "suites": results}
     _emit(args, lambda: doc, lambda: "\n".join(lines))
     # Every suite asserts a proved guarantee, so a failed suite is a violation.
-    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VIOLATION
+    return EXIT_OK if all(r["passed"] for r in results) else EXIT_VIOLATION
 
 
 @functools.cache

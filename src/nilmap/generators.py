@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .classify import CanonicalFormA, GeneralizedFormB, ReducedForm4D
+from .errors import NilmapError
 from .linalg import LinearMap, RationalMatrix
 from .poly import Polynomial, PolyMap
 
@@ -78,7 +79,7 @@ def random_invertible(rng: random.Random, n: int) -> LinearMap:
         )
         try:
             inv = m.inverse()
-        except Exception:
+        except NilmapError:  # singular
             continue
         return LinearMap(m, inv)
 

@@ -32,6 +32,7 @@ from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
     NotTriangularizable,
+    PreconditionError,
     ShapeError,
 )
 from .linalg import (
@@ -191,7 +192,7 @@ def formal_inverse(
     truncation at the degree bound (default (deg F)^(n-1), the classical
     automorphism-inverse bound); its fixpoint G' gives G = G' o A^-1.  An
     exact fixpoint is verified by composing both ways; None means no
-    polynomial inverse was found within the bound.
+    polynomial inverse exists.  A lower bound raises PreconditionError.
 
     Before iterating, None is returned at once when det A = 0 or det JF
     differs between the origin and the probe point: the determinant of an
@@ -199,13 +200,19 @@ def formal_inverse(
     polynomial inverse exists, and the iteration would end in None too.
     """
     n = F.dimension
+    default_bound = max(F.max_total_degree(), 1) ** max(n - 1, 1)
+    if degree_bound is None:
+        degree_bound = default_bound
+    elif degree_bound < default_bound:
+        raise PreconditionError(
+            f"degree bound {degree_bound} is below the default (deg F)^(n-1) = "
+            f"{default_bound}, so a miss would prove nothing"
+        )
     if _shift_part(F).is_zero():
         return PolyMap.identity(n)
     linear = _jacobian_at(F, (0,) * n)
     if _keller_refuted(F, linear):
         return None
-    if degree_bound is None:
-        degree_bound = max(F.max_total_degree(), 1) ** max(n - 1, 1)
     undo = LinearMap(linear.inverse(), linear).as_poly_map()
     G = _fixpoint_inverse(_shift_part(undo.compose(F)), degree_bound)
     if G is None:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from nilmap import cli, parsing
-from nilmap.errors import ConstructionMismatch, TheoremViolation
+from nilmap.errors import ConstructionMismatch, NotNilpotentTop, TheoremViolation
 
 
 # Nilpotent maps with linearly independent components: H3 has the
@@ -423,6 +423,16 @@ class TestClassify:
         assert "synthetic rebuild mismatch" in err
         assert "Traceback" not in out + err
 
+    def test_non_nilpotent_top_pair_is_a_violation(self, tmp_path, capsys, monkeypatch):
+        # H3 is nilpotent, so its top coefficient pair must be nilpotent too.
+        def forced(H):
+            raise NotNilpotentTop("forced")
+
+        monkeypatch.setattr("nilmap.classify.triangularize_top_coefficients", forced)
+        code, _, err = run(capsys, ["classify", "-f", write(tmp_path, "m.txt", H3)])
+        assert code == 3
+        assert "guarantee violated" in err
+
 
 class TestBuildCanonical:
     def test_build(self, tmp_path, capsys):
@@ -494,6 +504,14 @@ class TestInvertDecomposeKeller:
         assert code == 0
         assert out.strip() == inverse
 
+    @pytest.mark.parametrize("bound, code", [("-5", 2), ("0", 2), ("1", 2), ("2", 0)])
+    def test_invert_degree_bound(self, tmp_path, capsys, bound, code):
+        # the inverse -y^2 + x; y has degree 2 = (deg F)^(n-1), the least bound
+        f = write(tmp_path, "m.txt", "x + y^2; y")
+        got, out, _ = run(capsys, ["invert", "-f", f, "--degree-bound", bound])
+        assert got == code
+        assert out == ("-y^2 + x; y\n" if code == 0 else "")
+
     def test_invert_wrong_shape(self, tmp_path, capsys):
         # the shift part must vanish at the origin
         f = write(tmp_path, "m.txt", "x + 1; y")
@@ -561,7 +579,7 @@ class TestVerify:
     def test_default_seed_passes(self, capsys):
         code, out, _ = run(capsys, ["verify"])
         assert code == 0
-        assert out.count("[PASS]") == 7
+        assert out.count("[PASS]") == 10
         assert "[FAIL]" not in out
 
     def test_custom_seed_passes(self, capsys):
@@ -592,8 +610,22 @@ class TestVerify:
         code, out, err = run(capsys, ["verify"])
         assert code == 3
         assert "[FAIL] divergence coefficients" in out
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 9
         assert "Traceback" not in out + err
+
+    def test_failed_suite_exits_3_under_optimization(self):
+        # `python -O` strips assert statements; the suites must still fail.
+        import subprocess
+        import sys
+
+        code = (
+            "from nilmap import analysis, cli; "
+            "analysis.check_divergence_coefficients = lambda u, v: False; "
+            "raise SystemExit(cli.run_command(['verify']))"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
+        assert proc.returncode == 3
+        assert b"[FAIL] divergence coefficients" in proc.stdout
 
 
 class TestConsoleScript:
