@@ -12,9 +12,11 @@ which enumerates the C(n,k) minors explicitly, is kept as a further oracle
 for the sigma polynomials themselves.
 
 Both oracles work on term dicts, not on polynomial objects.
-`_jacobian_terms` reads J(H) off each component's terms in one pass.  The
-recursion and the powering then run on the integer grid cJ(H), with c the
-lcm of J(H)'s denominators (`linalg._cleared`): sigma_k(cJ) = c^k sigma_k(J),
+`_jacobian_terms` reads the integer grid cJ(H) off each component's
+numerators in one pass, with c the lcm of the components' denominators
+(every polynomial is stored as integer numerators over one denominator, so
+row i is scaled by c / den_i, and an integral map needs no scaling).  The
+recursion and the powering run on that grid: sigma_k(cJ) = c^k sigma_k(J),
 so each sigma is divided by c^k once, and (cJ)^n = 0 exactly when J^n = 0.
 Only the n sigma polynomials of a report are built as `Polynomial`s.
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import DimensionMismatch, PreconditionError, ShapeError
@@ -42,7 +44,7 @@ from .linalg import (
     LinearMap,
     PolyMatrix,
     RationalMatrix,
-    _cleared,
+    _clear_denominators,
     _grid_power,
     _int_matmul,
     _kernel_vectors,
@@ -53,9 +55,9 @@ from .poly import (
     PolyMap,
     Terms,
     _add_into,
-    _clear_denominators,
     _combination,
     _exact,
+    _reduced,
     _unit,
     _unpack,
 )
@@ -168,30 +170,34 @@ class CoefficientSystem:
 def jacobian(H: PolyMap) -> PolyMatrix:
     """The matrix of partial derivatives, entry (i,j) = d H_i / d x_j."""
     n = H.dimension
+    grid, c = _jacobian_terms(H)
     return PolyMatrix(
-        [[Polynomial._trusted(n, t) for t in row] for row in _jacobian_terms(H)]
+        [[Polynomial._trusted(n, *_reduced(t, c)) for t in row] for row in grid]
     )
 
 
-def _jacobian_terms(H: PolyMap) -> list[list[Terms]]:
-    """The term dicts of J(H), in stored form, from one pass over each
-    component's terms: the term c * x^e adds c * e_j * x^(e - u_j) to entry
-    (i, j) for every j with e_j > 0.  Distinct terms of H_i give distinct
-    keys in each entry, so nothing is summed."""
+def _jacobian_terms(H: PolyMap) -> tuple[list[list[Terms]], int]:
+    """(grid, c): the integer term dicts of cJ(H), for c the lcm of the
+    components' denominators, from one pass over each component's
+    numerators: the term a * x^e of H_i = N_i / d_i adds
+    a * (c / d_i) * e_j * x^(e - u_j) to entry (i, j) for every j with
+    e_j > 0.  Distinct terms of H_i give distinct keys in each entry, so
+    nothing is summed and no entry holds a zero."""
     n = H.dimension
     units = [_unit(n, j) for j in range(1, n + 1)]
+    c = lcm(*(p._den for p in H.components))
     grid = []
     for p in H.components:
         row: list[Terms] = [{} for _ in range(n)]
-        for key, c in p._terms.items():
+        f = c // p._den
+        for key, a in p._terms.items():
+            if f != 1:
+                a *= f
             for j, e in enumerate(_unpack(key, n)):
                 if e:
-                    v = c * e
-                    if v.__class__ is not int and v.denominator == 1:
-                        v = v.numerator
-                    row[j][key - units[j]] = v
+                    row[j][key - units[j]] = a * e
         grid.append(row)
-    return grid
+    return grid, c
 
 
 @functools.cache
@@ -220,20 +226,24 @@ def _jacobian_at(H: PolyMap, point: Sequence[int]) -> RationalMatrix:
     n = H.dimension
     if not any(point):
         units = [_unit(n, j) for j in range(1, n + 1)]
-        return RationalMatrix._trusted(
-            tuple(tuple(p._terms.get(u, 0) for u in units) for p in H.components)
-        )
-    rows = []
-    for p in H.components:
-        row = [0] * n
-        for key, c in p._terms.items():
-            exps = _unpack(key, n)
-            m = prod(map(pow, point, exps))
-            for j, e in enumerate(exps):
-                if e:
-                    row[j] += c * (m * e // point[j])
-        rows.append(row)
-    return RationalMatrix(rows)
+        rows = [[p._terms.get(u, 0) for u in units] for p in H.components]
+    else:
+        rows = []
+        for p in H.components:
+            row = [0] * n
+            for key, c in p._terms.items():
+                exps = _unpack(key, n)
+                m = prod(map(pow, point, exps))
+                for j, e in enumerate(exps):
+                    if e:
+                        row[j] += c * (m * e // point[j])
+            rows.append(row)
+    # Row i holds the numerators of H_i, so it is divided by den_i.
+    if all(p._den == 1 for p in H.components):
+        return RationalMatrix._trusted(tuple(map(tuple, rows)))
+    return RationalMatrix(
+        [[Fraction(v, p._den) for v in row] for row, p in zip(rows, H.components)]
+    )
 
 
 def _nilpotency_index(m: RationalMatrix) -> int | None:
@@ -263,8 +273,12 @@ def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
     characteristic polynomial of J(H) computed on its term dicts
     (`linalg._sigma_terms`)."""
     n = H.dimension
+    grid, c = _jacobian_terms(H)
     return NilpotencyReport(
-        [Polynomial._trusted(n, s) for s in _sigma_terms(_jacobian_terms(H), n)]
+        [
+            Polynomial._trusted(n, *_reduced(s, c**k))
+            for k, s in enumerate(_sigma_terms(grid, n), 1)
+        ]
     )
 
 
@@ -275,7 +289,7 @@ def is_nilpotent(H: PolyMap) -> bool:
     rejected without computing the characteristic polynomial.
     """
     n = H.dimension
-    grid = _jacobian_terms(H)
+    grid, _ = _jacobian_terms(H)
     trace: Terms = {}
     for i in range(n):
         _add_into(trace, grid[i][i])
@@ -291,15 +305,15 @@ def is_nilpotent_bruteforce(H: PolyMap) -> bool:
     (J(H)^n)(x0), since evaluation is a ring homomorphism, so when it is
     nonzero J(H)^n is not zero and the answer is False.  Otherwise J(H)^n
     is computed symbolically, on the integer term dicts of cJ(H) for c the
-    lcm of J(H)'s denominators: (cJ)^n = c^n J^n is zero exactly when J^n
+    lcm of H's denominators: (cJ)^n = c^n J^n is zero exactly when J^n
     is.  Neither step reads a sigma polynomial.  The powering of J(H)(x0)
     stops at its first zero power, since every later power is zero too.
     """
     n = H.dimension
     if _nilpotency_index(_jacobian_at(H, _probe_point(n))) is None:
         return False
-    ints, _ = _cleared(_jacobian_terms(H))
-    return not any(chain.from_iterable(_grid_power(ints, n, n)))
+    grid, _ = _jacobian_terms(H)
+    return not any(chain.from_iterable(_grid_power(grid, n, n)))
 
 
 def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:

@@ -45,7 +45,15 @@ from .linalg import (
     elementary_row_add,
     row_conjugator,
 )
-from .poly import Polynomial, PolyMap, _coeff, _combination, _exact, _unit
+from .poly import (
+    Polynomial,
+    PolyMap,
+    _coeff,
+    _combination,
+    _exact,
+    _split_off,
+    _unit,
+)
 
 
 class ReductionStatus(enum.Enum):
@@ -452,11 +460,7 @@ class GeneralizedFormB:
 def _split_linear_tail(p: Polynomial) -> tuple[tuple[Fraction, ...], Polynomial]:
     """(c3..cn, p0): the coefficients of the monomials x3..xn in p, and
     p0, the sum of every other term of p, in one pass over its terms."""
-    units = [_unit(p.n, i) for i in range(3, p.n + 1)]
-    skip = set(units)
-    rest = {key: c for key, c in p._terms.items() if key not in skip}
-    coeffs = tuple(Fraction(p._terms.get(key, 0)) for key in units)
-    return coeffs, Polynomial._trusted(p.n, rest)
+    return _split_off(p, [_unit(p.n, i) for i in range(3, p.n + 1)])
 
 
 def _tail_sum(H: GeneralizedFormB, coeffs) -> Polynomial:

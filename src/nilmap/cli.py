@@ -1,8 +1,9 @@
 """Command-line interface.
 
 One verb per library capability.  Exit codes: 0 success (or checked
-property true), 1 checked property false, 2 parse/validation error,
-3 violated structural guarantee or failed internal reconstruction.
+property true), 1 checked property false, 2 parse/validation error (or a
+result holding a number too long to print), 3 violated structural
+guarantee or failed internal reconstruction.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     NotTriangularizable,
     ParseError,
     PreconditionError,
+    ResultTooLarge,
     ShapeError,
     TheoremViolation,
 )
@@ -30,6 +32,7 @@ from .parsing import (
     load_map_text,
     map_to_document,
     parse_polynomial,
+    read_json,
 )
 from .poly import PolyMap
 
@@ -58,22 +61,29 @@ def _emit(args, doc: Callable[[], dict], plain: Callable[[], str]):
     """Print the JSON document under --json, else the plain text.
 
     Both are zero-argument callables, so only the form that is printed is
-    built (formatting polynomials is a large part of some verbs).
+    built (formatting polynomials is a large part of some verbs).  A number
+    with more digits than Python converts to text is a ResultTooLarge
+    (exit 2), raised before anything is printed.
     """
-    if args.json:
-        print(json.dumps(doc(), indent=2, sort_keys=True))
-    else:
-        print(plain())
+    try:
+        text = json.dumps(doc(), indent=2, sort_keys=True) if args.json else plain()
+    except ValueError as exc:
+        if "string conversion" not in str(exc):
+            raise
+        raise ResultTooLarge(
+            f"the result holds a number of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
+    print(text)
 
 
 def _cmd_jacobian(args) -> int:
     H = _read_map(args)
     J = analysis.jacobian(H)
-    rows = J.to_json()
     _emit(
         args,
-        lambda: {"jacobian": rows},
-        lambda: "\n".join("  ".join(r) for r in rows),
+        lambda: {"jacobian": J.to_json()},
+        lambda: "\n".join("  ".join(r) for r in J.to_json()),
     )
     return EXIT_OK
 
@@ -113,7 +123,7 @@ def _cmd_depend(args) -> int:
 
 
 def _parse_matrix(text: str) -> LinearMap:
-    data = json.loads(text)
+    data = read_json(text)
     return LinearMap(RationalMatrix.from_json(data))
 
 
@@ -185,7 +195,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_build_canonical(args) -> int:
-    doc = json.loads(_read_text(args.file))
+    doc = read_json(_read_text(args.file))
     if not isinstance(doc, dict):
         raise ParseError("malformed parameter document: expected a JSON object")
     for name in ("a1", "a2", "c1", "c2", "h"):

@@ -50,6 +50,12 @@ class ConstructionMismatch(NilmapError):
     """
 
 
+class ResultTooLarge(NilmapError):
+    """A result holds a number with more decimal digits than Python
+    converts to text (`sys.get_int_max_str_digits()`, 4300 by default), so
+    it cannot be printed."""
+
+
 class ParseError(NilmapError):
     """Malformed input: a syntax error in polynomial or map text, which
     carries its line and column, or a malformed document or file, which

@@ -9,8 +9,8 @@ and inverses, come from one fraction-free Gauss-Jordan elimination
 ints, and the result is divided by the last pivot once, at the end.
 Coefficient kernels, the linear relations among polynomials behind every
 dependence certificate, build no matrix: `_kernel_vectors` eliminates one
-polynomial at a time on the polynomials' own term dicts, on integers as
-in fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968), with
+polynomial at a time on the polynomials' own integer numerators, as in
+fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968), with
 each stored column divided by its content, and yields the vectors of the
 dense `kernel` of the stacked monomial rows, one free column at a time.
 Products are fraction-free too: each entry is an integer dot product of a
@@ -29,10 +29,12 @@ processors", Inf. Process. Lett. 18, 1984) in O(n^4) ring operations.
 One loop (`_charpoly`) serves every ring: it takes the ring's dot product,
 unit and negation, so `RationalMatrix.det` runs it on rationals and
 `_sigma_terms` on term dicts, with `poly._dot_terms` as the dot product.
-No Polynomial is built inside the loop, and the denominators are cleared
-once: the loop runs on the integer grid cM, c the lcm of M's denominators,
-and sigma_k(M) = sigma_k(cM) / c^k.  `_grid_power` powers such a grid for
-the J^n oracle of `analysis`.  `principal_minor_sum` enumerates the C(n,k)
+No Polynomial is built inside the loop, and it runs on integers: each
+polynomial is stored as integer numerators over one denominator, so the
+grid cM, c the lcm of the entries' denominators, is the numerators scaled
+by c / den (nothing at all for an integral M), and
+sigma_k(M) = sigma_k(cM) / c^k.  `_grid_power` powers such a grid for the
+J^n oracle of `analysis`.  `principal_minor_sum` enumerates the C(n,k)
 minors by cofactor expansion; it is kept as the independent oracle for
 that recursion.
 """
@@ -42,25 +44,44 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul, neg
 from typing import Sequence
 
 from .errors import DimensionMismatch, NilmapError, ParseError, ShapeError
+from .parsing import MAX_DIGITS
 from .poly import (
     _ONE,
     PolyMap,
     Polynomial,
     Terms,
-    _clear_denominators,
     _coeff,
     _dot,
     _dot_terms,
     _exact,
     _linear,
     _negated,
+    _reduced,
+    _scaled,
 )
+
+
+def _clear_denominators(values) -> tuple[list[int], int]:
+    """(ints, den): den is the lcm of the denominators of the int or
+    Fraction values and ints[k] == values[k] * den, an int."""
+    values = list(values)
+    den = 1
+    for v in values:
+        if v.__class__ is not int:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return values, 1
+    return [
+        v * den if v.__class__ is int else v.numerator * (den // v.denominator)
+        for v in values
+    ], den
 
 
 class RationalMatrix:
@@ -189,8 +210,10 @@ class RationalMatrix:
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
         """The matrix written by `to_json`: a list of rows whose entries are
-        integers or strings such as "-3/4".  Any other shape or entry is a
-        ParseError (a float an InexactValue)."""
+        integers or strings of an optionally signed integer or fraction
+        such as "-3/4", of at most `parsing.MAX_DIGITS` digits each.  Any
+        other shape or entry is a ParseError (a float an InexactValue), so
+        no entry costs more than reading its digits."""
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ParseError("malformed matrix: expected a list of rows")
         return cls([[_json_entry(v) for v in row] for row in data])
@@ -199,18 +222,26 @@ class RationalMatrix:
         return f"RationalMatrix({json.dumps(self.to_json())})"
 
 
+# The string entries `from_json` accepts; Fraction() would also take
+# decimals, exponents ("1e1000000"), underscores and surrounding spaces.
+_ENTRY = re.compile(r"[-+]?([0-9]+)(?:/([0-9]+))?")
+
+
 def _json_entry(value):
     if value.__class__ in (int, float):
         # `RationalMatrix` rejects floats with InexactValue.
         return value
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+        m = _ENTRY.fullmatch(value)
+        if m and len(m[1]) <= MAX_DIGITS and len(m[2] or "1") <= MAX_DIGITS:
+            den = int(m[2] or 1)
+            if den:
+                return Fraction(int(value.partition("/")[0]), den)
+        if len(value) > 40:
+            value = value[:40] + "..."
     raise ParseError(
         f"malformed matrix entry {value!r}: expected an integer or a string "
-        f"such as '-3/4'"
+        f"such as '-3/4', of at most {MAX_DIGITS} digits each"
     )
 
 
@@ -302,8 +333,10 @@ def _kernel_vectors(equations: Sequence[Sequence[Polynomial]]):
     """Yield the vectors of `coefficient_kernel`, one free column at a time.
 
     Column j is one integer term dict keyed by (equation, monomial), or by
-    the monomial alone for a single equation, with its denominators cleared
-    once.  Each column is reduced, in order, against an echelon list of the
+    the monomial alone for a single equation: the numerators of its
+    polynomials over their common denominator den, so column j is den times
+    the rational column, with no Fraction read, and C[j] starts at den.
+    Each column is reduced, in order, against an echelon list of the
     earlier independent columns, each with its pivot key.  The reduction
     keeps the integer combination C with R = sum_i C[i] * column_i; a step
     against echelon element b replaces R by a*R - f*R_b and C by a*C - f*C_b,
@@ -318,20 +351,11 @@ def _kernel_vectors(equations: Sequence[Sequence[Polynomial]]):
     """
     size = len(equations[0])
     if len(equations) == 1:
-        columns = (p._terms for p in equations[0])
+        columns = ((p._terms, p._den) for p in equations[0])
     else:
-        columns = (
-            {
-                (e, key): c
-                for e, eq in enumerate(equations)
-                for key, c in eq[j]._terms.items()
-            }
-            for j in range(size)
-        )
+        columns = (_stacked([eq[j] for eq in equations]) for j in range(size))
     echelon: list[tuple[object, dict, list[int]]] = []
-    for j, terms in enumerate(columns):
-        values, den = _clear_denominators(terms.values())
-        reduced = dict(zip(terms, values)) if den != 1 else terms
+    for j, (reduced, den) in enumerate(columns):
         combination = [0] * size
         combination[j] = den
         for key, rb, cb in echelon:
@@ -351,6 +375,17 @@ def _kernel_vectors(equations: Sequence[Sequence[Polynomial]]):
             reduced = {k: v // g for k, v in reduced.items()}
             combination = [c // g for c in combination]
         echelon.append((next(iter(reduced)), reduced, combination))
+
+
+def _stacked(polys: Sequence[Polynomial]) -> tuple[dict, int]:
+    """(ints, den): the numerators of the polynomials over their common
+    denominator den, keyed by (index, monomial)."""
+    den = lcm(*(p._den for p in polys))
+    return {
+        (e, key): c * (den // p._den)
+        for e, p in enumerate(polys)
+        for key, c in p._terms.items()
+    }, den
 
 
 def _eliminate(r: dict, a: int, rb: dict, f: int) -> dict:
@@ -592,55 +627,35 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
     recursion: for M = [[a, R], [C, A]] the coefficients of det(tI - M) are
     the Toeplitz product of (1, -a, -RC, -RAC, -RA^2C, ...) with those of
     det(tI - A).  The loop grows A from the bottom-right corner one row and
-    column at a time.  It runs on integer term dicts (`_sigma_terms`), and
-    only the n sums are built as polynomials.  Equal, term for term, to
-    ``[principal_minor_sum(m, k) for k in 1..n]``.
+    column at a time.  It runs on the integer grid cM (`_sigma_terms`), and
+    only the n sums are built as polynomials, sigma_k(cM) over c^k.  Equal,
+    term for term, to ``[principal_minor_sum(m, k) for k in 1..n]``.
     """
     if m.rows != m.cols:
         raise ShapeError("principal minors need a square matrix")
     n = m.n
-    grid = [[p._terms for p in row] for row in m.entries]
-    return [Polynomial._trusted(n, s) for s in _sigma_terms(grid, n)]
-
-
-def _sigma_terms(grid: list[list[Terms]], n: int) -> list[Terms]:
-    """The term dicts of sigma_1..sigma_size of a square grid of term dicts
-    in n variables, each in stored form.
-
-    The denominators are cleared once: with c the lcm of the grid's
-    denominators, the recursion runs on the integer grid cM, and
-    sigma_k(M) = sigma_k(cM) / c^k takes one division per coefficient.
-    """
-    ints, den = _cleared(grid)
-    q = _charpoly(ints, functools.partial(_dot_terms, n), _ONE, _negated)
-    sigma = [q[k] if k % 2 == 0 else _negated(q[k]) for k in range(1, len(q))]
-    if den == 1:
-        return sigma
+    c = lcm(*(p._den for row in m.entries for p in row))
+    grid = [
+        [p._terms if p._den == c else _scaled(p._terms, c // p._den) for p in row]
+        for row in m.entries
+    ]
     return [
-        {key: _quotient(c, den**k) for key, c in s.items()}
-        for k, s in enumerate(sigma, 1)
+        Polynomial._trusted(n, *_reduced(s, c**k))
+        for k, s in enumerate(_sigma_terms(grid, n), 1)
     ]
 
 
-def _cleared(grid: list[list[Terms]]) -> tuple[list[list[Terms]], int]:
-    """(ints, den): den is the lcm of the denominators of every coefficient
-    in the grid of term dicts, and ints is den times the grid, as integer
-    term dicts (the grid itself when den is 1)."""
-    values, den = _clear_denominators(
-        c for row in grid for terms in row for c in terms.values()
-    )
-    if den == 1:
-        return grid, 1
-    # The scaled values come in the order of the grid's terms; zip takes
-    # from `scaled` only while the entry has keys left.
-    scaled = iter(values)
-    return [[dict(zip(terms, scaled)) for terms in row] for row in grid], den
+def _sigma_terms(grid: list[list[Terms]], n: int) -> list[Terms]:
+    """The integer term dicts of sigma_1..sigma_size of a square grid of
+    integer term dicts in n variables, without zero coefficients."""
+    q = _charpoly(grid, functools.partial(_dot_terms, n), _ONE, _negated)
+    return [q[k] if k % 2 == 0 else _negated(q[k]) for k in range(1, len(q))]
 
 
 def _grid_power(grid: list[list[Terms]], k: int, n: int) -> list[list[Terms]]:
-    """The k-th power (k >= 1) of a square grid of term dicts in n
-    variables, by k - 1 products with the grid; every entry in stored
-    form."""
+    """The k-th power (k >= 1) of a square grid of integer term dicts in
+    n variables, by k - 1 products with the grid; no entry holds a zero
+    coefficient."""
     columns = list(zip(*grid))
     power = grid
     for _ in range(k - 1):

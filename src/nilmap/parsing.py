@@ -5,13 +5,16 @@ Grammar: variables ``x1..xN`` (aliases ``x, y, z, w`` for N <= 4), integer or
 tighter than ``*``, which binds tighter than ``+``/``-``; there is no
 implicit multiplication.  Whitespace is insignificant.
 
-The parser evaluates straight into packed term dicts, the stored form of
-`poly`: every grammar level returns a term dict, products go through
-`poly._product` and powers through `poly._power` (the helpers behind
-``Polynomial`` ``*`` and ``**``, with their ExponentOverflow guard), and one
-`Polynomial` is built per parsed text.  Both are bounded before they run:
-a power by the estimated size of its result (`MAX_POWER_BITS`), a product
-by its number of term pairs (`MAX_PRODUCT_PAIRS`).
+The tokenizer is one compiled regular expression.  The parser evaluates
+straight into the stored form of `poly`, integer numerators over one
+denominator: every grammar level returns a pair (term dict, denominator),
+products go through `poly._product` and powers through `poly._power` (the
+helpers behind ``Polynomial`` ``*`` and ``**``, with their ExponentOverflow
+guard) on the numerators, and one `Polynomial` is built per parsed text.
+Both are bounded before they run: a power by the estimated size of its
+result (`MAX_POWER_BITS`), a product by its number of term pairs
+(`MAX_PRODUCT_PAIRS`).  A run of digits longer than `MAX_DIGITS` is a
+ParseError, in polynomial text and in JSON documents alike.
 
 The formatter emits graded-lexicographically sorted terms, so equal
 polynomials always format identically and ``format(parse(t))`` is a fixpoint
@@ -21,7 +24,8 @@ of ``parse``/``format``.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import re
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, ParseError, ShapeError
@@ -31,12 +35,11 @@ from .poly import (
     Terms,
     _B,
     _add_into,
-    _clear_denominators,
-    _coeff,
-    _drop_zeros,
     _grlex_terms,
     _power,
     _product,
+    _reduced,
+    _scaled,
     _unit,
 )
 
@@ -57,9 +60,19 @@ MAX_POWER_BITS = 1 << 20
 # cannot demand unbounded work through products of powers either.
 MAX_PRODUCT_PAIRS = 1 << 21
 
-# Numbers and variable indices are ASCII digits: str.isdigit also accepts
-# characters such as superscripts that int() rejects.
-_DIGITS = "0123456789"
+# A run of more digits than this, in polynomial text or as a JSON integer,
+# is a ParseError.  It is CPython's default limit for converting between
+# int and str, so every number read can also be printed back.
+MAX_DIGITS = 4300
+
+# Each match is the whitespace before one token, then the token: an
+# operator, an integer, a name (a word character, which must also be a
+# letter, then ASCII digits), nothing at the end of the text, or any other
+# character, which is an error.  Numbers and variable indices are ASCII
+# digits: \d and str.isdigit also accept characters such as superscripts
+# that int() rejects.
+_TOKEN = re.compile(r"(\s*)([-+*^()/]|[0-9]+|\w[0-9]*|\Z|.)", re.DOTALL)
+_OPERATORS = frozenset("+-*^()/")
 
 
 def _negate(t: Terms) -> Terms:
@@ -69,12 +82,13 @@ def _negate(t: Terms) -> Terms:
     return t
 
 
-def _power_size(p: Terms, k: int, n: int) -> int:
+def _power_size(p: Terms, den: int, k: int, n: int) -> int:
     """An upper bound, in bits, on the size of p^k (k >= 1, p nonzero, in n
-    variables): its term count times the bits of its largest coefficient.
+    variables, in stored form p / den): its term count times the bits of
+    its largest coefficient.
 
-    With D the lcm of p's denominators and S the sum of |c| * D over its
-    coefficients c, every coefficient of p^k has numerator at most S^k and
+    With D = den, the lcm of p's denominators, and S the sum of the
+    numerators' |c|, every coefficient of p^k has numerator at most S^k and
     denominator at most D^k, so at most k times the bits of max(S, D).
     A monomial with coefficient 1 or -1 has the one-term power of 1 bit.
     p^k has at most C(t - 1 + k, k) terms, the multisets of k of p's t
@@ -83,10 +97,9 @@ def _power_size(p: Terms, k: int, n: int) -> int:
     MAX_POWER_BITS, so the estimate never costs more than a few dozen
     steps.
     """
-    if len(p) == 1 and abs(next(iter(p.values()))) == 1:
+    if len(p) == 1 and den == 1 and abs(next(iter(p.values()))) == 1:
         return 1
-    ints, den = _clear_denominators(p.values())
-    bits = k * max(sum(map(abs, ints)), den).bit_length()
+    bits = k * max(sum(map(abs, p.values())), den).bit_length()
     limit = MAX_POWER_BITS // bits + 1
     degree = max(p) >> (_B * n)
     terms = min(
@@ -107,54 +120,50 @@ def _binomial_at_most(a: int, b: int, limit: int) -> int:
     return value
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
+def _long_digits(count: int, line: int | None = None, column: int | None = None):
+    return ParseError(
+        f"a run of {count} digits is longer than the limit of {MAX_DIGITS}",
+        line,
+        column,
+    )
 
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+
+# A token is a tuple (kind, value, line, column): kind is "int", "name",
+# "end" or the operator itself, and line and column count from 1.
+_Token = tuple[str, object, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, and a final "end" token just past the last
+    character."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
+    append = tokens.append
+    # `pos` is the index of the next character, `start` that of the first
+    # character of the current line.
+    line, start, pos = 1, 0, 0
+    for space, lexeme in _TOKEN.findall(text):
+        if space:
+            if "\n" in space:
+                line += space.count("\n")
+                start = pos + space.rindex("\n") + 1
+            pos += len(space)
+        if not lexeme:
+            break
+        col = pos - start + 1
+        if lexeme in _OPERATORS:
+            append((lexeme, lexeme, line, col))
+        elif lexeme[0] in "0123456789":
+            if len(lexeme) > MAX_DIGITS:
+                raise _long_digits(len(lexeme), line, col)
+            append(("int", int(lexeme), line, col))
+        elif lexeme[0].isalpha():
+            if len(lexeme) - 1 > MAX_DIGITS:
+                raise _long_digits(len(lexeme) - 1, line, col)
+            append(("name", lexeme, line, col))
+        else:
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+        pos += len(lexeme)
+    tokens.append(("end", None, line, len(text) - start + 1))
     return tokens
 
 
@@ -176,124 +185,135 @@ class _Parser:
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.value!r}", tok.line, tok.column
-            )
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", *tok[2:])
         return self.advance()
 
     def fail(self, message: str):
         tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, *tok[2:])
 
     def parse(self) -> Polynomial:
         p = self.expression()
-        if self.peek().kind != "end":
-            self.fail(f"trailing input starting at {self.peek().value!r}")
-        return Polynomial._trusted(self.n, _drop_zeros(p))
+        if self.peek()[0] != "end":
+            self.fail(f"trailing input starting at {self.peek()[1]!r}")
+        return Polynomial._trusted(self.n, *_reduced(*p))
 
-    # Each level returns a term dict it owns.  Sums may hold cancelled zero
-    # coefficients until `_drop_zeros`; products and powers are in stored
+    # Each level returns a pair (terms, den): an integer term dict it owns
+    # over a positive denominator.  Sums may hold cancelled zero
+    # coefficients, and a denominator with a factor in common with all of
+    # them, until `_reduced`; atoms, products and powers are in stored
     # form, so an empty dict is the zero polynomial and the overflow guard
     # sees the same degrees as the Polynomial operators would.
 
-    def expression(self) -> Terms:
+    def expression(self) -> tuple[Terms, int]:
         negative = self.signs()
-        p = self.term()
+        p, den = self.term()
         if negative:
             _negate(p)
-        while self.peek().kind in "+-":
-            op = self.advance().kind
-            q = self.term()
-            _add_into(p, q if op == "+" else _negate(q))
-        return p
+        while self.peek()[0] in "+-":
+            op = self.advance()[0]
+            q, qden = self.term()
+            if op == "-":
+                _negate(q)
+            if qden != den:
+                common = lcm(den, qden)
+                if common != den:
+                    p = _scaled(p, common // den)
+                if common != qden:
+                    q = _scaled(q, common // qden)
+                den = common
+            _add_into(p, q)
+        return p, den
 
-    def term(self) -> Terms:
-        p = self.factor()
-        while self.peek().kind == "*":
+    def term(self) -> tuple[Terms, int]:
+        p, den = self.factor()
+        while self.peek()[0] == "*":
             tok = self.advance()
-            q = self.factor()
+            q, qden = self.factor()
             if len(p) * len(q) > MAX_PRODUCT_PAIRS:
                 raise ParseError(
                     f"product of {len(p)} and {len(q)} terms is too large: it "
                     f"multiplies more than {MAX_PRODUCT_PAIRS} pairs of terms",
-                    tok.line,
-                    tok.column,
+                    *tok[2:],
                 )
             p = _product(p, q, self.n)
-        return p
+            if den != 1 or qden != 1:
+                p, den = _reduced(p, den * qden)
+        return p, den
 
-    def factor(self) -> Terms:
+    def factor(self) -> tuple[Terms, int]:
         negative = self.signs()
-        p = self.atom()
-        if self.peek().kind == "^":
+        p, den = self.atom()
+        if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            k = tok.value
-            if p and k and _power_size(p, k, self.n) > MAX_POWER_BITS:
+            k = tok[1]
+            if p and k and _power_size(p, den, k, self.n) > MAX_POWER_BITS:
                 raise ParseError(
                     f"power with exponent {k} is too large: its result is "
                     f"estimated beyond {MAX_POWER_BITS} bits",
-                    tok.line,
-                    tok.column,
+                    *tok[2:],
                 )
+            # The numerators' content is coprime to den, so by Gauss's
+            # lemma that of the power is coprime to den^k.
             p = _power(p, k, self.n)
-        return _negate(p) if negative else p
+            den = den**k if p else 1
+        return (_negate(p) if negative else p), den
 
     def signs(self) -> bool:
         """Consume a run of unary signs; True when it negates."""
         negative = False
-        while self.peek().kind in "+-":
-            if self.advance().kind == "-":
+        while self.peek()[0] in "+-":
+            if self.advance()[0] == "-":
                 negative = not negative
         return negative
 
-    def atom(self) -> Terms:
+    def atom(self) -> tuple[Terms, int]:
         tok = self.peek()
-        if tok.kind == "(":
+        if tok[0] == "(":
             self.advance()
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING} levels",
-                    tok.line,
-                    tok.column,
+                    *tok[2:],
                 )
-            p = _drop_zeros(self.expression())
+            p = _reduced(*self.expression())
             self.expect(")")
             self.depth -= 1
             return p
-        if tok.kind == "int":
+        if tok[0] == "int":
             self.advance()
-            value = tok.value
-            if self.peek().kind == "/":
+            value, den = tok[1], 1
+            if self.peek()[0] == "/":
                 self.advance()
-                den = self.expect("int").value
+                den = self.expect("int")[1]
                 if den == 0:
-                    raise ParseError("zero denominator", tok.line, tok.column)
-                value = _coeff(Fraction(value, den))
-            return {0: value} if value else {}
-        if tok.kind == "name":
+                    raise ParseError("zero denominator", *tok[2:])
+                g = gcd(value, den)
+                value, den = value // g, den // g
+            return ({0: value}, den) if value else ({}, 1)
+        if tok[0] == "name":
             self.advance()
-            return {_unit(self.n, self.variable_index(tok)): 1}
-        self.fail(f"expected a number, variable or '(', found {tok.value!r}")
+            return {_unit(self.n, self.variable_index(tok)): 1}, 1
+        self.fail(f"expected a number, variable or '(', found {tok[1]!r}")
 
     def variable_index(self, tok: _Token) -> int:
-        name = tok.value
+        name = tok[1]
         if name[0] == "x" and len(name) > 1 and name[1:].isdigit():
             i = int(name[1:])
             if not 1 <= i <= self.n:
                 raise ParseError(
                     f"variable {name} out of range for dimension {self.n}",
-                    tok.line,
-                    tok.column,
+                    *tok[2:],
                 )
             return i
         if self.aliases and len(name) == 1 and name in self.aliases:
             i = self.aliases.index(name) + 1
             if i <= self.n:
                 return i
-        raise ParseError(f"unknown variable {name!r}", tok.line, tok.column)
+        raise ParseError(f"unknown variable {name!r}", *tok[2:])
 
 
 def parse_polynomial(
@@ -335,19 +355,19 @@ def format_polynomial(
     else:
         var_names = [f"x{i}" for i in range(1, p.n + 1)]
     pieces = []
-    for exps, coeff in _grlex_terms(p):
+    for exps, num, den in _grlex_terms(p):
         mono = _format_monomial(exps, var_names)
-        mag = abs(coeff)
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if num > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(pieces)
 
 
@@ -385,12 +405,24 @@ def map_from_document(doc: dict, aliases: str | None = DEFAULT_ALIASES) -> PolyM
     return PolyMap([parse_polynomial(c, n, aliases) for c in components])
 
 
+def _json_int(digits: str) -> int:
+    if len(digits.lstrip("-")) > MAX_DIGITS:
+        raise _long_digits(len(digits.lstrip("-")))
+    return int(digits)
+
+
+def read_json(text: str):
+    """json.loads, with a JSON integer of more than MAX_DIGITS digits a
+    ParseError instead of a ValueError from int()."""
+    return json.loads(text, parse_int=_json_int)
+
+
 def load_map_text(text: str, aliases: str | None = DEFAULT_ALIASES) -> PolyMap:
     """Load a map from raw file content: JSON document or ';'-separated text."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = read_json(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON map document: {exc}")
         return map_from_document(doc, aliases)

@@ -6,16 +6,17 @@ empty mapping is the zero polynomial.  All values are immutable after
 construction and every operation is a pure function, so polynomials can be
 shared freely between threads.
 
-The term dict of every Polynomial holds that invariant: each key is one
-packed int per monomial (below), each value a nonzero coefficient stored
-as an int when it is integral and as a Fraction only when its denominator
-is not 1 (never a bool, and never a float: floats are rejected with
-InexactValue, because they are not exact).  Almost every coefficient in
-this library is an integer, so the ring operations run on machine ints in
-the common case.  The public accessors (``terms``, ``monomials``,
-``coefficient``, ``constant_value``, ``leading_term``) still speak in
-exponent tuples and Fraction values, and no division in this module has
-two int operands.
+Stored form: every Polynomial is an integer polynomial over one
+denominator, the layout of FLINT's ``fmpq_mpoly``.  Its term dict maps one
+packed int key per monomial (below) to a nonzero int numerator, and ``_den``
+is a positive int with gcd(den, numerators) = 1, the lcm of the reduced
+coefficient denominators; so den = 1 exactly when the polynomial is
+integral, and equal polynomials have equal dicts and denominators.  The
+ring operations run on the numerators alone and fix the denominator once
+per result; no Fraction is built per term.  Floats are rejected with
+InexactValue, because they are not exact.  The public accessors
+(``terms``, ``monomials``, ``coefficient``, ``constant_value``,
+``leading_term``) still speak in exponent tuples and Fraction values.
 
 Packed keys (Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007): the key of
@@ -31,13 +32,14 @@ largest total degrees (the top fields of the largest keys) before it adds
 any key.  All of them raise ExponentOverflow; no key is ever wrong.
 
 Normalization happens in two places.  The public constructor, ``const``,
-``monomial`` and ``scale`` pass their input through ``_coeff``.  The ring
+``monomial`` and ``scale`` pass their input through ``_coeff`` and bring
+the coefficients over one denominator (``_over_one_den``).  The ring
 operations build their results through the private
-``Polynomial._trusted``, which takes ownership of a dict that already holds
-the invariant; products, substitutions and the sums of products behind
-matrix multiplication (``_dot_terms``) accumulate into one output dict, and
-``_drop_zeros`` then deletes its zero coefficients and turns an integral
-Fraction such as (1/2)*2 back into an int.
+``Polynomial._trusted``, which takes ownership of a term dict and
+denominator already in stored form; products, substitutions and the sums
+of products behind matrix multiplication (``_dot_terms``) accumulate into
+one integer dict, and ``_reduced`` then deletes its zero numerators and
+divides the dict and its denominator by their gcd.
 
 Variable indices in the public API are 1-based (x1..xn), matching the usual
 mathematical notation; exponent tuples are indexed from 0 internally.
@@ -48,7 +50,7 @@ from __future__ import annotations
 import functools
 import struct
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -61,7 +63,7 @@ from .errors import (
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
-Terms = dict[int, Coeff]
+Terms = dict[int, int]
 
 _B = 16
 # Every exponent and every total degree stays below this bound.
@@ -82,7 +84,7 @@ def _exact(value) -> Fraction:
 
 
 def _coeff(value) -> Coeff:
-    """The value in its stored form: an int when integral, else a Fraction."""
+    """The value as an int when integral, else as a Fraction."""
     if value.__class__ is int:
         return value
     value = _exact(value)
@@ -135,6 +137,8 @@ def _unit(n: int, i: int) -> int:
     return (1 << _B * n) | (1 << _shift(n, i))
 
 
+# -- integer term dicts -------------------------------------------------------
+
 def _mul_into(out: Terms, a: Terms, b: Terms, n: int) -> None:
     """Add the product of the term dicts a and b, in n variables, into out.
 
@@ -167,33 +171,65 @@ def _add_into(out: Terms, a: Terms) -> None:
 
 
 def _drop_zeros(out: Terms) -> Terms:
-    """Delete the zero coefficients of out in place, demote integral
-    Fractions to ints, and return it."""
-    zeros = []
-    for key, c in out.items():
-        if not c:
-            zeros.append(key)
-        elif c.__class__ is not int and c.denominator == 1:
-            out[key] = c.numerator
-    for key in zeros:
-        del out[key]
+    """Delete the zero coefficients of out in place and return it."""
+    if 0 in out.values():
+        for key in [key for key, c in out.items() if not c]:
+            del out[key]
     return out
+
+
+def _reduced(out: Terms, den: int) -> tuple[Terms, int]:
+    """(out, den) in stored form: the zero numerators of the integer dict
+    out are deleted in place, and out and the positive den are divided by
+    their gcd."""
+    _drop_zeros(out)
+    if den != 1:
+        if not out:
+            return out, 1
+        g = gcd(den, *out.values())
+        if g != 1:
+            for key, c in out.items():
+                out[key] = c // g
+            den //= g
+    return out, den
+
+
+def _scaled(terms: Terms, f: int) -> Terms:
+    """f times an integer term dict, as a new dict."""
+    return {key: f * c for key, c in terms.items()}
+
+
+def _over_one_den(values: dict) -> tuple[Terms, int]:
+    """(ints, den) in stored form for a dict of nonzero int or reduced
+    Fraction values: den is the lcm of their denominators and
+    ints[k] == values[k] * den.  The dict itself is returned when every
+    value is an int."""
+    den = 1
+    for v in values.values():
+        if v.__class__ is not int:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return values, 1
+    return {
+        key: v * den if v.__class__ is int else v.numerator * (den // v.denominator)
+        for key, v in values.items()
+    }, den
 
 
 _ONE: Terms = {0: 1}
 
 
 def _product(a: Terms, b: Terms, n: int) -> Terms:
-    """The product of the term dicts a and b, in n variables, as a new
-    dict in stored form."""
+    """The product of the integer term dicts a and b, in n variables, as a
+    new dict without zero coefficients."""
     out: Terms = {}
     _mul_into(out, a, b, n)
     return _drop_zeros(out)
 
 
 def _power(terms: Terms, k: int, n: int) -> Terms:
-    """The k-th power (k >= 0) of a term dict in n variables, in stored form,
-    by square-and-multiply; the result is a new dict."""
+    """The k-th power (k >= 0) of an integer term dict in n variables, by
+    square-and-multiply; the result is a new dict."""
     result: Terms = {0: 1}
     base = terms
     while k:
@@ -206,29 +242,42 @@ def _power(terms: Terms, k: int, n: int) -> Terms:
 
 
 def _substitute(
-    polys: Sequence[Terms], n: int, images: Sequence[Terms], m: int
-) -> list[Terms]:
-    """The term dicts, in m variables, of the polynomials in n variables
-    with term dicts `polys` after the substitution x_k -> images[k - 1].
+    polys: Sequence[tuple[Terms, int]],
+    n: int,
+    images: Sequence[tuple[Terms, int]],
+    m: int,
+) -> list[tuple[Terms, int]]:
+    """The stored forms (terms, den), in m variables, of the polynomials in
+    n variables with stored forms `polys` after the substitution
+    x_k -> images[k - 1].
 
-    One table of image powers serves all of `polys`, so each power is
+    The images are brought over one denominator d, image_k = M_k / d, so a
+    term c * x^e of a polynomial N / den of total degree D becomes
+    c * d^(D - |e|) * prod_k M_k^e_k over den * d^D, all in integers.  One
+    table of the powers of the M_k serves all of `polys`, so each power is
     computed once however many polynomials need it.
     """
-    # powers[k][e] is the term dict of images[k]^e; a list grows as terms
-    # need higher powers.  Each term coeff * prod_k x_k^e_k becomes coeff
-    # times the product of the image powers; the last factor is multiplied
-    # straight into out.
-    powers = [[_ONE, image] for image in images]
+    d = lcm(*[den for _, den in images])
+    bases = [terms if den == d else _scaled(terms, d // den) for terms, den in images]
+    # powers[k][e] is the term dict of M_k^e; a list grows as terms need
+    # higher powers.  Each term becomes its coefficient times the product
+    # of the image powers; the last factor is multiplied straight into out.
+    powers = [[_ONE, base] for base in bases]
+    top = _B * n
     results = []
-    for terms in polys:
+    for terms, den in polys:
         out: Terms = {}
+        if d != 1 and terms:
+            degree = max(terms) >> top
+            den *= d**degree
+            terms = {key: c * d ** (degree - (key >> top)) for key, c in terms.items()}
         for key, coeff in terms.items():
             factors = []
             for k, e in enumerate(_unpack(key, n)):
                 if e:
                     cache = powers[k]
                     while len(cache) <= e:
-                        cache.append(_product(cache[-1], images[k], m))
+                        cache.append(_product(cache[-1], bases[k], m))
                     factors.append(cache[e])
             if not factors:
                 _add_into(out, {0: coeff})
@@ -237,13 +286,13 @@ def _substitute(
             for factor in factors[:-1]:
                 term = _product(term, factor, m)
             _mul_into(out, term, factors[-1], m)
-        results.append(_drop_zeros(out))
+        results.append(_reduced(out, den))
     return results
 
 
 def _dot_terms(n: int, xs: Iterable[Terms], ys: Iterable[Terms]) -> Terms:
-    """sum(x * y) over the pairs of term dicts in n variables, summed into
-    one new term dict in stored form.
+    """sum(x * y) over the pairs of integer term dicts in n variables,
+    summed into one new term dict without zero coefficients.
 
     A factor equal to the constant 1 adds the other factor's terms instead
     of multiplying them.
@@ -262,10 +311,20 @@ def _dot_terms(n: int, xs: Iterable[Terms], ys: Iterable[Terms]) -> Terms:
 
 
 def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
-    """sum(x * y) over the pairs of polynomials (`_dot_terms`)."""
-    return Polynomial._trusted(
-        n, _dot_terms(n, (x._terms for x in xs), (y._terms for y in ys))
+    """sum(x * y) over the pairs of polynomials: `_dot_terms` on the
+    numerators, each product scaled to the lcm of the products' denominators."""
+    pairs = [(x, y) for x, y in zip(xs, ys) if x._terms and y._terms]
+    den = lcm(*(x._den * y._den for x, y in pairs))
+    out = _dot_terms(
+        n,
+        (
+            x._terms if x._den * y._den == den
+            else _scaled(x._terms, den // (x._den * y._den))
+            for x, y in pairs
+        ),
+        (y._terms for _, y in pairs),
     )
+    return Polynomial._trusted(n, *_reduced(out, den))
 
 
 def _negated(terms: Terms) -> Terms:
@@ -273,59 +332,67 @@ def _negated(terms: Terms) -> Terms:
     return {key: -c for key, c in terms.items()}
 
 
-def _clear_denominators(values: Iterable[Coeff]) -> tuple[list[int], int]:
-    """(ints, den): den is the lcm of the values' denominators and
-    ints[k] == values[k] * den, an int for values in stored form."""
-    values = list(values)
-    den = 1
-    for v in values:
-        if v.__class__ is not int:
-            den = lcm(den, v.denominator)
-    if den == 1:
-        return values, 1
-    return [
-        v * den if v.__class__ is int else v.numerator * (den // v.denominator)
-        for v in values
-    ], den
-
-
 def _combination(
     n: int, coeffs: Sequence[Coeff], polys: Sequence[Polynomial]
 ) -> Polynomial:
-    """sum(c * p) over the pairs, summed into one term dict.
+    """sum(c * p) over the pairs, summed into one integer term dict.
 
-    The coefficients' denominators are cleared first, so the sum runs on
-    integer multiples, and their lcm is divided out once per term.
+    With c = a / b and p = N / d, the sum is sum((L // (b * d)) * a * N) / L
+    for L the lcm of the b * d, so it runs on integers, and its
+    denominator is fixed once.
     """
-    ints, den = _clear_denominators(coeffs)
+    scaled = []
+    den = 1
+    for c, p in zip(coeffs, polys):
+        if not c:
+            continue
+        if c.__class__ is int:
+            a, b = c, p._den
+        else:
+            a, b = c.numerator, c.denominator * p._den
+        if den % b:
+            den = lcm(den, b)
+        scaled.append((a, b, p._terms))
     out: Terms = {}
     get = out.get
-    for a, p in zip(ints, polys):
-        if not a:
-            continue
-        for key, c in p._terms.items():
+    for a, b, terms in scaled:
+        if b != den:
+            a *= den // b
+        for key, c in terms.items():
             old = get(key)
             out[key] = a * c if old is None else old + a * c
-    if den != 1:
-        for key, c in out.items():
-            out[key] = Fraction(c, den)
-    return Polynomial._trusted(n, _drop_zeros(out))
+    return Polynomial._trusted(n, *_reduced(out, den))
 
 
 def _linear(n: int, coeffs: Sequence[Coeff]) -> Polynomial:
-    """sum(c_j * x_j) for coefficients c_1..c_n in stored form."""
+    """sum(c_j * x_j) for int or Fraction coefficients c_1..c_n."""
     return Polynomial._trusted(
-        n, {_unit(n, j): c for j, c in enumerate(coeffs, 1) if c}
+        n, *_over_one_den({_unit(n, j): c for j, c in enumerate(coeffs, 1) if c})
     )
 
 
-def _grlex_terms(p: Polynomial) -> list[tuple[Exponent, Fraction]]:
-    """(exponents, coefficient) pairs in descending graded-lex order."""
-    terms = p._terms
-    return [
-        (_unpack(key, p.n), Fraction(terms[key]))
-        for key in sorted(terms, reverse=True)
-    ]
+def _split_off(
+    p: Polynomial, keys: Sequence[int]
+) -> tuple[tuple[Fraction, ...], Polynomial]:
+    """(coefficients, rest): the coefficients of p at the given keys, and
+    the sum of every other term of p, in one pass over its terms."""
+    terms, den = p._terms, p._den
+    skip = set(keys)
+    rest = {key: c for key, c in terms.items() if key not in skip}
+    coeffs = tuple(Fraction(terms.get(key, 0), den) for key in keys)
+    return coeffs, Polynomial._trusted(p.n, *_reduced(rest, den))
+
+
+def _grlex_terms(p: Polynomial) -> list[tuple[Exponent, int, int]]:
+    """(exponents, numerator, denominator) triples in descending graded-lex
+    order, each coefficient in lowest terms."""
+    terms, den, n = p._terms, p._den, p.n
+    out = []
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        g = gcd(c, den) if den != 1 else 1
+        out.append((_unpack(key, n), c // g, den // g))
+    return out
 
 
 def _grlex_key(exps: Exponent):
@@ -337,34 +404,36 @@ def _grlex_key(exps: Exponent):
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("n", "_terms", "_hash")
+    # `_hash` is set by the first __hash__ call.
+    __slots__ = ("n", "_terms", "_den", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Exponent, Coeff] | None = None):
         if n < 1:
             raise ShapeError(f"ambient variable count must be >= 1, got {n}")
-        clean: Terms = {}
+        values = {}
         if terms:
             for exps, coeff in terms.items():
                 key = _pack(tuple(exps), n)
                 coeff = _coeff(coeff)
                 if coeff:
-                    clean[key] = coeff
+                    values[key] = coeff
+        clean, den = _over_one_den(values)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial instances are immutable")
 
     @classmethod
-    def _trusted(cls, n: int, terms: Terms) -> "Polynomial":
-        # Takes ownership of a term dict that already holds the invariant
-        # (packed keys in n variables, nonzero int or non-integral Fraction
-        # values); no checks.
+    def _trusted(cls, n: int, terms: Terms, den: int = 1) -> "Polynomial":
+        # Takes ownership of a term dict and denominator already in stored
+        # form (packed keys in n variables, nonzero int numerators, a
+        # positive den coprime to them); no checks.
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_den", den)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -391,8 +460,8 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        n = self.n
-        return {_unpack(key, n): Fraction(c) for key, c in self._terms.items()}
+        n, den = self.n, self._den
+        return {_unpack(key, n): Fraction(c, den) for key, c in self._terms.items()}
 
     def monomials(self) -> list[Exponent]:
         """The exponent tuples of the nonzero terms, in storage order."""
@@ -407,7 +476,7 @@ class Polynomial:
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant monomial (0 for absent)."""
-        return Fraction(self._terms.get(0, 0))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         try:
@@ -415,7 +484,7 @@ class Polynomial:
         except NilmapError:
             # No stored key can hold these exponents.
             return Fraction(0)
-        return Fraction(self._terms.get(key, 0))
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def total_degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
@@ -453,12 +522,18 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._require_same_ring(other)
-        out = dict(self._terms)
-        _add_into(out, other._terms)
-        return Polynomial._trusted(self.n, _drop_zeros(out))
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._terms)
+            _add_into(out, other._terms)
+            return Polynomial._trusted(self.n, *_reduced(out, da))
+        den = lcm(da, db)
+        out = _scaled(self._terms, den // da)
+        _add_into(out, _scaled(other._terms, den // db))
+        return Polynomial._trusted(self.n, *_reduced(out, den))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, _negated(self._terms))
+        return Polynomial._trusted(self.n, _negated(self._terms), self._den)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -472,7 +547,7 @@ class Polynomial:
             return NotImplemented
         self._require_same_ring(other)
         terms = _product(self._terms, other._terms, self.n)
-        return Polynomial._trusted(self.n, terms)
+        return Polynomial._trusted(self.n, *_reduced(terms, self._den * other._den))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -486,14 +561,19 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise NilmapError("negative polynomial powers are not defined")
-        return Polynomial._trusted(self.n, _power(self._terms, k, self.n))
+        # By Gauss's lemma the content of N^k is the content of N to the
+        # k, so N^k stays coprime to den^k.
+        terms = _power(self._terms, k, self.n)
+        return Polynomial._trusted(self.n, terms, self._den**k if terms else 1)
 
     def scale(self, c) -> "Polynomial":
         c = _coeff(c)
         if not c:
             return Polynomial.zero(self.n)
-        out = {e: c * v for e, v in self._terms.items()}
-        return Polynomial._trusted(self.n, _drop_zeros(out))
+        a, b = (c, 1) if c.__class__ is int else (c.numerator, c.denominator)
+        return Polynomial._trusted(
+            self.n, *_reduced(_scaled(self._terms, a), self._den * b)
+        )
 
     def _coerce(self, value) -> "Polynomial":
         if isinstance(value, Polynomial):
@@ -508,14 +588,19 @@ class Polynomial:
             other = Polynomial.const(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return (
+            self.n == other.n
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, tuple(sorted(self._terms.items()))))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self._den, tuple(sorted(self._terms.items()))))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     # -- calculus and structural operations --------------------------------
 
@@ -529,7 +614,7 @@ class Polynomial:
             e = (key >> shift) & _MASK
             if e:
                 out[key - step] = coeff * e
-        return Polynomial._trusted(self.n, _drop_zeros(out))
+        return Polynomial._trusted(self.n, *_reduced(out, self._den))
 
     def integrate(self, i: int) -> "Polynomial":
         """Antiderivative with respect to x_i, constant of integration 0."""
@@ -541,10 +626,13 @@ class Polynomial:
             raise _overflow(degree)
         shift = _shift(self.n, i)
         step = _unit(self.n, i)
+        # Each numerator is divided by e + 1: over the lcm of those
+        # divisors, it is multiplied by the cofactor instead.
+        mult = lcm(*(((key >> shift) & _MASK) + 1 for key in self._terms))
         out: Terms = {}
         for key, coeff in self._terms.items():
-            out[key + step] = Fraction(coeff, ((key >> shift) & _MASK) + 1)
-        return Polynomial._trusted(self.n, _drop_zeros(out))
+            out[key + step] = coeff * (mult // (((key >> shift) & _MASK) + 1))
+        return Polynomial._trusted(self.n, *_reduced(out, self._den * mult))
 
     def substitute(self, bindings: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution x_i -> bindings[i].
@@ -571,11 +659,12 @@ class Polynomial:
                 f"{m} != {self.n} variables"
             )
         images = [
-            bindings[i]._terms if i in bindings else {_unit(m, i): 1}
+            (bindings[i]._terms, bindings[i]._den) if i in bindings
+            else ({_unit(m, i): 1}, 1)
             for i in range(1, self.n + 1)
         ]
-        (terms,) = _substitute([self._terms], self.n, images, m)
-        return Polynomial._trusted(m, terms)
+        (result,) = _substitute([(self._terms, self._den)], self.n, images, m)
+        return Polynomial._trusted(m, *result)
 
     def coefficients_in(self, i: int) -> list["Polynomial"]:
         """Ascending coefficient list [p_0, ..., p_d] with p = sum p_j x_i^j.
@@ -593,7 +682,7 @@ class Polynomial:
         for key, coeff in self._terms.items():
             e = (key >> shift) & _MASK
             buckets[e][key - e * step] = coeff
-        return [Polynomial._trusted(self.n, b) for b in buckets]
+        return [Polynomial._trusted(self.n, *_reduced(b, self._den)) for b in buckets]
 
     def homogeneous_parts(self, subset: Iterable[int]) -> list["Polynomial"]:
         """Split by total degree in the given variables.
@@ -615,15 +704,15 @@ class Polynomial:
             graded.setdefault(deg, {})[key] = coeff
         top = max(graded)
         return [
-            Polynomial._trusted(self.n, graded.get(d, {})) for d in range(top + 1)
+            Polynomial._trusted(self.n, *_reduced(graded.get(d, {}), self._den))
+            for d in range(top + 1)
         ]
 
     def truncate(self, max_total_degree: int) -> "Polynomial":
         """Drop all terms of total degree above the bound."""
         bound = (max_total_degree + 1) << _B * self.n
-        return Polynomial._trusted(
-            self.n, {key: c for key, c in self._terms.items() if key < bound}
-        )
+        out = {key: c for key, c in self._terms.items() if key < bound}
+        return Polynomial._trusted(self.n, *_reduced(out, self._den))
 
     def restrict(self, variables: Sequence[int]) -> "Polynomial":
         """Re-express in the smaller ring spanned by the given variables.
@@ -637,23 +726,25 @@ class Polynomial:
             raise ShapeError(
                 f"polynomial involves variables {sorted(extra)} outside {variables}"
             )
-        out = {}
-        for exps, coeff in self.terms.items():
-            out[tuple(exps[i - 1] for i in variables)] = coeff
-        return Polynomial(len(variables), out)
+        m, n = len(variables), self.n
+        out: Terms = {}
+        for key, coeff in self._terms.items():
+            exps = _unpack(key, n)
+            out[_pack(tuple(exps[i - 1] for i in variables), m)] = coeff
+        return Polynomial._trusted(m, *_reduced(out, self._den))
 
     def lift(self, n: int, positions: Sequence[int]) -> "Polynomial":
         """Embed into an n-variable ring, sending variable k to positions[k-1]."""
         positions = list(positions)
         if len(positions) != self.n:
             raise DimensionMismatch("need one target position per variable")
-        out = {}
-        for exps, coeff in self.terms.items():
+        out: Terms = {}
+        for key, coeff in self._terms.items():
             new = [0] * n
-            for k, e in enumerate(exps):
+            for k, e in enumerate(_unpack(key, self.n)):
                 new[positions[k] - 1] = e
-            out[tuple(new)] = coeff
-        return Polynomial(n, out)
+            out[_pack(tuple(new), n)] = coeff
+        return Polynomial._trusted(n, *_reduced(out, self._den))
 
     # -- leading terms and exact division ----------------------------------
 
@@ -662,14 +753,16 @@ class Polynomial:
         if not self._terms:
             raise NilmapError("the zero polynomial has no leading term")
         key = max(self._terms)
-        return _unpack(key, self.n), Fraction(self._terms[key])
+        return _unpack(key, self.n), Fraction(self._terms[key], self._den)
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises if the division has a remainder.
 
-        Divides on term dicts: one remainder dict loses its leading term
-        (its largest key) at each step, by subtracting qc * x^qk * divisor
-        in place, until it is empty.
+        Divides the numerators N / D on one remainder dict: it loses its
+        leading term (its largest key) at each step, by subtracting
+        qc * x^qk * D in place, until it is empty.  The quotient's rational
+        coefficients are brought over one denominator at the end and scaled
+        by the ratio of the two denominators.
         """
         self._require_same_ring(divisor)
         if divisor.is_zero():
@@ -679,9 +772,9 @@ class Polynomial:
         dk = max(d)
         dc = d[dk]
         d_exps = _unpack(dk, n)
-        rem = dict(self._terms)
+        rem: dict = dict(self._terms)
         get = rem.get
-        quotient: Terms = {}
+        quotient: dict = {}
         while rem:
             rk = max(rem)
             if any(r < e for r, e in zip(_unpack(rk, n), d_exps)):
@@ -690,7 +783,7 @@ class Polynomial:
             # key of the quotient monomial, with no borrow between fields.
             qk = rk - dk
             rc = rem[rk]
-            if rc.__class__ is int and dc.__class__ is int and not rc % dc:
+            if rc.__class__ is int and not rc % dc:
                 qc = rc // dc
             else:
                 qc = _coeff(Fraction(rc, dc))
@@ -705,7 +798,10 @@ class Polynomial:
                     rem[key] = value.numerator
                 else:
                     rem[key] = value
-        return Polynomial._trusted(n, quotient)
+        terms, den = _over_one_den(quotient)
+        if divisor._den != 1:
+            terms = _scaled(terms, divisor._den)
+        return Polynomial._trusted(n, *_reduced(terms, den * self._den))
 
     def __repr__(self):
         from .parsing import format_polynomial
@@ -802,10 +898,10 @@ class PolyMap:
                 f"composing maps of dimension {self.dimension} and {other.dimension}"
             )
         n = self.dimension
-        images = [p._terms for p in other.components]
-        polys = [p._terms for p in self.components]
+        images = [(p._terms, p._den) for p in other.components]
+        polys = [(p._terms, p._den) for p in self.components]
         return PolyMap(
-            [Polynomial._trusted(n, t) for t in _substitute(polys, n, images, n)]
+            [Polynomial._trusted(n, *r) for r in _substitute(polys, n, images, n)]
         )
 
     def __add__(self, other: "PolyMap") -> "PolyMap":

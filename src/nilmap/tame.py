@@ -16,7 +16,9 @@ origin, or two different values, proves that F is not invertible.  Both
 determinants are numbers, taken by `RationalMatrix.det`, the Berkowitz
 recursion of `poly_det` run on the entries themselves.  The symbolic
 determinant of `keller_check` is sigma_n of the same recursion run on the
-integer term dicts of cJF (`linalg._sigma_terms`).  The inverse
+integer term dicts of cJF (`linalg._sigma_terms`), c the lcm of the
+denominators of F's components, which are stored as integer numerators
+over one denominator; c^n det JF is constant exactly when det JF is.  The inverse
 iteration runs on A^-1 o F, where A = JF(0), so that its linear part is
 the identity; the inverse of F is its inverse followed by A^-1.
 """
@@ -170,7 +172,8 @@ def keller_check(F: PolyMap) -> bool:
     n = F.dimension
     if _keller_refuted(F, _jacobian_at(F, (0,) * n)):
         return False
-    return _sigma_terms(_jacobian_terms(F), n)[-1].keys() == {0}
+    grid, _ = _jacobian_terms(F)
+    return _sigma_terms(grid, n)[-1].keys() == {0}
 
 
 def _shift_part(F: PolyMap) -> PolyMap:

@@ -4,15 +4,79 @@
 reads the same token stream and follows the same grammar, but builds every
 value through the public `Polynomial` operators (`+`, `-`, `*`, `scale`,
 `const`, `variable`), and takes powers by its own square-and-multiply over
-`*`.  It shares with the parser under test only the product behind `*`
+`*`.  It reads the text with `ref_tokenize`, the character-by-character
+tokenizer that `nilmap.parsing` used before its regular expression.  It
+shares with the parser under test only the product behind `*`
 (`poly._product`), which `test_poly` checks against a tuple-key product.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from nilmap.errors import ParseError
-from nilmap.parsing import DEFAULT_ALIASES, MAX_NESTING, _tokenize
+from nilmap.parsing import DEFAULT_ALIASES, MAX_DIGITS, MAX_NESTING
 from nilmap.poly import Polynomial
+
+_DIGITS = "0123456789"
+
+
+class _Token(NamedTuple):
+    """A token, equal to the plain tuple `nilmap.parsing` gives."""
+
+    kind: str
+    value: object
+    line: int
+    column: int
+
+
+def _digit_run(text, i):
+    """The index just past the run of ASCII digits starting at i."""
+    j = i
+    while j < len(text) and text[j] in _DIGITS:
+        j += 1
+    return j
+
+
+def ref_tokenize(text):
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch in "+-*^()/":
+            tokens.append(_Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _DIGITS or ch.isalpha():
+            start = i if ch in _DIGITS else i + 1
+            j = _digit_run(text, start)
+            if j - start > MAX_DIGITS:
+                raise ParseError(
+                    f"a run of {j - start} digits is longer than the limit of "
+                    f"{MAX_DIGITS}",
+                    line,
+                    col,
+                )
+            if ch in _DIGITS:
+                tokens.append(_Token("int", int(text[i:j]), line, col))
+            else:
+                tokens.append(_Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("end", None, line, col))
+    return tokens
 
 
 def ref_power(p, k):
@@ -28,7 +92,7 @@ def ref_power(p, k):
 
 class RefParser:
     def __init__(self, text, n, aliases):
-        self.tokens = _tokenize(text)
+        self.tokens = ref_tokenize(text)
         self.pos = 0
         self.depth = 0
         self.n = n

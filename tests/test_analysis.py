@@ -24,6 +24,7 @@ from nilmap import (
     parse_map,
     parse_polynomial,
     poly_matrix_rank,
+    principal_minor_sum,
 )
 from nilmap import analysis, generators
 from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
@@ -95,6 +96,23 @@ class TestNilpotency:
         assert sigma_k == parse_polynomial("2", 2)
         assert not is_nilpotent(H)
         assert not is_nilpotent_bruteforce(H)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rational_maps_match_enumerated_minors(self, seed):
+        # Components over different denominators: the recursion runs on
+        # cJ(H), c the lcm of the components' denominators, and sigma_k is
+        # divided by c^k.
+        rng = random.Random(900 + seed)
+        n = rng.randint(2, 4)
+        H = PolyMap([
+            Polynomial(n, {e: c / rng.choice([1, 2, 3, 5]) for e, c in p.terms.items()})
+            for p in generators.random_map(rng, n, 2, terms=3)
+        ])
+        J = jacobian(H)
+        sigma = nilpotency_equations(H).sigma
+        assert list(sigma) == [principal_minor_sum(J, k) for k in range(1, n + 1)]
+        for s in sigma:
+            stored_terms(s)
 
     def test_report_serializes(self):
         doc = nilpotency_equations(parse_map("x; y")).to_json()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -432,6 +433,108 @@ class TestClassify:
         code, _, err = run(capsys, ["classify", "-f", write(tmp_path, "m.txt", H3)])
         assert code == 3
         assert "guarantee violated" in err
+
+
+class TestLongNumbers:
+    """Numbers past CPython's int/str conversion limit of 4,300 digits: an
+    input holding one, and a result that would print one, exit 2 with a
+    message, within a second and without a traceback."""
+
+    LONG = "1" * 5000
+
+    def check(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2, (argv, out, err)
+        assert message in err
+        assert "Traceback" not in out + err
+        assert out == ""
+
+    @pytest.mark.parametrize("verb", ["jacobian", "nilpotent", "depend"])
+    def test_long_literal(self, tmp_path, capsys, verb):
+        for text in [self.LONG + "*x; y", "x" + self.LONG + "; y", "x; 1/" + self.LONG]:
+            f = write(tmp_path, "m.txt", text)
+            self.check(capsys, [verb, "-f", f], "digits is longer than the limit")
+
+    def test_literal_at_the_limit(self, tmp_path, capsys):
+        f = write(tmp_path, "m.txt", f"{'9' * parsing.MAX_DIGITS}*x; y")
+        code, out, _ = run(capsys, ["jacobian", "-f", f])
+        assert code == 0
+        assert out == "9" * parsing.MAX_DIGITS + "  0\n0  1\n"
+
+    @pytest.mark.parametrize("verb", ["jacobian", "nilpotent", "rank", "depend", "conjugate"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_result_too_long_to_print(self, tmp_path, capsys, verb, as_json):
+        # 3^10000 has 4,772 digits, and the parser's size cap allows it.
+        f = write(tmp_path, "m.txt", "3^10000*x^2; x^2")
+        argv = [verb, "-f", f] + (["-m", "[[1,0],[1,1]]"] if verb == "conjugate" else [])
+        argv += ["--json"] if as_json else []
+        if verb == "rank":
+            assert run(capsys, argv)[0] == 0
+        else:
+            self.check(capsys, argv, "too long to print")
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            f"[[{LONG},0],[0,1]]",
+            f'[["{LONG}","0"],["0","1"]]',
+            f'[["1/{LONG}","0"],["0","1"]]',
+        ],
+    )
+    def test_long_matrix_entry(self, tmp_path, capsys, matrix):
+        f = write(tmp_path, "m.txt", "x; y")
+        message = "digits" if matrix.startswith("[[1") else "malformed matrix entry"
+        self.check(capsys, ["conjugate", "-f", f, "-m", matrix], message)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            f'{{"n": {LONG}, "components": ["x", "y"]}}',
+            f'{{"n": 2, "components": ["x", "y"], "note": -{LONG}}}',
+        ],
+    )
+    def test_long_json_integer_in_a_map_document(self, tmp_path, capsys, doc):
+        f = write(tmp_path, "m.json", doc)
+        self.check(capsys, ["nilpotent", "-f", f], "digits is longer than the limit")
+
+    def test_long_json_integer_in_a_parameter_document(self, tmp_path, capsys):
+        f = write(tmp_path, "p.json", f'{{"a1": "1", "n": {self.LONG}}}')
+        self.check(capsys, ["build-canonical", "-f", f], "digits is longer than the limit")
+
+
+class TestMatrixEntries:
+    """`conjugate -m` takes an integer or a string of an optionally signed
+    integer or fraction; Fraction() would also read decimal and exponent
+    notation, and "1e1000000" would build a million-digit integer."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["1e1000000", "1e5000", "1E3", "1.5", "1_000", " 1", "1 ", "1/0", "1/00",
+         "--1", "1/-2", "0x10", "", "inf", "nan", "١"],
+    )
+    def test_other_forms_are_invalid_input(self, tmp_path, capsys, entry):
+        f = write(tmp_path, "m.txt", "x; y")
+        matrix = json.dumps([[entry, "0"], ["0", "1"]])
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["conjugate", "-f", f, "-m", matrix])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "malformed matrix entry" in err
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize(
+        "entry, want",
+        [("2", "2*x^2; y"), ("-4/2", "-2*x^2; y"), ("+3/6", "1/2*x^2; y"), (2, "2*x^2; y")],
+    )
+    def test_documented_forms(self, tmp_path, capsys, entry, want):
+        # T^-1 H(T x) for T = diag(c, 1) and H = (x^2, y) is (c x^2, y).
+        f = write(tmp_path, "m.txt", "x^2; y")
+        matrix = json.dumps([[entry, "0"], ["0", "1"]])
+        code, out, _ = run(capsys, ["conjugate", "-f", f, "-m", matrix])
+        assert code == 0
+        assert out.strip() == want
 
 
 class TestBuildCanonical:

@@ -60,20 +60,26 @@ def check_every_verb(content, matrix, as_json=False):
             run(argv)
 
 
+# A run of digits just past the parser's bound, and past CPython's limit
+# for converting an int to or from text.
+LONG_DIGITS = "7" * 4301
+
 # Map-like text: tokens of the map grammar, so that many inputs parse, with
 # exponents kept small so that no input is merely slow.
 map_tokens = st.sampled_from(
     ["x", "y", "z", "w", "t", "+", "-", "*", "^", "^2", "^3", "(", ")", ";",
-     "0", "1", "2", "3/2", "1/0", "1.5", " ", ",", "\n", "{", "}"]
+     "0", "1", "2", "3/2", "1/0", "1.5", " ", ",", "\n", "{", "}",
+     LONG_DIGITS, "x" + LONG_DIGITS, "1/" + LONG_DIGITS]
 )
 map_text = st.lists(map_tokens, max_size=16).map("".join)
 
 # Powers of map-like bases in x, which every dimension has: exponents either
 # small, or far past the parser's size cap, so that every input is parsed,
-# refused, or fails fast.
+# refused, or fails fast.  A base with 3^5000 gives results with numbers
+# too long to print.
 power_exponents = st.sampled_from(["2", "3", "20000000"])
 power_bases = st.lists(
-    st.sampled_from(["x", "-x", "2*x", "x*x", "1", "3", "3/2", "x + "]),
+    st.sampled_from(["x", "-x", "2*x", "x*x", "1", "3", "3/2", "x + ", "3^5000*x"]),
     min_size=1,
     max_size=4,
 ).map(" + ".join)
@@ -99,9 +105,24 @@ map_documents = st.fixed_dictionaries(
 canonical_documents = st.fixed_dictionaries(
     {name: map_text | json_values for name in ("a1", "a2", "c1", "c2", "h")}
 )
-json_text = (json_values | map_documents | canonical_documents).map(json.dumps)
+# JSON integers too long for int(), written out by hand: json.dumps would
+# itself refuse to convert them.
+long_json = st.sampled_from(
+    [
+        f'{{"n": {LONG_DIGITS}, "components": ["x"]}}',
+        f'{{"n": 1, "components": ["x"], "note": -{LONG_DIGITS}}}',
+        f'{{"a1": "1", "a2": {LONG_DIGITS}}}',
+        f"[{LONG_DIGITS}]",
+    ]
+)
+json_text = (json_values | map_documents | canonical_documents).map(json.dumps) | long_json
 
-matrix_entries = st.integers(-2, 2) | st.sampled_from(["1/2", "-3", "x", "1/0"])
+# Matrix entries: integers, fractions, and strings that Fraction() would
+# read but the matrix grammar refuses, such as exponent notation.
+matrix_entries = st.integers(-2, 2) | st.sampled_from(
+    ["1/2", "-3", "x", "1/0", "1e1000000", "1e5000", "-2.5e3", "1_0", " 3 ",
+     LONG_DIGITS, "1/" + LONG_DIGITS]
+)
 matrices = (
     st.integers(1, 3)
     .flatmap(
@@ -113,6 +134,7 @@ matrices = (
     )
     .map(json.dumps)
     | st.text(max_size=12)
+    | st.sampled_from([f"[[{LONG_DIGITS},0],[0,1]]", f"[[-{LONG_DIGITS}]]"])
 )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from nilmap import NilmapError, PolyMap, Polynomial, univariate_gcd
 from nilmap.errors import DimensionMismatch, ExponentOverflow, InexactValue, ShapeError
+import stored_form as ref
 from stored_form import assert_clean, ref_mul_into, stored_terms
 
 
@@ -266,9 +267,9 @@ class TestExactDivReference:
 
 
 class TestStoredForm:
-    """Integral coefficients are stored as ints, also when a Fraction
-    product or sum turns out integral; the public accessors return
-    Fractions whatever the stored form."""
+    """A polynomial is stored as integer numerators over one denominator,
+    which is 1 also when a Fraction product or sum turns out integral; the
+    public accessors return Fractions whatever the stored form."""
 
     def test_integral_fraction_products_are_demoted(self):
         half_x = Polynomial.monomial(2, (1, 0), Fraction(1, 2))
@@ -285,7 +286,7 @@ class TestStoredForm:
             ),
         ]:
             assert_clean(got)
-            assert all(type(c) is int for c in stored_terms(got).values())
+            assert got._den == 1
 
     def test_constructor_normalizes(self):
         p = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): True, (0, 0): "3/6"})
@@ -331,6 +332,116 @@ class TestStoredForm:
         assert g == x + Polynomial.const(1, Fraction(3, 2))
 
 
+def rational_poly(rng, n, terms=4, max_degree=3):
+    """Up to `terms` terms with coefficients of denominators 1-9, so that
+    some polynomials are integral and some sums and products cancel or
+    reduce."""
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(n)] += 1
+        out[tuple(exps)] = Fraction(
+            rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6, 9])
+        )
+    return Polynomial(n, out)
+
+
+class TestRationalReference:
+    """Seeded differential test of every Polynomial operation on rational
+    inputs against the tuple-key, Fraction-valued references of
+    `stored_form`.  `stored_terms` also asserts that every result is in
+    stored form: integer numerators over one coprime denominator."""
+
+    SEEDS = range(40)
+
+    def setup(self, seed):
+        rng = random.Random(5000 + seed)
+        n = rng.randint(1, 4)
+        p, q = rational_poly(rng, n), rational_poly(rng, n)
+        if seed % 5 == 0:
+            # A shared rational factor, so that sums cancel and products
+            # and quotients reduce.
+            q = q + p.scale(Fraction(rng.randint(1, 4), rng.randint(2, 5)))
+        return rng, n, p, q
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_ring_operations(self, seed):
+        rng, n, p, q = self.setup(seed)
+        a, b = stored_terms(p), stored_terms(q)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        for got, want in [
+            (p + q, ref.ref_add(a, b)),
+            (p - q, ref.ref_add(a, b, -1)),
+            (-p, ref.ref_scale(a, -1)),
+            (p - p, {}),
+            (p * q, ref.ref_mul(a, b)),
+            (p**0, ref.ref_pow(a, 0, n)),
+            (p**3, ref.ref_pow(a, 3, n)),
+            (p.scale(c), ref.ref_scale(a, c)),
+            (p + c, ref.ref_add(a, {(0,) * n: c})),
+        ]:
+            assert stored_terms(got) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_calculus_and_structure(self, seed):
+        rng, n, p, _ = self.setup(seed)
+        a = stored_terms(p)
+        i = rng.randint(1, n)
+        subset = rng.sample(range(1, n + 1), rng.randint(1, n))
+        assert stored_terms(p.partial(i)) == ref.ref_partial(a, i)
+        assert stored_terms(p.integrate(i)) == ref.ref_integrate(a, i)
+        assert stored_terms(p.truncate(2)) == ref.ref_truncate(a, 2)
+        got = [stored_terms(part) for part in p.homogeneous_parts(subset)]
+        assert got == ref.ref_homogeneous_parts(a, subset, n)
+        got = [stored_terms(part) for part in p.coefficients_in(i)]
+        assert got == ref.ref_coefficients_in(a, i)
+        variables = sorted(p.variables_used() | set(subset))
+        rng.shuffle(variables)
+        if variables:
+            got = p.restrict(variables)
+            assert stored_terms(got) == ref.ref_restrict(a, variables)
+        m = n + rng.randint(0, 2)
+        positions = rng.sample(range(1, m + 1), n)
+        assert stored_terms(p.lift(m, positions)) == ref.ref_lift(a, m, positions)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_substitute_and_compose(self, seed):
+        rng, n, p, _ = self.setup(seed)
+        m = rng.randint(1, 3)
+        images = [rational_poly(rng, m, terms=3, max_degree=2) for _ in range(n)]
+        want = ref.ref_substitute(stored_terms(p), [stored_terms(g) for g in images], m)
+        got = p.substitute(dict(enumerate(images, 1)))
+        assert stored_terms(got) == want
+        F = PolyMap([rational_poly(rng, n, terms=3, max_degree=2) for _ in range(n)])
+        G = PolyMap([rational_poly(rng, n, terms=3, max_degree=2) for _ in range(n)])
+        images = [stored_terms(g) for g in G]
+        for got, f in zip(F.compose(G), F):
+            assert stored_terms(got) == ref.ref_substitute(stored_terms(f), images, n)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_exact_div(self, seed):
+        rng, n, p, q = self.setup(seed)
+        if q.is_zero():
+            return
+        a, b = stored_terms(p), stored_terms(q)
+        assert stored_terms((p * q).exact_div(q)) == a
+        want = ref.ref_exact_div(a, b)
+        if want is None:
+            with pytest.raises(NilmapError):
+                p.exact_div(q)
+        else:
+            assert stored_terms(p.exact_div(q)) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_univariate_gcd(self, seed):
+        rng = random.Random(7000 + seed)
+        g, u, v = (rational_poly(rng, 1, terms=3) for _ in range(3))
+        a, b = g * u, g * v
+        want = ref.ref_univariate_gcd(stored_terms(a), stored_terms(b))
+        assert stored_terms(univariate_gcd(a, b)) == want
+
+
 class TestPackedKeys:
     """The packed product loop against the tuple-key reference, the
     accessors that decode keys, and the overflow guard at its edges."""
@@ -339,7 +450,7 @@ class TestPackedKeys:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_mul_into_matches_tuple_reference(self, seed):
-        from nilmap.poly import _drop_zeros, _mul_into
+        from nilmap.poly import _mul_into, _reduced
 
         rng = random.Random(seed)
         n = rng.randint(1, 7)
@@ -347,7 +458,7 @@ class TestPackedKeys:
         q = random_rational_poly(rng, n, rng.randint(0, 5), rng.randint(1, 8))
         got = {}
         _mul_into(got, p._terms, q._terms, n)
-        got = Polynomial._trusted(n, _drop_zeros(got))
+        got = Polynomial._trusted(n, *_reduced(got, p._den * q._den))
         want = {}
         ref_mul_into(want, stored_terms(p), stored_terms(q))
         assert stored_terms(got) == {e: c for e, c in want.items() if c}
