@@ -3,21 +3,44 @@
 A square matrix is nilpotent exactly when all of its principal-minor sums
 sigma_1..sigma_n vanish (these are, up to sign, the characteristic
 polynomial's coefficients).  `nilpotency_equations` computes those sums as
-explicit polynomials, all at once from the characteristic polynomial of
-J(H) by Berkowitz's division-free recursion (S. J. Berkowitz, Inf. Process.
-Lett. 18, 1984; see `linalg.sigma_polynomials`).  `is_nilpotent_bruteforce`
-independently checks J(H)^n = 0 by exact matrix powering, so the two
-definitions guard each other in the test suite; `linalg.principal_minor_sum`,
-which enumerates the C(n,k) minors explicitly, is kept as a further oracle
-for the sigma polynomials themselves.
+explicit polynomials, all at once from a characteristic polynomial taken by
+Berkowitz's division-free recursion (S. J. Berkowitz, Inf. Process. Lett.
+18, 1984; see `linalg.sigma_polynomials`).
 
-Both oracles work on term dicts, not on polynomial objects.
+The recursion does not run on J(H) itself but on its quotient by the
+common flag space (`_quotient_sigma`).  Write J = sum_m M_m x^m.  The
+largest subspace W on which all the M_m act by one strictly triangular
+flag comes from the greedy chain W_k = {v : M_m v in W_(k-1)}
+(`linalg._common_flag`; Radjavi and Rosenthal, *Simultaneous
+Triangularization*, 2000; van den Essen, *Polynomial Automorphisms*, 2000,
+ch. 7).  In a basis that starts with one of W, J is block triangular with
+a nilpotent first block, so det(tI - J) = t^w det(tI - Q) for w = dim W and
+Q the block on the quotient: sigma_k(J) = sigma_k(Q) for k <= n - w, and 0
+beyond.  When W is everything, as for the paper's second family under any
+constant conjugation, no characteristic polynomial is taken at all.  A
+gate keeps other maps from paying for the chain: a nonsingular
+J(1, ..., 1) proves W = 0, and then the recursion runs on J as it is.
+Jacobians of size 3 or less skip the flag, whose chain costs more there
+than the recursion it would save.
+
+`is_nilpotent_bruteforce` independently checks J(H)^n = 0 by exact matrix
+powering, so the two definitions guard each other in the test suite;
+`linalg.sigma_polynomials` (full Berkowitz on J) and
+`linalg.principal_minor_sum`, which enumerates the C(n,k) minors
+explicitly, are further oracles for the sigma polynomials themselves.  None
+of the three reads the flag, so a fault in the flag cannot hide behind an
+oracle that shares it.
+
+Both the report and the J^n oracle work on term dicts, not on polynomial
+objects.
 `_jacobian_terms` reads the integer grid cJ(H) off each component's
 numerators in one pass, with c the lcm of the components' denominators
 (every polynomial is stored as integer numerators over one denominator, so
 row i is scaled by c / den_i, and an integral map needs no scaling).  The
-recursion and the powering run on that grid: sigma_k(cJ) = c^k sigma_k(J),
-so each sigma is divided by c^k once, and (cJ)^n = 0 exactly when J^n = 0.
+chain, the recursion and the powering run on that grid: the quotient block
+of cJ is d c Q, for d the denominator of the chain's reduced basis, so
+sigma_k(J) is the integer sigma_k of that block divided by (d c)^k once,
+and (cJ)^n = 0 exactly when J^n = 0.
 Only the n sigma polynomials of a report are built as `Polynomial`s.
 
 The J^n oracle refutes at a point first.  Evaluation at a point x0 is a
@@ -45,6 +68,7 @@ from .linalg import (
     PolyMatrix,
     RationalMatrix,
     _clear_denominators,
+    _common_flag,
     _grid_power,
     _int_matmul,
     _kernel_vectors,
@@ -268,25 +292,52 @@ def _nilpotency_index(m: RationalMatrix) -> int | None:
     return k
 
 
+# The smallest Jacobian whose report goes through the common flag.  A
+# characteristic polynomial of size 3 or less takes about a dozen dot
+# products of term dicts, fewer than the chain's first elimination needs.
+_FLAG_MIN_SIZE = 4
+
+
+def _quotient_sigma(grid: list[list[Terms]], n: int) -> tuple[list[Terms], int]:
+    """(sigma, d) for the integer grid cJ of a Jacobian in n variables:
+    sigma_k(cJ) = sigma[k - 1] / d^k for k <= len(sigma), and 0 for every
+    larger k.
+
+    sigma holds the integer sigma_1..sigma_(n - w) of the quotient block dQ
+    of the common flag space W of dimension w (`linalg._common_flag`):
+    det(tI - cJ) = t^w det(tI - Q).  When W = 0, dQ is cJ itself and
+    d = 1; when W is everything, sigma is empty.  A grid smaller than
+    `_FLAG_MIN_SIZE` takes the recursion on cJ itself.
+    """
+    if len(grid) < _FLAG_MIN_SIZE:
+        return _sigma_terms(grid, n), 1
+    flag = _common_flag(grid)
+    return _sigma_terms(flag.quotient, n), flag.den
+
+
 def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
     """All principal-minor sums sigma_1..sigma_n of J(H), from the
-    characteristic polynomial of J(H) computed on its term dicts
-    (`linalg._sigma_terms`)."""
+    characteristic polynomial of the quotient of J(H) by its common flag
+    space (`_quotient_sigma`), computed on term dicts."""
     n = H.dimension
     grid, c = _jacobian_terms(H)
-    return NilpotencyReport(
-        [
-            Polynomial._trusted(n, *_reduced(s, c**k))
-            for k, s in enumerate(_sigma_terms(grid, n), 1)
-        ]
-    )
+    sigma, d = _quotient_sigma(grid, n)
+    scale = d * c
+    report = [
+        Polynomial._trusted(n, *_reduced(s, scale**k))
+        for k, s in enumerate(sigma, 1)
+    ]
+    if len(report) < n:
+        report += [Polynomial.zero(n)] * (n - len(report))
+    return NilpotencyReport(report)
 
 
 def is_nilpotent(H: PolyMap) -> bool:
     """True iff every sigma_k of J(H) vanishes.
 
     The trace sigma_1 is checked first, so most non-nilpotent maps are
-    rejected without computing the characteristic polynomial.
+    rejected without computing a characteristic polynomial; the others
+    take the one of the quotient by the common flag space.
     """
     n = H.dimension
     grid, _ = _jacobian_terms(H)
@@ -295,7 +346,7 @@ def is_nilpotent(H: PolyMap) -> bool:
         _add_into(trace, grid[i][i])
     if any(trace.values()):
         return False
-    return not any(_sigma_terms(grid, n))
+    return not any(_quotient_sigma(grid, n)[0])
 
 
 def is_nilpotent_bruteforce(H: PolyMap) -> bool:

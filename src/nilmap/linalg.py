@@ -37,6 +37,13 @@ sigma_k(M) = sigma_k(cM) / c^k.  `_grid_power` powers such a grid for the
 J^n oracle of `analysis`.  `principal_minor_sum` enumerates the C(n,k)
 minors by cofactor expansion; it is kept as the independent oracle for
 that recursion.
+
+`_common_flag` finds, on such a grid cJ = sum_m M_m x^m, the largest
+subspace on which all the constant matrices M_m act by one strictly
+triangular flag, and the block of cJ on the quotient by it.  It is exact
+linear algebra on the M_m, by `_rref_den`; `analysis` takes the
+characteristic polynomial of that block only.  `sigma_polynomials`,
+`poly_det` and `principal_minor_sum` do not use it.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, neg
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NilmapError, ParseError, ShapeError
 from .parsing import MAX_DIGITS
@@ -161,8 +168,7 @@ class RationalMatrix:
         run on the entries themselves."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        c = _charpoly(self.entries, _rational_dot, 1, neg)[-1]
-        return Fraction(-c if self.rows % 2 else c)
+        return Fraction(_charpoly(self.entries, _rational_dot, 1, neg)[-1])
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
@@ -622,12 +628,12 @@ def principal_minor_sum(m: PolyMatrix, k: int) -> Polynomial:
 def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
     """All principal-minor sums [sigma_1, ..., sigma_n] of a square matrix.
 
-    With det(tI - M) = t^n + c_1 t^(n-1) + ... + c_n, sigma_k = (-1)^k c_k.
-    The characteristic polynomial comes from Berkowitz's division-free
-    recursion: for M = [[a, R], [C, A]] the coefficients of det(tI - M) are
-    the Toeplitz product of (1, -a, -RC, -RAC, -RA^2C, ...) with those of
-    det(tI - A).  The loop grows A from the bottom-right corner one row and
-    column at a time.  It runs on the integer grid cM (`_sigma_terms`), and
+    They are the coefficients of det(tI + M) = t^n + sigma_1 t^(n-1) + ...
+    + sigma_n, from Berkowitz's division-free recursion applied to -M: for
+    M = [[a, R], [C, A]] the coefficients of det(tI + M) are the Toeplitz
+    product of (1, a, -RC, RAC, -RA^2C, ...) with those of det(tI + A).
+    The loop grows A from the bottom-right corner one row and column at a
+    time.  It runs on the integer grid cM (`_sigma_terms`), and
     only the n sums are built as polynomials, sigma_k(cM) over c^k.  Equal,
     term for term, to ``[principal_minor_sum(m, k) for k in 1..n]``.
     """
@@ -648,8 +654,7 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
 def _sigma_terms(grid: list[list[Terms]], n: int) -> list[Terms]:
     """The integer term dicts of sigma_1..sigma_size of a square grid of
     integer term dicts in n variables, without zero coefficients."""
-    q = _charpoly(grid, functools.partial(_dot_terms, n), _ONE, _negated)
-    return [q[k] if k % 2 == 0 else _negated(q[k]) for k in range(1, len(q))]
+    return _charpoly(grid, functools.partial(_dot_terms, n), _ONE, _negated)[1:]
 
 
 def _grid_power(grid: list[list[Terms]], k: int, n: int) -> list[list[Terms]]:
@@ -665,14 +670,214 @@ def _grid_power(grid: list[list[Terms]], k: int, n: int) -> list[list[Terms]]:
     return power
 
 
+class Flag(NamedTuple):
+    """The largest common flag space W of a square grid cJ = sum_m M_m x^m
+    of integer term dicts, as W = ker(rows).
+
+    `rows` is den times the reduced row echelon form of a basis of the
+    annihilator of W, with `pivots` its pivot columns and den > 0.  The M_m
+    map W into itself and act on it by one strictly triangular flag, so in
+    a basis that starts with a basis of W, J is block upper triangular with
+    a nilpotent first block, and its last block is the quotient
+    Q = (rows / den) * J * C, for C the unit columns at the pivots.
+    `quotient` is the grid of (den * c) * Q = rows * cJ * C: entry (r, s)
+    is the term dict of sum_m (rows[r] * M_m)[pivots[s]] x^m.
+    """
+
+    rows: Sequence[Sequence[int]]
+    den: int
+    pivots: Sequence[int]
+    quotient: list[list[Terms]]
+
+
+def _common_flag(grid: list[list[Terms]]) -> Flag:
+    """The largest common flag space of the coefficient matrices M_m of a
+    square grid cJ = sum_m M_m x^m of integer term dicts.
+
+    The greedy chain W_0 = 0, W_k = {v : M_m v in W_(k-1) for all m}
+    (Radjavi and Rosenthal, *Simultaneous Triangularization*, 2000) holds
+    every flag that is strictly triangular for all M_m; it grows until it
+    stalls at W, which is all of K^size exactly when such a full flag
+    exists.  With W_(k-1) = ker A, W_k is the kernel of the rows a * M_m
+    for a a row of A and m a monomial (`_flag_step`).  The chain starts at
+    A = I and stops at the first step that does not lower the rank.  The
+    rows a * M_m are produced one at a time, as `_flag_step` asks for them:
+    a step that stalls needs only as many as the rank.
+
+    A gate comes first: a nonsingular cJ(1, ..., 1), the sum of the M_m,
+    has no kernel vector common to every M_m, so W_1 = 0 and the chain is
+    not run.  Its determinant test is cheap beside the chain's first
+    elimination, which a typical non-nilpotent map would pay for nothing.
+    """
+    size = len(grid)
+    identity = Flag(_identity_rows(size), 1, range(size), grid)
+    if _nonsingular([[sum(terms.values()) for terms in row] for row in grid]):
+        return identity
+    # For A = I, the rows a * M_m are the rows of the M_m: row i of M_m is
+    # the coefficient of x^m in row i of cJ.
+    step = _flag_step(
+        (v for row in grid for v in _coefficient_rows(row, size).values()), size
+    )
+    if step is None:
+        return identity
+    columns: dict[int, list[list[int]]] = {}
+    for i, row in enumerate(grid):
+        for j, terms in enumerate(row):
+            for key, c in terms.items():
+                m = columns.get(key)
+                if m is None:
+                    m = columns[key] = [[0] * size for _ in range(size)]
+                m[j][i] = c
+    while True:
+        rows, den, pivots = step
+        if not rows:
+            return Flag(rows, den, pivots, [])
+        products = (
+            v
+            for a in rows
+            for cols in columns.values()
+            for v in ([sum(map(mul, a, col)) for col in cols],)
+            if any(v)
+        )
+        step = _flag_step(products, len(rows))
+        if step is None:
+            break
+    grid_columns = list(zip(*grid))
+    quotient = [[_int_combination(a, grid_columns[p]) for p in pivots] for a in rows]
+    return Flag(rows, den, pivots, quotient)
+
+
+def _coefficient_rows(row: list[Terms], size: int) -> dict[int, list[int]]:
+    """The row of term dicts as one integer vector per monomial key."""
+    out: dict[int, list[int]] = {}
+    for j, terms in enumerate(row):
+        for key, c in terms.items():
+            v = out.get(key)
+            if v is None:
+                v = out[key] = [0] * size
+            v[j] = c
+    return out
+
+
+def _int_combination(coeffs: Sequence[int], dicts: Sequence[Terms]) -> Terms:
+    """sum(a * d) over the pairs of an int and an integer term dict, as a
+    new dict without zero coefficients."""
+    out: Terms = {}
+    get = out.get
+    for a, terms in zip(coeffs, dicts):
+        if a:
+            for key, c in terms.items():
+                old = get(key)
+                out[key] = a * c if old is None else old + a * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _flag_step(
+    vectors, rank: int
+) -> tuple[list[list[int]], int, list[int]] | None:
+    """(rows, den, pivots) of the next space of `_common_flag`'s chain,
+    from the rows a * M_m of the current one, whose row space has the
+    given rank; or None when the chain stalls there.
+
+    The rows a * M_m lie in the current row space, since the chain only
+    grows, so the chain stalls as soon as `rank` of them are independent;
+    the scan stops there.  Each row is reduced, in order, against the
+    independent rows kept so far: against a kept row b with first nonzero
+    column c, a row v becomes (b[c] * v - v[c] * b) / g for g the gcd of
+    the two factors.  A row that does not vanish is kept, divided by its
+    content.  The kept rows are independent, as each is zero at the first
+    nonzero columns of the earlier ones.  The result is den times their
+    reduced row echelon form (`_rref_den`), whose den is the last pivot
+    and may be negative; rows and den are divided by their gcd, taken with
+    den's sign, so den > 0 is the lcm of the reduced form's denominators.
+    """
+    kept: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        for c, b in kept:
+            f = v[c]
+            if f:
+                p = b[c]
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                v = [p * x - f * y for x, y in zip(v, b)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
+        kept.append((lead, v))
+        if len(kept) == rank:
+            return None
+    if not kept:
+        return [], 1, []
+    rows = [v for _, v in kept]
+    den, pivots = _rref_den(rows)
+    g = gcd(den, *itertools.chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g != 1:
+        rows = [[v // g for v in row] for row in rows]
+        den //= g
+    return rows, den, pivots
+
+
+@functools.cache
+def _identity_rows(size: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+
+
+def _nonsingular(rows: list[list[int]]) -> bool:
+    """True iff the square integer matrix is nonsingular.
+
+    3x3 and 4x4 matrices take the determinant's expansion by the minors of
+    the first row and by the 2x2 minors of the first two rows (Laplace), a
+    few products where the elimination would build lists.  Any other size
+    takes fraction-free elimination (Bareiss): each step keeps the rows
+    other than the pivot row P, each replaced by
+    (P[0] * row - row[0] * P) // den without its first entry, and then
+    makes P[0] the new den; every // is exact.
+    """
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) != 0
+    if len(rows) == 4:
+        (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
+        return (
+            (a * f - b * e) * (k * p - l * o)
+            - (a * g - c * e) * (j * p - l * n)
+            + (a * h - d * e) * (j * o - k * n)
+            + (b * g - c * f) * (i * p - l * m)
+            - (b * h - d * f) * (i * o - k * m)
+            + (c * h - d * g) * (i * n - j * m)
+        ) != 0
+    den = 1
+    while rows:
+        for prow in rows:
+            if prow[0]:
+                break
+        else:
+            return False
+        p, tail = prow[0], prow[1:]
+        rows = [
+            [(p * a - f * b) // den for a, b in zip(row[1:], tail)]
+            for row in rows
+            if row is not prow
+            for f in (row[0],)
+        ]
+        den = p
+    return True
+
+
 def _charpoly(e, dot, one, negate) -> list:
-    """Coefficients of det(tI - M), highest power first, for the square grid
-    e of M's rows, by Berkowitz's recursion (see `sigma_polynomials`);
-    `dot(xs, ys)` is sum(x * y) in the ring of the entries, `one` its unit
-    and `negate` its negation.
+    """[1, sigma_1, ..., sigma_size]: the coefficients of det(tI + M),
+    highest power first, for the square grid e of M's rows, by Berkowitz's
+    recursion (see `sigma_polynomials`); `dot(xs, ys)` is sum(x * y) in the
+    ring of the entries, `one` its unit and `negate` its negation.  The
+    leading 1 is `one` itself.
     """
     size = len(e)
-    # Coefficients of det(tI - A), highest power first, for the trailing
+    # Coefficients of det(tI + A), highest power first, for the trailing
     # block A = M[k+1:, k+1:].
     q = [one]
     for k in range(size - 1, -1, -1):
@@ -680,13 +885,15 @@ def _charpoly(e, dot, one, negate) -> list:
         block = [r[k + 1:] for r in e[k + 1:]]
         col = [r[k] for r in e[k + 1:]]
         d = size - k
-        t = [one, negate(e[k][k])]
+        t = [one, e[k][k]]
         for l in range(2, d + 1):
-            t.append(negate(dot(row, col)))
+            v = dot(row, col)
+            t.append(v if l % 2 else negate(v))
             if l < d:
                 col = [dot(r, col) for r in block]
-        # Coefficient i of the product is sum_j t[i - j] * q[j].
-        q = [dot(t[i::-1], q) for i in range(d + 1)]
+        # Coefficient i of the product is sum_j t[i - j] * q[j]; the
+        # leading one is t[0] * q[0] = 1.
+        q = [one] + [dot(t[i::-1], q) for i in range(1, d + 1)]
     return q
 
 

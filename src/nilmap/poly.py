@@ -717,9 +717,11 @@ class Polynomial:
     def restrict(self, variables: Sequence[int]) -> "Polynomial":
         """Re-express in the smaller ring spanned by the given variables.
 
-        Raises if the polynomial involves any other variable.
+        Raises if the polynomial involves any other variable, or if the
+        variables are not distinct indices in 1..n.
         """
         variables = list(variables)
+        _check_positions(self.n, variables)
         allowed = set(variables)
         extra = self.variables_used() - allowed
         if extra:
@@ -734,10 +736,14 @@ class Polynomial:
         return Polynomial._trusted(m, *_reduced(out, self._den))
 
     def lift(self, n: int, positions: Sequence[int]) -> "Polynomial":
-        """Embed into an n-variable ring, sending variable k to positions[k-1]."""
+        """Embed into an n-variable ring, sending variable k to positions[k-1].
+
+        The positions must be distinct indices in 1..n.
+        """
         positions = list(positions)
         if len(positions) != self.n:
             raise DimensionMismatch("need one target position per variable")
+        _check_positions(n, positions)
         out: Terms = {}
         for key, coeff in self._terms.items():
             new = [0] * n
@@ -812,6 +818,14 @@ class Polynomial:
 def _check_index(n: int, i: int):
     if not 1 <= i <= n:
         raise ShapeError(f"variable index {i} out of range 1..{n}")
+
+
+def _check_positions(n: int, positions: list[int]):
+    """Raise ShapeError unless the positions are distinct indices in 1..n."""
+    for i in positions:
+        _check_index(n, i)
+    if len(set(positions)) != len(positions):
+        raise ShapeError(f"repeated variable index in {positions}")
 
 
 # -- univariate helpers -----------------------------------------------------

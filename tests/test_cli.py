@@ -364,14 +364,16 @@ class TestClassify:
         H = build_canonical_pair(generators.random_canonical_params(rng))
         Hc = analysis.conjugate(H, generators.random_form_a_conjugator(rng))
         f = write(tmp_path, "m.txt", format_map(Hc))
+        # Every nilpotency computation goes through `_quotient_sigma`, which
+        # takes a charpoly only of the quotient by the common flag space.
         calls = []
-        sigma = analysis._sigma_terms
+        sigma = analysis._quotient_sigma
 
         def counted(grid, n):
             calls.append(grid)
             return sigma(grid, n)
 
-        monkeypatch.setattr(analysis, "_sigma_terms", counted)
+        monkeypatch.setattr(analysis, "_quotient_sigma", counted)
         code, out, _ = run(capsys, ["classify", "-f", f, "--json"])
         assert code == 0
         assert json.loads(out)["route"] == "canonical-pair"
@@ -678,6 +680,18 @@ class TestInvertDecomposeKeller:
         assert code == 2
 
 
+def only_suite(monkeypatch, name):
+    """Replace every suite but the named one with a suite that passes at
+    once, so a test that breaks one suite does not run the other nine."""
+    from nilmap import suites
+
+    monkeypatch.setattr(
+        suites,
+        "SUITES",
+        tuple((n, f if n == name else lambda rng: {}) for n, f in suites.SUITES),
+    )
+
+
 class TestVerify:
     def test_default_seed_passes(self, capsys):
         code, out, _ = run(capsys, ["verify"])
@@ -701,6 +715,7 @@ class TestVerify:
             raise ConstructionMismatch("synthetic rebuild mismatch")
 
         monkeypatch.setattr("nilmap.tame.classify_and_decompose", boom)
+        only_suite(monkeypatch, "tame and inverse")
         code, out, err = run(capsys, ["verify"])
         assert code == 3
         assert "synthetic rebuild mismatch" in err
@@ -710,6 +725,7 @@ class TestVerify:
         monkeypatch.setattr(
             "nilmap.analysis.check_divergence_coefficients", lambda u, v: False
         )
+        only_suite(monkeypatch, "divergence coefficients")
         code, out, err = run(capsys, ["verify"])
         assert code == 3
         assert "[FAIL] divergence coefficients" in out
@@ -722,8 +738,10 @@ class TestVerify:
         import sys
 
         code = (
-            "from nilmap import analysis, cli; "
+            "from nilmap import analysis, cli, suites; "
             "analysis.check_divergence_coefficients = lambda u, v: False; "
+            "suites.SUITES = tuple((n, f if n == 'divergence coefficients' "
+            "else lambda rng: {}) for n, f in suites.SUITES); "
             "raise SystemExit(cli.run_command(['verify']))"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)

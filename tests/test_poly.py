@@ -671,6 +671,26 @@ class TestStructure:
         with pytest.raises(NilmapError):
             P("x*y").restrict([1])
 
+    def test_restrict_rejects_repeated_variables(self):
+        # x restricted to [1, 1] would be x*y in two variables.
+        with pytest.raises(NilmapError, match="repeated"):
+            P("x").restrict([1, 1])
+
+    @pytest.mark.parametrize("variables", [[0, 1], [1, 4]])
+    def test_restrict_rejects_out_of_range_variables(self, variables):
+        with pytest.raises(NilmapError, match="out of range"):
+            P("x").restrict(variables)
+
+    def test_lift_rejects_repeated_positions(self):
+        # x + 2*y lifted to [1, 1] would merge both variables into x.
+        with pytest.raises(NilmapError, match="repeated"):
+            P("x + 2*y", 2).lift(2, [1, 1])
+
+    @pytest.mark.parametrize("positions", [[0, 1], [1, 3]])
+    def test_lift_rejects_out_of_range_positions(self, positions):
+        with pytest.raises(NilmapError, match="out of range"):
+            P("x + 2*y", 2).lift(2, positions)
+
     def test_leading_term_graded_lex(self):
         p = P("x*y^2 + x^2*y + z^3")
         exps, coeff = p.leading_term()
