@@ -23,6 +23,13 @@ J(1, ..., 1) proves W = 0, and then the recursion runs on J as it is.
 Jacobians of size 3 or less skip the flag, whose chain costs more there
 than the recursion it would save.
 
+A verdict needs less than the report.  `nilpotency_witness` (behind
+`classify`) and `is_nilpotent` stop at the first nonzero sigma: the trace
+first, which refutes most non-nilpotent maps without a characteristic
+polynomial, then the quotient's.  The same quotient decides the Keller
+condition of `tame.keller_check` (`_unit_determinant`): det(I + J) is
+1 + sum_k sigma_k(J).
+
 `is_nilpotent_bruteforce` independently checks J(H)^n = 0 by exact matrix
 powering, so the two definitions guard each other in the test suite;
 `linalg.sigma_polynomials` (full Berkowitz on J) and
@@ -82,6 +89,7 @@ from .poly import (
     _combination,
     _exact,
     _reduced,
+    _scaled,
     _unit,
     _unpack,
 )
@@ -315,6 +323,23 @@ def _quotient_sigma(grid: list[list[Terms]], n: int) -> tuple[list[Terms], int]:
     return _sigma_terms(flag.quotient, n), flag.den
 
 
+def _unit_determinant(grid: list[list[Terms]], c: int, n: int) -> bool:
+    """True iff det(I + J) = 1, for J = cJ / c given by the integer grid cJ
+    of a Jacobian in n variables.
+
+    det(I + J) = 1 + sum_k sigma_k(J), and sigma_k(J) = sigma[k - 1] /
+    (d c)^k for (sigma, d) from `_quotient_sigma`, so the sum vanishes
+    exactly when the integer sum of sigma[k - 1] (d c)^(len(sigma) - k)
+    does.  When the common flag space is everything, sigma is empty and
+    no characteristic polynomial is taken.
+    """
+    sigma, d = _quotient_sigma(grid, n)
+    total: Terms = {}
+    for k, s in enumerate(sigma, 1):
+        _add_into(total, _scaled(s, (d * c) ** (len(sigma) - k)))
+    return not any(total.values())
+
+
 def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
     """All principal-minor sums sigma_1..sigma_n of J(H), from the
     characteristic polynomial of the quotient of J(H) by its common flag
@@ -332,21 +357,43 @@ def nilpotency_equations(H: PolyMap) -> NilpotencyReport:
     return NilpotencyReport(report)
 
 
-def is_nilpotent(H: PolyMap) -> bool:
-    """True iff every sigma_k of J(H) vanishes.
+def nilpotency_witness(H: PolyMap) -> tuple[int, Polynomial] | None:
+    """(k, sigma_k) for the first nonzero sigma_k of J(H), the witness of
+    `nilpotency_equations(H)`, or None when J(H) is nilpotent.
 
     The trace sigma_1 is checked first, so most non-nilpotent maps are
-    rejected without computing a characteristic polynomial; the others
-    take the one of the quotient by the common flag space.
+    refuted without a characteristic polynomial; the others take the one
+    of the quotient by the common flag space, and only the witness is
+    built as a `Polynomial`.
     """
     n = H.dimension
-    grid, _ = _jacobian_terms(H)
+    grid, c = _jacobian_terms(H)
+    found = _first_nonzero_sigma(grid, n)
+    if found is None:
+        return None
+    k, s, d = found
+    return k, Polynomial._trusted(n, *_reduced(s, (d * c) ** k))
+
+
+def _first_nonzero_sigma(
+    grid: list[list[Terms]], n: int
+) -> tuple[int, Terms, int] | None:
+    """(k, s, d) with sigma_k(cJ) = s / d^k the first nonzero sigma of the
+    integer grid cJ of a Jacobian in n variables, or None when all vanish.
+    The trace comes first, with d = 1; then `_quotient_sigma`."""
     trace: Terms = {}
     for i in range(n):
         _add_into(trace, grid[i][i])
     if any(trace.values()):
-        return False
-    return not any(_quotient_sigma(grid, n)[0])
+        return 1, trace, 1
+    sigma, d = _quotient_sigma(grid, n)
+    return next(((k, s, d) for k, s in enumerate(sigma, 1) if s), None)
+
+
+def is_nilpotent(H: PolyMap) -> bool:
+    """True iff every sigma_k of J(H) vanishes: `nilpotency_witness`
+    without the witness polynomial."""
+    return _first_nonzero_sigma(_jacobian_terms(H)[0], H.dimension) is None
 
 
 def is_nilpotent_bruteforce(H: PolyMap) -> bool:

@@ -137,9 +137,9 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_classify(args) -> int:
     H = _read_map(args)
-    report = analysis.nilpotency_equations(H)
-    if not report.nilpotent:
-        k, s = report.witness
+    witness = analysis.nilpotency_witness(H)
+    if witness is not None:
+        k, s = witness
         _emit(
             args,
             lambda: {

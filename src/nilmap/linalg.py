@@ -41,7 +41,10 @@ that recursion.
 `_common_flag` finds, on such a grid cJ = sum_m M_m x^m, the largest
 subspace on which all the constant matrices M_m act by one strictly
 triangular flag, and the block of cJ on the quotient by it.  It is exact
-linear algebra on the M_m, by `_rref_den`; `analysis` takes the
+linear algebra on the M_m without building them: the rows a * M_m of
+every monomial m come from one pass over the grid's terms in the rows
+i with a[i] != 0, each step keeps only independent integer rows, and
+`_rref_den` runs once, on the last space.  `analysis` takes the
 characteristic polynomial of that block only.  `sigma_polynomials`,
 `poly_det` and `principal_minor_sum` do not use it.
 """
@@ -700,9 +703,13 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     stalls at W, which is all of K^size exactly when such a full flag
     exists.  With W_(k-1) = ker A, W_k is the kernel of the rows a * M_m
     for a a row of A and m a monomial (`_flag_step`).  The chain starts at
-    A = I and stops at the first step that does not lower the rank.  The
-    rows a * M_m are produced one at a time, as `_flag_step` asks for them:
-    a step that stalls needs only as many as the rank.
+    A = I and stops at the first step that does not lower the rank.  Any
+    basis of the annihilator of W_(k-1) serves as A, so a step goes on from
+    the independent rows the previous one kept, and only the rows of the
+    last step before the stall are put in reduced row echelon form, once.
+    The rows a * M_m are produced one row a at a time (`_row_products`),
+    as `_flag_step` asks for them: a step that stalls needs only as many
+    as the rank.
 
     A gate comes first: a nonsingular cJ(1, ..., 1), the sum of the M_m,
     has no kernel vector common to every M_m, so W_1 = 0 and the chain is
@@ -713,50 +720,50 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     identity = Flag(_identity_rows(size), 1, range(size), grid)
     if _nonsingular([[sum(terms.values()) for terms in row] for row in grid]):
         return identity
-    # For A = I, the rows a * M_m are the rows of the M_m: row i of M_m is
-    # the coefficient of x^m in row i of cJ.
-    step = _flag_step(
-        (v for row in grid for v in _coefficient_rows(row, size).values()), size
-    )
-    if step is None:
+    terms = [
+        [(key, j, c) for j, entry in enumerate(row) for key, c in entry.items()]
+        for row in grid
+    ]
+    rows = _flag_step(_row_products(_identity_rows(size), terms, size), size)
+    if rows is None:
         return identity
-    columns: dict[int, list[list[int]]] = {}
-    for i, row in enumerate(grid):
-        for j, terms in enumerate(row):
-            for key, c in terms.items():
-                m = columns.get(key)
-                if m is None:
-                    m = columns[key] = [[0] * size for _ in range(size)]
-                m[j][i] = c
-    while True:
-        rows, den, pivots = step
-        if not rows:
-            return Flag(rows, den, pivots, [])
-        products = (
-            v
-            for a in rows
-            for cols in columns.values()
-            for v in ([sum(map(mul, a, col)) for col in cols],)
-            if any(v)
-        )
-        step = _flag_step(products, len(rows))
+    while rows:
+        step = _flag_step(_row_products(rows, terms, size), len(rows))
         if step is None:
             break
+        rows = step
+    else:
+        return Flag([], 1, [], [])
+    # den times the reduced form, whose den is the last pivot and may be
+    # negative: rows and den are divided by their gcd, taken with den's
+    # sign, so den > 0 is the lcm of the reduced form's denominators.
+    den, pivots = _rref_den(rows)
+    g = gcd(den, *itertools.chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g != 1:
+        rows = [[v // g for v in row] for row in rows]
+        den //= g
     grid_columns = list(zip(*grid))
     quotient = [[_int_combination(a, grid_columns[p]) for p in pivots] for a in rows]
     return Flag(rows, den, pivots, quotient)
 
 
-def _coefficient_rows(row: list[Terms], size: int) -> dict[int, list[int]]:
-    """The row of term dicts as one integer vector per monomial key."""
-    out: dict[int, list[int]] = {}
-    for j, terms in enumerate(row):
-        for key, c in terms.items():
-            v = out.get(key)
-            if v is None:
-                v = out[key] = [0] * size
-            v[j] = c
-    return out
+def _row_products(rows, terms: list[list[tuple[int, int, int]]], size: int):
+    """Yield the nonzero rows a * M_m for each row a in turn, where
+    terms[i] holds (key, j, c) for the terms c x^key of entry (i, j) of
+    cJ: one pass over the terms of the grid rows i with a[i] != 0 gives
+    a * M_m for every monomial m at once."""
+    for a in rows:
+        out: dict[int, list[int]] = {}
+        for f, row in zip(a, terms):
+            if f:
+                for key, j, c in row:
+                    v = out.get(key)
+                    if v is None:
+                        v = out[key] = [0] * size
+                    v[j] += f * c
+        yield from (v for v in out.values() if any(v))
 
 
 def _int_combination(coeffs: Sequence[int], dicts: Sequence[Terms]) -> Terms:
@@ -772,10 +779,8 @@ def _int_combination(coeffs: Sequence[int], dicts: Sequence[Terms]) -> Terms:
     return {key: c for key, c in out.items() if c}
 
 
-def _flag_step(
-    vectors, rank: int
-) -> tuple[list[list[int]], int, list[int]] | None:
-    """(rows, den, pivots) of the next space of `_common_flag`'s chain,
+def _flag_step(vectors, rank: int) -> list[list[int]] | None:
+    """Independent rows spanning the next space of `_common_flag`'s chain,
     from the rows a * M_m of the current one, whose row space has the
     given rank; or None when the chain stalls there.
 
@@ -786,10 +791,7 @@ def _flag_step(
     column c, a row v becomes (b[c] * v - v[c] * b) / g for g the gcd of
     the two factors.  A row that does not vanish is kept, divided by its
     content.  The kept rows are independent, as each is zero at the first
-    nonzero columns of the earlier ones.  The result is den times their
-    reduced row echelon form (`_rref_den`), whose den is the last pivot
-    and may be negative; rows and den are divided by their gcd, taken with
-    den's sign, so den > 0 is the lcm of the reduced form's denominators.
+    nonzero columns of the earlier ones.
     """
     kept: list[tuple[int, list[int]]] = []
     for v in vectors:
@@ -809,17 +811,7 @@ def _flag_step(
         kept.append((lead, v))
         if len(kept) == rank:
             return None
-    if not kept:
-        return [], 1, []
-    rows = [v for _, v in kept]
-    den, pivots = _rref_den(rows)
-    g = gcd(den, *itertools.chain.from_iterable(rows))
-    if den < 0:
-        g = -g
-    if g != 1:
-        rows = [[v // g for v in row] for row in rows]
-        den //= g
-    return rows, den, pivots
+    return [v for _, v in kept]
 
 
 @functools.cache

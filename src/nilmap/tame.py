@@ -14,13 +14,15 @@ A polynomial automorphism has a nonzero constant Jacobian determinant, so
 at the probe point of `analysis.is_nilpotent_bruteforce`: a zero at the
 origin, or two different values, proves that F is not invertible.  Both
 determinants are numbers, taken by `RationalMatrix.det`, the Berkowitz
-recursion of `poly_det` run on the entries themselves.  The symbolic
-determinant of `keller_check` is sigma_n of the same recursion run on the
-integer term dicts of cJF (`linalg._sigma_terms`), c the lcm of the
-denominators of F's components, which are stored as integer numerators
-over one denominator; c^n det JF is constant exactly when det JF is.  The inverse
-iteration runs on A^-1 o F, where A = JF(0), so that its linear part is
-the identity; the inverse of F is its inverse followed by A^-1.
+recursion of `poly_det` run on the entries themselves.  Both symbolic
+steps work on A^-1 o F = x + H', where A = JF(0), so that the linear
+part is the identity.  `keller_check` decides det(I + JH') = 1, which
+holds exactly when det JF = det A * det(I + JH') is constant, since JH'
+vanishes at the origin; it takes the sigma of JH' on the quotient by its
+common flag space (`analysis._unit_determinant`), so on the paper's
+second family, whose flag is everything, no characteristic polynomial is
+taken.  The inverse iteration finds the inverse of A^-1 o F; the inverse
+of F is that followed by A^-1.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ import graphlib
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .analysis import _jacobian_at, _jacobian_terms, _probe_point, conjugate
+from .analysis import (
+    _jacobian_at,
+    _jacobian_terms,
+    _probe_point,
+    _unit_determinant,
+    conjugate,
+)
 from .errors import (
     ConstructionMismatch,
     DimensionMismatch,
@@ -40,11 +48,10 @@ from .errors import (
 from .linalg import (
     LinearMap,
     RationalMatrix,
-    _sigma_terms,
     coefficient_kernel,
     row_conjugator,
 )
-from .poly import Polynomial, PolyMap
+from .poly import Polynomial, PolyMap, _combination
 
 Factor = Union["ElementaryMap", LinearMap]
 
@@ -165,15 +172,20 @@ def keller_check(F: PolyMap) -> bool:
     """True iff the Jacobian determinant is a nonzero constant.
 
     det JF is first compared at the origin and at the probe point; only a
-    determinant that is nonzero and agrees there is computed symbolically,
-    as sigma_n of the characteristic polynomial of JF on its term dicts
-    (`linalg._sigma_terms`, which runs on the integer grid cJF).
+    determinant that is nonzero and agrees there is decided symbolically.
+    With A = JF(0) and A^-1 F = x + H', det JF = det A * det(I + JH'), and
+    JH' vanishes at the origin, so det JF is constant exactly when
+    det(I + JH') = 1 (`analysis._unit_determinant`, on the quotient of
+    JH' by its common flag space).
     """
     n = F.dimension
-    if _keller_refuted(F, _jacobian_at(F, (0,) * n)):
+    linear = _jacobian_at(F, (0,) * n)
+    if _keller_refuted(F, linear):
         return False
-    grid, _ = _jacobian_terms(F)
-    return _sigma_terms(grid, n)[-1].keys() == {0}
+    shifted = PolyMap(
+        [_combination(n, row, F.components) for row in linear.inverse().entries]
+    ) - PolyMap.identity(n)
+    return _unit_determinant(*_jacobian_terms(shifted), n)
 
 
 def _shift_part(F: PolyMap) -> PolyMap:

@@ -21,6 +21,7 @@ from nilmap import (
     jacobian,
     linear_dependence,
     nilpotency_equations,
+    nilpotency_witness,
     parse_map,
     parse_polynomial,
     poly_matrix_rank,
@@ -118,6 +119,48 @@ class TestNilpotency:
         doc = nilpotency_equations(parse_map("x; y")).to_json()
         assert doc["nilpotent"] is False
         assert doc["witness"]["k"] == 1
+
+    def test_witness_matches_the_report(self):
+        rng = random.Random(77)
+        maps = [parse_map(t) for t in ("x; y", "y^2; x; w; 0", "z^2; x*z; 0")]
+        for _ in range(30):
+            n = rng.choice([3, 4])
+            T = generators.random_invertible(rng, n)
+            maps.append(generators.random_map(rng, n, 2, terms=3))
+            maps.append(conjugate(generators.random_generalized(rng, n).map, T))
+            maps.append(conjugate(generators.random_nilpotent_map(rng, n), T))
+        maps += [conjugate(maps[1], generators.random_invertible(rng, 4)) for _ in range(5)]
+        assert any(nilpotency_witness(H) is None for H in maps)
+        assert any((nilpotency_witness(H) or (1,))[0] > 1 for H in maps)
+        for H in maps:
+            assert nilpotency_witness(H) == nilpotency_equations(H).witness
+            assert is_nilpotent(H) == (nilpotency_witness(H) is None)
+
+    def test_nonzero_trace_takes_no_quotient(self, monkeypatch):
+        def broken(grid, n):
+            raise AssertionError("a characteristic polynomial was taken")
+
+        monkeypatch.setattr(analysis, "_quotient_sigma", broken)
+        H = parse_map("x*y; y^2 + z; w; x")
+        assert nilpotency_witness(H) == (1, parse_polynomial("3*y", 4))
+        assert not is_nilpotent(H)
+
+    def test_zero_trace_witness_comes_from_the_quotient(self, monkeypatch):
+        # sigma_1 = 0 and sigma_2 = -2*y; W = span(e3, e4), so the quotient
+        # has size 2.
+        H = parse_map("y^2; x; w; 0")
+        calls = []
+        quotient_sigma = analysis._quotient_sigma
+
+        def counted(grid, n):
+            calls.append(len(grid))
+            return quotient_sigma(grid, n)
+
+        monkeypatch.setattr(analysis, "_quotient_sigma", counted)
+        assert nilpotency_witness(H) == (2, parse_polynomial("-2*y", 4))
+        assert nilpotency_equations(H).witness == (2, parse_polynomial("-2*y", 4))
+        assert not is_nilpotent(H)
+        assert calls == [4, 4, 4]
 
     def test_oracles_agree_on_random_maps(self):
         rng = random.Random(2024)

@@ -353,6 +353,35 @@ class TestClassify:
         code, out, _ = run(capsys, ["depend", "-f", f])
         assert (code, out) == (1, "independent\n")
 
+    @pytest.mark.parametrize(
+        "text", ["x; y; 0", "x*y; y^2 + z; w; x", "y^2; x; w; 0", "1/2*x; 1/3*y + x^2"]
+    )
+    def test_not_nilpotent_prints_the_reports_witness(
+        self, tmp_path, capsys, monkeypatch, text
+    ):
+        from nilmap import analysis
+
+        f = write(tmp_path, "m.txt", text)
+        code, out, _ = run(capsys, ["nilpotent", "-f", f, "--json"])
+        witness = json.loads(out)["witness"]
+        calls = []
+        sigma = analysis._quotient_sigma
+
+        def counted(grid, n):
+            calls.append(grid)
+            return sigma(grid, n)
+
+        monkeypatch.setattr(analysis, "_quotient_sigma", counted)
+        code, out, _ = run(capsys, ["classify", "-f", f, "--json"])
+        assert code == 1
+        assert json.loads(out) == {"nilpotent": False, "witness": witness}
+        code, out, _ = run(capsys, ["classify", "-f", f])
+        assert (code, out) == (
+            1, f"not nilpotent: sigma_{witness['k']} = {witness['sigma_k']}\n"
+        )
+        # Only a zero trace takes a characteristic polynomial.
+        assert len(calls) == 2 * (witness["k"] > 1)
+
     def test_canonical_pair_takes_two_charpolys(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -5,6 +5,8 @@ polynomial of the quotient of J(H) by its largest common flag space W
 (`linalg._common_flag`), with sigma_k = 0 for k > n - dim W.  Every sigma
 must equal full Berkowitz on J(H) (`linalg.sigma_polynomials`), which stays
 the independent reference, as do the J^n oracle and the enumerated minors.
+The flag itself must equal the one of the dense chain in
+`reference_flag.py`.
 """
 
 import random
@@ -27,6 +29,7 @@ from nilmap import analysis, generators, linalg
 from nilmap.classify import build_canonical_pair
 from nilmap.linalg import RationalMatrix, _common_flag, _nonsingular, poly_det
 from nilmap.parsing import format_map, format_polynomial
+from reference_flag import reference_common_flag
 
 
 FLAG_MIN_SIZE = analysis._FLAG_MIN_SIZE
@@ -235,6 +238,71 @@ class TestFlagInvariants:
                     for key, c in grid[i][p].items():
                         want[key] = want.get(key, 0) + a * c
                 assert flag.quotient[r][s] == {k: c for k, c in want.items() if c}
+
+
+def flag_key(flag):
+    return ([list(r) for r in flag.rows], flag.den, list(flag.pivots), flag.quotient)
+
+
+def random_generalized(rng):
+    # Rows 3..n use only x1 and x2, so J(1, ..., 1) is singular from n = 5
+    # on, and the chain runs, often to W = 0.
+    return generators.random_generalized(rng, rng.choice([3, 4, 5, 6])).map
+
+
+class TestReferenceChain:
+    def test_same_flag_as_the_dense_chain(self):
+        rng = random.Random(17)
+        kinds = {"w = 0 after the chain": 0, "0 < w < n": 0, "w = n": 0}
+        for i in range(360):
+            name = sorted(GENERATORS)[i // 2 % len(GENERATORS)]
+            H = (GENERATORS[name] if i % 2 else random_generalized)(rng)
+            if i % 3 == 1:
+                H = perturbed(H)
+            if i % 4:
+                H = conjugate(H, generators.random_invertible(rng, H.dimension))
+            grid, _ = analysis._jacobian_terms(H)
+            flag = _common_flag(grid)
+            assert flag_key(flag) == flag_key(reference_common_flag(grid)), (name, i)
+            n, w = len(grid), len(grid) - len(flag.rows)
+            if w == n:
+                kinds["w = n"] += 1
+            elif w:
+                kinds["0 < w < n"] += 1
+            elif not _nonsingular([[sum(t.values()) for t in row] for row in grid]):
+                kinds["w = 0 after the chain"] += 1
+        assert min(kinds.values()) >= 40, kinds
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        rref_den = linalg._rref_den
+
+        def counted(work):
+            calls.append(len(work))
+            return rref_den(work)
+
+        monkeypatch.setattr(linalg, "_rref_den", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_full_flag_takes_no_echelon_form(self, n, eliminations):
+        H = coupled(n)
+        eliminations.clear()
+        assert flag_of(H).rows == []
+        assert eliminations == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_echelon_form_once_on_the_last_space(self, seed, eliminations):
+        # W = span(e1, e2, e3) before conjugating: the chain lowers the
+        # rank 5 -> 4 -> 3 -> 2 and stalls, and only the last rows are
+        # put in reduced form.
+        H = parse_map("x2^2; x3^2; 0; x4*x5; x4^2")
+        H = conjugate(H, generators.random_invertible(random.Random(seed), 5))
+        eliminations.clear()
+        assert len(flag_of(H).rows) == 2
+        assert eliminations == [2]
+        assert_matches_berkowitz(H)
 
 
 class TestGate:

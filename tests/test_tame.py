@@ -23,7 +23,7 @@ from nilmap import (
     poly_det,
     tame_decompose,
 )
-from nilmap import generators, tame
+from nilmap import analysis, generators, linalg, tame
 from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
 
 # det JF is -6 at the origin and 32,496 at the probe point (2, -3, 5); the
@@ -145,6 +145,103 @@ class TestKellerRefutation:
             assert keller_check(F)
             G = formal_inverse(F)
             assert G is not None and F.compose(G).is_identity()
+
+
+def coupled_shift(n, seed, perturb=False):
+    """x + H for the paper's second family H in general position; with
+    x1*x2 added to H_1 when perturbed."""
+    H = generators.nilpotent_generalized_coupled(random.Random(seed), n).map
+    if perturb:
+        x1, x2 = Polynomial.variable(n, 1), Polynomial.variable(n, 2)
+        H = PolyMap([H[0] + x1 * x2, *list(H)[1:]])
+    H = conjugate(H, generators.random_invertible(random.Random(seed + 1), n))
+    return PolyMap.identity(n) + H
+
+
+def det_is_nonzero_constant(F):
+    det = poly_det(jacobian(F))
+    return det.is_constant() and not det.is_zero()
+
+
+class TestKellerOnTheQuotient:
+    """keller_check decides det(I + JH') = 1 for A^-1 F = x + H' on the
+    quotient of JH' by its common flag space; poly_det (full Berkowitz on
+    JF) is the reference."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_the_determinant(self, n):
+        rng = random.Random(700 + n)
+        for seed in range(4):
+            maps = [coupled_shift(n, seed), coupled_shift(n, seed, perturb=True)]
+            # A != I: a linear map after F, and rational coefficients.
+            L = generators.random_invertible(rng, n).as_poly_map()
+            scale = PolyMap([
+                Polynomial.variable(n, i).scale(f"{rng.randint(1, 5)}/{rng.randint(1, 7)}")
+                for i in range(1, n + 1)
+            ])
+            maps += [L.compose(F) for F in maps[:2]] + [scale.compose(F) for F in maps[:2]]
+            for F in maps:
+                assert keller_check(F) == det_is_nonzero_constant(F)
+            assert keller_check(maps[0]) and keller_check(maps[2])
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_keller_maps_whose_sigma_do_not_vanish(self, n):
+        # A composite of two triangular maps with rational coefficients in
+        # x1, x2, and a nilpotent block on x3..xn: det(I + JH') = 1 while
+        # sigma_1 and sigma_2 of JH' do not vanish, so every sigma_k must
+        # be weighted by the right power of d c for the sum to cancel.
+        names = [f"x{i}" for i in range(1, n + 1)]
+        text = "; ".join(
+            ["x1 + 1/2*(x2 + 1/3*x1^2)^2", "x2 + 1/3*x1^2"]
+            + [f"{v} + x1*{w} + 1/5*x2^2" for v, w in zip(names[2:], names[3:])]
+            + [f"{names[-1]} + x1^2"]
+        )
+        rng = random.Random(n)
+        for _ in range(3):
+            F = conjugate(parse_map(text), generators.random_invertible(rng, n))
+            assert not analysis.nilpotency_equations(F - PolyMap.identity(n)).nilpotent
+            # Keller by construction; poly_det takes seconds from n = 5 on.
+            assert keller_check(F)
+            if n == 4:
+                assert det_is_nonzero_constant(F)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("linear", ["x1", "2*x1", "-1/3*x1 + x2"])
+    def test_points_agree_but_the_determinant_is_not_constant(self, n, linear):
+        # det JF = a + 2 x1 (x2 + 3) for a = det JF(0), the coefficient of
+        # x1 in F_1: equal at the origin and at the probe point, where
+        # x2 = -3, so only the symbolic check refutes it.
+        names = [f"x{i}" for i in range(1, n + 1)]
+        text = "; ".join(
+            [f"{linear} + x1^2*(x2 + 3) + x3^2"]
+            + [f"{v} + {w}^2" for v, w in zip(names[1:], names[2:])]
+            + [names[-1]]
+        )
+        F = parse_map(text)
+        assert det_at(F, (0,) * n) == det_at(F, _probe_point(n)) != 0
+        assert not det_is_nonzero_constant(F)
+        assert not keller_check(F)
+        G = PolyMap([F[0] - parse_polynomial("x1^2*(x2 + 3)", n), *list(F)[1:]])
+        assert keller_check(G) and det_is_nonzero_constant(G)
+
+    def test_full_flag_takes_no_characteristic_polynomial(self, monkeypatch):
+        # On the paper's family at n = 8 the common flag of JH' is all of
+        # K^8, so no sigma of positive size is computed.
+        n = 8
+        F = coupled_shift(n, 1)
+        sizes = []
+
+        def counted(sigma_terms):
+            def wrapper(grid, n):
+                sizes.append(len(grid))
+                return sigma_terms(grid, n)
+
+            return wrapper
+
+        monkeypatch.setattr(analysis, "_sigma_terms", counted(analysis._sigma_terms))
+        monkeypatch.setattr(linalg, "_sigma_terms", counted(linalg._sigma_terms))
+        assert keller_check(F)
+        assert sizes == [0]
 
 
 class TestFormalInverse:
