@@ -32,11 +32,10 @@ condition of `tame.keller_check` (`_unit_determinant`): det(I + J) is
 
 `is_nilpotent_bruteforce` independently checks J(H)^n = 0 by exact matrix
 powering, so the two definitions guard each other in the test suite;
-`linalg.sigma_polynomials` (full Berkowitz on J) and
-`linalg.principal_minor_sum`, which enumerates the C(n,k) minors
-explicitly, are further oracles for the sigma polynomials themselves.  None
-of the three reads the flag, so a fault in the flag cannot hide behind an
-oracle that shares it.
+`linalg.sigma_polynomials` (full Berkowitz on J) is a further oracle for
+the sigma polynomials themselves, and the test suite enumerates the
+C(n,k) minors explicitly.  None of them reads the flag, so a fault in the
+flag cannot hide behind an oracle that shares it.
 
 Both the report and the J^n oracle work on term dicts, not on polynomial
 objects.
@@ -168,35 +167,6 @@ class DependenceCertificate:
 
     def __repr__(self):
         return f"DependenceCertificate({[str(c) for c in self.coefficients]})"
-
-
-class CoefficientSystem:
-    """Equations obtained by comparing coefficients of powers of one variable."""
-
-    __slots__ = ("variable", "equations")
-
-    def __init__(self, variable: int, equations: Sequence[Polynomial]):
-        for eq in equations:
-            if variable in eq.variables_used():
-                raise ShapeError(
-                    f"equation still involves variable {variable}"
-                )
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "equations", tuple(equations))
-
-    def __setattr__(self, *args):
-        raise AttributeError("CoefficientSystem instances are immutable")
-
-    def all_zero(self) -> bool:
-        return all(eq.is_zero() for eq in self.equations)
-
-    def to_json(self) -> dict:
-        from .parsing import format_polynomial
-
-        return {
-            "variable": self.variable,
-            "equations": [format_polynomial(eq) for eq in self.equations],
-        }
 
 
 def jacobian(H: PolyMap) -> PolyMatrix:
@@ -449,16 +419,6 @@ def linear_dependence(
     if vector is None:
         return None
     return DependenceCertificate(vector)
-
-
-def coefficient_system(
-    source: Sequence[Polynomial], i: int
-) -> CoefficientSystem:
-    """Expand each source identity into coefficients of powers of x_i."""
-    equations: list[Polynomial] = []
-    for p in source:
-        equations.extend(p.coefficients_in(i))
-    return CoefficientSystem(i, equations)
 
 
 def check_divergence_coefficients(

@@ -21,7 +21,6 @@ or a genuine counterexample, never routine bad input.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
 from .analysis import (
@@ -45,6 +44,7 @@ from .linalg import (
     elementary_row_add,
     row_conjugator,
 )
+from .parsing import map_to_document
 from .poly import (
     Polynomial,
     PolyMap,
@@ -54,18 +54,6 @@ from .poly import (
     _split_off,
     _unit,
 )
-
-
-class ReductionStatus(enum.Enum):
-    """Terminal states of the reduction pipelines."""
-
-    EXTERNAL_FORM_REACHED = "external-form-reached"
-
-
-def _instance_doc(H: PolyMap) -> dict:
-    from .parsing import map_to_document
-
-    return map_to_document(H)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +150,8 @@ def build_canonical_pair(params: CanonicalFormA) -> PolyMap:
     H = PolyMap([a2 * hw + c1, -a1 * hw + c2, Polynomial.zero(3)])
     if not is_nilpotent(H):
         raise ConstructionMismatch(
-            "canonical pair construction produced a non-nilpotent map"
+            "canonical pair construction produced a non-nilpotent map",
+            map_to_document(H),
         )
     return H
 
@@ -185,7 +174,7 @@ def certify_dependence(H: FormAInstance) -> DependenceCertificate:
     if cert is None:
         raise TheoremViolation(
             "components are linearly independent despite guaranteed dependence",
-            _instance_doc(H.map),
+            map_to_document(H.map),
         )
     return cert
 
@@ -223,10 +212,11 @@ def recognize_canonical_pair(
     if not basis:
         raise TheoremViolation(
             "components are linearly independent despite guaranteed dependence",
-            _instance_doc(H),
+            map_to_document(H),
         )
     raise ConstructionMismatch(
-        "no dependence certificate yielded an exact canonical rebuild"
+        "no dependence certificate yielded an exact canonical rebuild",
+        map_to_document(H),
     )
 
 
@@ -329,7 +319,7 @@ def triangularize_top_coefficients(H: PolyMap) -> tuple[LinearMap, PolyMap]:
     if not basis:
         raise TheoremViolation(
             "nilpotent top coefficients without a constant gradient direction",
-            _instance_doc(H),
+            map_to_document(H),
         )
     l1, l2 = basis[0]
     T = row_conjugator([l2, -l1, 0], 2)
@@ -345,7 +335,7 @@ def _z_coefficient(p: Polynomial, d: int) -> Polynomial:
 
 def normalize_low_z_degree(
     H: FormAInstance,
-) -> tuple[LinearMap, PolyMap, ReductionStatus]:
+) -> tuple[LinearMap, PolyMap]:
     """Reduce a z-degree-at-most-1 instance to the shape (u, v(x,y), h(x,y)).
 
     Preconditions: nilpotent Jacobian, linearly independent components.
@@ -366,11 +356,7 @@ def normalize_low_z_degree(
         )
     d = max(u.degree_in(3), v.degree_in(3))
     if d < 1:
-        return (
-            LinearMap.identity(3),
-            H.map,
-            ReductionStatus.EXTERNAL_FORM_REACHED,
-        )
+        return LinearMap.identity(3), H.map
     try:
         T1, H1 = triangularize_top_coefficients(H.map)
     except NotNilpotentTop as exc:
@@ -379,7 +365,7 @@ def normalize_low_z_degree(
         # of sigma_2 its determinant; both vanish, H being nilpotent.
         raise TheoremViolation(
             "a nilpotent map has a non-nilpotent top coefficient pair",
-            _instance_doc(H.map),
+            map_to_document(H.map),
         ) from exc
     u1 = _z_coefficient(H1.components[0], 1)
     v1 = _z_coefficient(H1.components[1], 1)
@@ -393,15 +379,15 @@ def normalize_low_z_degree(
         else:
             T2 = row_conjugator([v1c, -u1c, 0], 2)
         T = T1 * T2
-        return T, conjugate(H1, T2), ReductionStatus.EXTERNAL_FORM_REACHED
+        return T, conjugate(H1, T2)
     if v1.is_zero():
-        return T1, H1, ReductionStatus.EXTERNAL_FORM_REACHED
+        return T1, H1
     # u1 genuinely depends on y and v1 is a nonzero constant: the
     # nilpotency coefficient equations then force v0 and h free of x,
     # which collapses to linear dependence -- impossible here.
     raise TheoremViolation(
         "reduction reached the provably impossible branch",
-        _instance_doc(H.map),
+        map_to_document(H.map),
     )
 
 
@@ -478,9 +464,7 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
     higher principal-minor sums vanish identically for this shape (this
     is asserted, not assumed).  The assertion takes sigma_5..sigma_n from
     the characteristic polynomial of the Jacobian, computed by Berkowitz's
-    division-free recursion (`linalg.sigma_polynomials`);
-    `linalg.principal_minor_sum` enumerates the minors explicitly and is
-    kept as the test oracle for it.
+    division-free recursion (`linalg.sigma_polynomials`).
     """
     from .linalg import sigma_polynomials
     from .analysis import jacobian
@@ -508,7 +492,8 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
         for k in range(5, n + 1):
             if not sigma[k - 1].is_zero():
                 raise ConstructionMismatch(
-                    f"principal minor sum of size {k} is nonzero for this shape"
+                    f"principal minor sum of size {k} is nonzero for this shape",
+                    map_to_document(m),
                 )
     return [e1, e2, e3, e4]
 
@@ -530,21 +515,21 @@ def leading_part_degree(H: GeneralizedFormB) -> int:
     if d > 1:
         raise TheoremViolation(
             f"leading part of H_1 has degree {d} > 1 in x3..xn",
-            _instance_doc(H.map),
+            map_to_document(H.map),
         )
     if d == 1:
         lead = parts[1]
         if lead.variables_used() & {1, 2}:
             raise TheoremViolation(
                 "degree-1 leading part of H_1 has non-constant coefficients",
-                _instance_doc(H.map),
+                map_to_document(H.map),
             )
     return d
 
 
 def reduce_generalized(
     H: GeneralizedFormB,
-) -> tuple[LinearMap, PolyMap, ReductionStatus]:
+) -> tuple[LinearMap, PolyMap]:
     """One elementary conjugation bringing H to the external classified form.
 
     Requires the narrower shape with H_2 free of x1, and linearly
@@ -560,39 +545,35 @@ def reduce_generalized(
     if all(bi == 0 for bi in H.b):
         if linear_dependence(H.map.components) is not None:
             raise PreconditionError("components must be linearly independent")
-        return (
-            LinearMap.identity(n),
-            H.map,
-            ReductionStatus.EXTERNAL_FORM_REACHED,
-        )
+        return LinearMap.identity(n), H.map
     # leading_part_degree checks independence and nilpotency.
     d = leading_part_degree(H)
     if d == 0:
         T = elementary_permutation(n, 1, 2)
-        return T, conjugate(H.map, T), ReductionStatus.EXTERNAL_FORM_REACHED
+        return T, conjugate(H.map, T)
     a = H.linear_tail_coefficients()
     h1, h2 = _tail_sum(H, a), _tail_sum(H, H.b)
     cert = linear_dependence([h1, h2])
     if cert is None or cert.coefficients[1] == 0:
         raise TheoremViolation(
             "h2 is not proportional to h1 despite the guaranteed ratio",
-            _instance_doc(H.map),
+            map_to_document(H.map),
         )
     l1, l2 = cert.coefficients
     c = -l1 / l2
     if not (h2 - h1.scale(c)).is_zero():
         raise TheoremViolation(
             "h2 differs from c*h1 for the computed ratio",
-            _instance_doc(H.map),
+            map_to_document(H.map),
         )
     for ai, bi in zip(a, H.b):
         if bi != c * ai:
             raise TheoremViolation(
                 "linear coefficients of H_1 and H_2 are not aligned by c",
-                _instance_doc(H.map),
+                map_to_document(H.map),
             )
     T = elementary_row_add(n, 1, c, 2)
-    return T, conjugate(H.map, T), ReductionStatus.EXTERNAL_FORM_REACHED
+    return T, conjugate(H.map, T)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +643,8 @@ def reduce_4d(H: GeneralizedFormB) -> ReducedForm4D:
     reduced = ReducedForm4D(*parts)
     if is_nilpotent(reduced.realize()) != is_nilpotent(H.map):
         raise ConstructionMismatch(
-            "four-variable core disagrees with the input on nilpotency"
+            "four-variable core disagrees with the input on nilpotency",
+            map_to_document(H.map),
         )
     return reduced
 
@@ -683,10 +665,12 @@ def split_dependent_4d(
     T1 = elementary_row_add(4, 3, lam, 4)
     T2 = elementary_row_add(4, 1, lam, 2)
     T = T1 * T2
-    result = conjugate(h.realize(), T)
+    realized = h.realize()
+    result = conjugate(realized, T)
     if not result.components[3].is_zero():
         raise ConstructionMismatch(
-            "fourth component of the split map is nonzero"
+            "fourth component of the split map is nonzero",
+            map_to_document(realized),
         )
     return T, result
 

@@ -16,14 +16,13 @@ from typing import Callable
 
 from . import analysis, classify, tame
 from .errors import (
-    ConstructionMismatch,
+    GuaranteeError,
     NilmapError,
     NotTriangularizable,
     ParseError,
     PreconditionError,
     ResultTooLarge,
     ShapeError,
-    TheoremViolation,
 )
 from .linalg import LinearMap, RationalMatrix, poly_matrix_rank
 from .parsing import (
@@ -171,7 +170,7 @@ def _cmd_classify(args) -> int:
     )
     for route, verb, attempt in routes:
         try:
-            T, reduced, status = attempt()
+            T, reduced = attempt()
         except (ShapeError, PreconditionError):
             continue  # this route does not apply to H
         _emit(
@@ -180,10 +179,10 @@ def _cmd_classify(args) -> int:
                 "nilpotent": True,
                 "route": route,
                 "T": T.matrix.to_json(),
-                "status": status.value,
+                "status": "external-form-reached",
                 "map": map_to_document(reduced),
             },
-            lambda: f"{verb}: {status.value}",
+            lambda: f"{verb}: external-form-reached",
         )
         return EXIT_OK
     _emit(
@@ -251,7 +250,7 @@ def _cmd_keller4d(args) -> int:
     parts = [p for p in _read_text(args.file).split(";") if p.strip()]
     if len(parts) != 4:
         raise ParseError(f"expected 4 components, found {len(parts)}")
-    polys = [parse_polynomial(p, 2, aliases=args.var_alias[:2]) for p in parts]
+    polys = [parse_polynomial(p, 2, aliases=args.var_alias) for p in parts]
     h = classify.ReducedForm4D(*polys)
     keller = classify.keller_parameterized_check(h)
     nilp = analysis.is_nilpotent(h.realize())
@@ -271,7 +270,7 @@ def _cmd_verify(args) -> int:
         result = {"name": name, "passed": True, "detail": "", "counts": {}}
         try:
             result["counts"] = suites.run(index, args.seed)
-        except (TheoremViolation, ConstructionMismatch):
+        except GuaranteeError:
             raise
         except (AssertionError, NilmapError) as exc:
             result.update(passed=False, detail=str(exc))
@@ -341,7 +340,7 @@ def run_command(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (TheoremViolation, ConstructionMismatch) as exc:
+    except GuaranteeError as exc:
         print(f"guarantee violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (NilmapError, OSError, json.JSONDecodeError, KeyError) as exc:

@@ -43,7 +43,25 @@ class NotTriangularizable(NilmapError):
     """No variable ordering makes the map's dependency graph acyclic."""
 
 
-class ConstructionMismatch(NilmapError):
+class GuaranteeError(NilmapError):
+    """A guarantee of this package failed on a concrete instance.
+
+    The offending instance, when given, is kept as `instance` and
+    serialized in full into the message, so the failure can be reproduced.
+    """
+
+    def __init__(self, message: str, instance: Any = None):
+        self.instance = instance
+        if instance is not None:
+            try:
+                dump = json.dumps(instance, default=str, sort_keys=True)
+            except TypeError:
+                dump = repr(instance)
+            message = f"{message}\ninstance: {dump}"
+        super().__init__(message)
+
+
+class ConstructionMismatch(GuaranteeError):
     """An internally rebuilt object failed to match its source exactly.
 
     This always indicates a bug in this package, never bad user input.
@@ -71,21 +89,10 @@ class ParseError(NilmapError):
         self.column = column
 
 
-class TheoremViolation(NilmapError):
+class TheoremViolation(GuaranteeError):
     """A guaranteed structural property failed on a concrete instance.
 
     The properties checked by the certifying routines are proved facts, so a
     violation means either an implementation bug or a genuine counterexample;
-    both need human eyes.  The offending instance is serialized in full so it
-    can be reproduced.
+    both need human eyes.
     """
-
-    def __init__(self, message: str, instance: Any = None):
-        self.instance = instance
-        if instance is not None:
-            try:
-                dump = json.dumps(instance, default=str, sort_keys=True)
-            except TypeError:
-                dump = repr(instance)
-            message = f"{message}\ninstance: {dump}"
-        super().__init__(message)

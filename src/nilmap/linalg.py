@@ -26,17 +26,16 @@ sigma_n its determinant, all come from one characteristic polynomial,
 computed by Berkowitz's division-free recursion (S. J. Berkowitz, "On
 computing the determinant in small parallel time using a small number of
 processors", Inf. Process. Lett. 18, 1984) in O(n^4) ring operations.
-One loop (`_charpoly`) serves every ring: it takes the ring's dot product,
-unit and negation, so `RationalMatrix.det` runs it on rationals and
-`_sigma_terms` on term dicts, with `poly._dot_terms` as the dot product.
-No Polynomial is built inside the loop, and it runs on integers: each
-polynomial is stored as integer numerators over one denominator, so the
-grid cM, c the lcm of the entries' denominators, is the numerators scaled
-by c / den (nothing at all for an integral M), and
+The loop (`_sigma_terms`) runs on term dicts, with `poly._dot_terms` as
+the dot product.  No Polynomial is built inside the loop, and it runs on
+integers: each polynomial is stored as integer numerators over one
+denominator, so the grid cM, c the lcm of the entries' denominators, is
+the numerators scaled by c / den (nothing at all for an integral M), and
 sigma_k(M) = sigma_k(cM) / c^k.  `_grid_power` powers such a grid for the
-J^n oracle of `analysis`.  `principal_minor_sum` enumerates the C(n,k)
-minors by cofactor expansion; it is kept as the independent oracle for
-that recursion.
+J^n oracle of `analysis`.  Constant matrices take one determinant,
+`_int_det`, on integer rows: closed forms at sizes 3 and 4, fraction-free
+elimination (Bareiss) otherwise.  It is the gate of `_common_flag` and,
+with each row's denominators cleared, `RationalMatrix.det`.
 
 `_common_flag` finds, on such a grid cJ = sum_m M_m x^m, the largest
 subspace on which all the constant matrices M_m act by one strictly
@@ -45,8 +44,8 @@ linear algebra on the M_m without building them: the rows a * M_m of
 every monomial m come from one pass over the grid's terms in the rows
 i with a[i] != 0, each step keeps only independent integer rows, and
 `_rref_den` runs once, on the last space.  `analysis` takes the
-characteristic polynomial of that block only.  `sigma_polynomials`,
-`poly_det` and `principal_minor_sum` do not use it.
+characteristic polynomial of that block only.  `sigma_polynomials` and
+`poly_det` do not use it.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul, neg
+from math import gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NilmapError, ParseError, ShapeError
@@ -68,9 +67,9 @@ from .poly import (
     Polynomial,
     Terms,
     _coeff,
-    _dot,
     _dot_terms,
     _exact,
+    _int_combination,
     _linear,
     _negated,
     _reduced,
@@ -167,20 +166,20 @@ class RationalMatrix:
         )
 
     def det(self) -> Fraction:
-        """Exact determinant, by the Berkowitz recursion behind `poly_det`
-        run on the entries themselves."""
+        """Exact determinant: `_int_det` of the rows with their denominators
+        cleared, divided by the product of those denominators."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        return Fraction(_charpoly(self.entries, _rational_dot, 1, neg)[-1])
+        cleared = [_clear_denominators(row) for row in self.entries]
+        return Fraction(
+            _int_det([row for row, _ in cleared]), prod(d for _, d in cleared)
+        )
 
     def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
         vector = [_coeff(v) for v in vector]
         return [Fraction(sum(map(mul, row, vector))) for row in self.entries]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)))
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -287,10 +286,6 @@ def _rref_den(work: list[list[int]]) -> tuple[int, list[int]]:
         if r == rows:
             break
     return den, pivots
-
-
-def _rational_dot(xs, ys):
-    return sum(map(mul, xs, ys))
 
 
 def _int_matmul(rows: list[list[int]], columns: list) -> list[list[int]]:
@@ -438,10 +433,6 @@ class LinearMap:
         ident = RationalMatrix.identity(n)
         return cls(ident, ident)
 
-    @classmethod
-    def from_matrix(cls, entries) -> "LinearMap":
-        return cls(RationalMatrix(entries))
-
     def inverted(self) -> "LinearMap":
         return LinearMap(self.inverse, self.matrix)
 
@@ -456,9 +447,6 @@ class LinearMap:
     def __hash__(self):
         return hash(self.matrix)
 
-    def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        return self.matrix.apply(vector)
-
     def as_poly_map(self) -> PolyMap:
         """The linear polynomial map x -> Mx."""
         return PolyMap(
@@ -467,9 +455,6 @@ class LinearMap:
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity()
-
-    def to_json(self) -> dict:
-        return {"matrix": self.matrix.to_json()}
 
     def __repr__(self):
         return f"LinearMap({json.dumps(self.matrix.to_json())})"
@@ -554,31 +539,8 @@ class PolyMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        columns = list(zip(*other.entries))
-        return PolyMatrix(
-            [[_dot(self.n, row, col) for col in columns] for row in self.entries]
-        )
-
-    def power(self, k: int) -> "PolyMatrix":
-        if self.rows != self.cols:
-            raise ShapeError("only square matrices can be raised to a power")
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        )
 
     def to_json(self) -> list[list[str]]:
         from .parsing import format_polynomial
@@ -589,43 +551,12 @@ class PolyMatrix:
         return f"PolyMatrix({json.dumps(self.to_json())})"
 
 
-def _det_cofactor(m: PolyMatrix) -> Polynomial:
-    n = m.rows
-    if n == 1:
-        return m[0, 0]
-    if n == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    acc = Polynomial.zero(m.n)
-    rest = list(range(1, n))
-    for j in range(n):
-        entry = m[0, j]
-        if entry.is_zero():
-            continue
-        cols = [c for c in range(n) if c != j]
-        minor = _det_cofactor(m.submatrix(rest, cols))
-        term = entry * minor
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def poly_det(m: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix: sigma_n, the last
     coefficient of Berkowitz's characteristic polynomial."""
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
     return sigma_polynomials(m)[-1]
-
-
-def principal_minor_sum(m: PolyMatrix, k: int) -> Polynomial:
-    """Sum of all k x k principal minors (explicit enumeration)."""
-    if m.rows != m.cols:
-        raise ShapeError("principal minors need a square matrix")
-    if not 1 <= k <= m.rows:
-        raise ShapeError(f"minor size {k} out of range 1..{m.rows}")
-    acc = Polynomial.zero(m.n)
-    for idx in itertools.combinations(range(m.rows), k):
-        acc = acc + _det_cofactor(m.submatrix(idx, idx))
-    return acc
 
 
 def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
@@ -637,8 +568,7 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
     product of (1, a, -RC, RAC, -RA^2C, ...) with those of det(tI + A).
     The loop grows A from the bottom-right corner one row and column at a
     time.  It runs on the integer grid cM (`_sigma_terms`), and
-    only the n sums are built as polynomials, sigma_k(cM) over c^k.  Equal,
-    term for term, to ``[principal_minor_sum(m, k) for k in 1..n]``.
+    only the n sums are built as polynomials, sigma_k(cM) over c^k.
     """
     if m.rows != m.cols:
         raise ShapeError("principal minors need a square matrix")
@@ -656,8 +586,28 @@ def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
 
 def _sigma_terms(grid: list[list[Terms]], n: int) -> list[Terms]:
     """The integer term dicts of sigma_1..sigma_size of a square grid of
-    integer term dicts in n variables, without zero coefficients."""
-    return _charpoly(grid, functools.partial(_dot_terms, n), _ONE, _negated)[1:]
+    integer term dicts in n variables, without zero coefficients: the
+    coefficients of det(tI + M) after the leading 1, by Berkowitz's
+    recursion (see `sigma_polynomials`)."""
+    size = len(grid)
+    # Coefficients of det(tI + A), highest power first, for the trailing
+    # block A = M[k+1:, k+1:].
+    q = [_ONE]
+    for k in range(size - 1, -1, -1):
+        row = grid[k][k + 1:]
+        block = [r[k + 1:] for r in grid[k + 1:]]
+        col = [r[k] for r in grid[k + 1:]]
+        d = size - k
+        t = [_ONE, grid[k][k]]
+        for l in range(2, d + 1):
+            v = _dot_terms(n, row, col)
+            t.append(v if l % 2 else _negated(v))
+            if l < d:
+                col = [_dot_terms(n, r, col) for r in block]
+        # Coefficient i of the product is sum_j t[i - j] * q[j]; the
+        # leading one is t[0] * q[0] = 1.
+        q = [_ONE] + [_dot_terms(n, t[i::-1], q) for i in range(1, d + 1)]
+    return q[1:]
 
 
 def _grid_power(grid: list[list[Terms]], k: int, n: int) -> list[list[Terms]]:
@@ -718,7 +668,7 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     """
     size = len(grid)
     identity = Flag(_identity_rows(size), 1, range(size), grid)
-    if _nonsingular([[sum(terms.values()) for terms in row] for row in grid]):
+    if _int_det([[sum(terms.values()) for terms in row] for row in grid]):
         return identity
     terms = [
         [(key, j, c) for j, entry in enumerate(row) for key, c in entry.items()]
@@ -766,19 +716,6 @@ def _row_products(rows, terms: list[list[tuple[int, int, int]]], size: int):
         yield from (v for v in out.values() if any(v))
 
 
-def _int_combination(coeffs: Sequence[int], dicts: Sequence[Terms]) -> Terms:
-    """sum(a * d) over the pairs of an int and an integer term dict, as a
-    new dict without zero coefficients."""
-    out: Terms = {}
-    get = out.get
-    for a, terms in zip(coeffs, dicts):
-        if a:
-            for key, c in terms.items():
-                old = get(key)
-                out[key] = a * c if old is None else old + a * c
-    return {key: c for key, c in out.items() if c}
-
-
 def _flag_step(vectors, rank: int) -> list[list[int]] | None:
     """Independent rows spanning the next space of `_common_flag`'s chain,
     from the rows a * M_m of the current one, whose row space has the
@@ -819,20 +756,22 @@ def _identity_rows(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
 
 
-def _nonsingular(rows: list[list[int]]) -> bool:
-    """True iff the square integer matrix is nonsingular.
+def _int_det(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, given by its rows.
 
-    3x3 and 4x4 matrices take the determinant's expansion by the minors of
-    the first row and by the 2x2 minors of the first two rows (Laplace), a
-    few products where the elimination would build lists.  Any other size
-    takes fraction-free elimination (Bareiss): each step keeps the rows
-    other than the pivot row P, each replaced by
-    (P[0] * row - row[0] * P) // den without its first entry, and then
-    makes P[0] the new den; every // is exact.
+    3x3 and 4x4 matrices take the expansion by the minors of the first row
+    and by the 2x2 minors of the first two rows (Laplace), a few products
+    where the elimination would build lists.  Any other size takes
+    fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): each
+    step moves the first row P with P[0] != 0 to the top, which flips the
+    sign when an odd number of rows precede it, keeps the other rows, each
+    replaced by (P[0] * row - row[0] * P) // den without its first entry,
+    and makes P[0] the new den; every // is exact, and the last den is the
+    determinant of the reordered matrix.
     """
     if len(rows) == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g) != 0
+        return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
     if len(rows) == 4:
         (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
         return (
@@ -842,14 +781,16 @@ def _nonsingular(rows: list[list[int]]) -> bool:
             + (b * g - c * f) * (i * p - l * m)
             - (b * h - d * f) * (i * o - k * m)
             + (c * h - d * g) * (i * n - j * m)
-        ) != 0
-    den = 1
+        )
+    sign = den = 1
     while rows:
-        for prow in rows:
+        for r, prow in enumerate(rows):
             if prow[0]:
                 break
         else:
-            return False
+            return 0
+        if r % 2:
+            sign = -sign
         p, tail = prow[0], prow[1:]
         rows = [
             [(p * a - f * b) // den for a, b in zip(row[1:], tail)]
@@ -858,35 +799,7 @@ def _nonsingular(rows: list[list[int]]) -> bool:
             for f in (row[0],)
         ]
         den = p
-    return True
-
-
-def _charpoly(e, dot, one, negate) -> list:
-    """[1, sigma_1, ..., sigma_size]: the coefficients of det(tI + M),
-    highest power first, for the square grid e of M's rows, by Berkowitz's
-    recursion (see `sigma_polynomials`); `dot(xs, ys)` is sum(x * y) in the
-    ring of the entries, `one` its unit and `negate` its negation.  The
-    leading 1 is `one` itself.
-    """
-    size = len(e)
-    # Coefficients of det(tI + A), highest power first, for the trailing
-    # block A = M[k+1:, k+1:].
-    q = [one]
-    for k in range(size - 1, -1, -1):
-        row = e[k][k + 1:]
-        block = [r[k + 1:] for r in e[k + 1:]]
-        col = [r[k] for r in e[k + 1:]]
-        d = size - k
-        t = [one, e[k][k]]
-        for l in range(2, d + 1):
-            v = dot(row, col)
-            t.append(v if l % 2 else negate(v))
-            if l < d:
-                col = [dot(r, col) for r in block]
-        # Coefficient i of the product is sum_j t[i - j] * q[j]; the
-        # leading one is t[0] * q[0] = 1.
-        q = [one] + [dot(t[i::-1], q) for i in range(1, d + 1)]
-    return q
+    return sign * den
 
 
 def poly_matrix_rank(m: PolyMatrix) -> int:

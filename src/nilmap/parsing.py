@@ -28,7 +28,7 @@ import re
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import DimensionMismatch, ParseError, ShapeError
+from .errors import DimensionMismatch, ParseError
 from .poly import (
     Polynomial,
     PolyMap,
@@ -316,10 +316,22 @@ class _Parser:
         raise ParseError(f"unknown variable {name!r}", *tok[2:])
 
 
+def _check_aliases(aliases: str | None) -> None:
+    """Aliases name x1, x2, ... in order, so each must be a letter that no
+    other alias repeats; anything else is a ParseError."""
+    if aliases is not None and not (
+        all(a.isalpha() for a in aliases) and len(set(aliases)) == len(aliases)
+    ):
+        raise ParseError(
+            f"variable aliases must be distinct letters, got {aliases!r}"
+        )
+
+
 def parse_polynomial(
     text: str, n: int, aliases: str | None = DEFAULT_ALIASES
 ) -> Polynomial:
     """Parse a single polynomial in an n-variable ring."""
+    _check_aliases(aliases)
     if aliases is not None and n > len(aliases):
         aliases = None
     return _Parser(text, n, aliases).parse()
@@ -348,6 +360,7 @@ def format_polynomial(
     p: Polynomial, aliases: str | None = DEFAULT_ALIASES
 ) -> str:
     """Canonical text form: graded-lex descending terms."""
+    _check_aliases(aliases)
     if p.is_zero():
         return "0"
     if aliases is not None and p.n <= len(aliases):

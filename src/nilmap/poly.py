@@ -37,9 +37,10 @@ the coefficients over one denominator (``_over_one_den``).  The ring
 operations build their results through the private
 ``Polynomial._trusted``, which takes ownership of a term dict and
 denominator already in stored form; products, substitutions and the sums
-of products behind matrix multiplication (``_dot_terms``) accumulate into
-one integer dict, and ``_reduced`` then deletes its zero numerators and
-divides the dict and its denominator by their gcd.
+of products behind characteristic polynomials and matrix powers
+(``_dot_terms``) accumulate into one integer dict, and ``_reduced`` then
+deletes its zero numerators and divides the dict and its denominator by
+their gcd.
 
 Variable indices in the public API are 1-based (x1..xn), matching the usual
 mathematical notation; exponent tuples are indexed from 0 internally.
@@ -310,23 +311,6 @@ def _dot_terms(n: int, xs: Iterable[Terms], ys: Iterable[Terms]) -> Terms:
     return _drop_zeros(out)
 
 
-def _dot(n: int, xs: Iterable[Polynomial], ys: Iterable[Polynomial]) -> Polynomial:
-    """sum(x * y) over the pairs of polynomials: `_dot_terms` on the
-    numerators, each product scaled to the lcm of the products' denominators."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if x._terms and y._terms]
-    den = lcm(*(x._den * y._den for x, y in pairs))
-    out = _dot_terms(
-        n,
-        (
-            x._terms if x._den * y._den == den
-            else _scaled(x._terms, den // (x._den * y._den))
-            for x, y in pairs
-        ),
-        (y._terms for _, y in pairs),
-    )
-    return Polynomial._trusted(n, *_reduced(out, den))
-
-
 def _negated(terms: Terms) -> Terms:
     """The term dict of -p, as a new dict."""
     return {key: -c for key, c in terms.items()}
@@ -353,15 +337,24 @@ def _combination(
         if den % b:
             den = lcm(den, b)
         scaled.append((a, b, p._terms))
+    out = _int_combination(
+        [a if b == den else a * (den // b) for a, b, _ in scaled],
+        [terms for _, _, terms in scaled],
+    )
+    return Polynomial._trusted(n, *_reduced(out, den))
+
+
+def _int_combination(coeffs: Sequence[int], dicts: Sequence[Terms]) -> Terms:
+    """sum(a * d) over the pairs of an int and an integer term dict, as a
+    new dict without zero coefficients."""
     out: Terms = {}
     get = out.get
-    for a, b, terms in scaled:
-        if b != den:
-            a *= den // b
-        for key, c in terms.items():
-            old = get(key)
-            out[key] = a * c if old is None else old + a * c
-    return Polynomial._trusted(n, *_reduced(out, den))
+    for a, terms in zip(coeffs, dicts):
+        if a:
+            for key, c in terms.items():
+                old = get(key)
+                out[key] = a * c if old is None else old + a * c
+    return _drop_zeros(out)
 
 
 def _linear(n: int, coeffs: Sequence[Coeff]) -> Polynomial:
@@ -947,7 +940,3 @@ class PolyMap:
         from .parsing import format_map
 
         return f"PolyMap({format_map(self)!r})"
-
-
-def compose_map(f: PolyMap, g: PolyMap) -> PolyMap:
-    return f.compose(g)

@@ -9,20 +9,21 @@ the first two components share a constant gradient direction, mixes them
 so their contribution collapses.  Each move is one `linalg.row_conjugator`,
 which puts the combination it found in one coordinate slot.
 
-A polynomial automorphism has a nonzero constant Jacobian determinant, so
-`keller_check` and `formal_inverse` first compare det JF at the origin and
-at the probe point of `analysis.is_nilpotent_bruteforce`: a zero at the
-origin, or two different values, proves that F is not invertible.  Both
-determinants are numbers, taken by `RationalMatrix.det`, the Berkowitz
-recursion of `poly_det` run on the entries themselves.  Both symbolic
-steps work on A^-1 o F = x + H', where A = JF(0), so that the linear
-part is the identity.  `keller_check` decides det(I + JH') = 1, which
-holds exactly when det JF = det A * det(I + JH') is constant, since JH'
-vanishes at the origin; it takes the sigma of JH' on the quotient by its
-common flag space (`analysis._unit_determinant`), so on the paper's
-second family, whose flag is everything, no characteristic polynomial is
-taken.  The inverse iteration finds the inverse of A^-1 o F; the inverse
-of F is that followed by A^-1.
+`keller_check` and `formal_inverse` share one first step,
+`_normalized_shift`.  A polynomial automorphism has a nonzero constant
+Jacobian determinant, so it compares det JF, a number taken by
+`RationalMatrix.det`, at the origin and at the probe point of
+`analysis.is_nilpotent_bruteforce`: a zero at the origin, or two
+different values, proves that F is not invertible.  Otherwise it builds
+A^-1 o F = x + H', for A = JF(0), each component one rational
+combination of F's components, so that the linear part is the identity.
+`keller_check` decides det(I + JH') = 1, which holds exactly when
+det JF = det A * det(I + JH') is constant, since JH' vanishes at the
+origin; it takes the sigma of JH' on the quotient by its common flag
+space (`analysis._unit_determinant`), so on the paper's second family,
+whose flag is everything, no characteristic polynomial is taken.  The
+inverse iteration finds the inverse of A^-1 o F; the inverse of F is
+that followed by A^-1.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .linalg import (
     coefficient_kernel,
     row_conjugator,
 )
+from .parsing import map_to_document
 from .poly import Polynomial, PolyMap, _combination
 
 Factor = Union["ElementaryMap", LinearMap]
@@ -145,27 +147,34 @@ class TameFactorization:
         return {"dimension": self.dimension, "factors": out}
 
 
-def _realize(factor: Factor) -> PolyMap:
-    if isinstance(factor, ElementaryMap):
-        return factor.realize()
-    return factor.as_poly_map()
-
-
 def compose_factorization(f: TameFactorization) -> PolyMap:
     """Exact composition of the factors, first factor outermost."""
     result = PolyMap.identity(f.dimension)
     for factor in f.factors:
-        result = result.compose(_realize(factor))
+        if isinstance(factor, ElementaryMap):
+            result = result.compose(factor.realize())
+        else:
+            result = result.compose(factor.as_poly_map())
     return result
 
 
-def _keller_refuted(F: PolyMap, linear: RationalMatrix) -> bool:
-    """True when det JF is provably not a nonzero constant: it vanishes at
-    the origin, or differs between the origin and the probe point.
-    `linear` is JF(0)."""
+def _normalized_shift(
+    F: PolyMap,
+) -> tuple[RationalMatrix, RationalMatrix, PolyMap] | None:
+    """(A, A^-1, H') for A = JF(0) and A^-1 o F = x + H', whose component
+    i is sum_j A^-1[i][j] F_j; or None when det JF is provably not a
+    nonzero constant: it vanishes at the origin, or differs between the
+    origin and the probe point."""
     n = F.dimension
+    linear = _jacobian_at(F, (0,) * n)
     at_origin = linear.det()
-    return not at_origin or _jacobian_at(F, _probe_point(n)).det() != at_origin
+    if not at_origin or _jacobian_at(F, _probe_point(n)).det() != at_origin:
+        return None
+    inverse = linear.inverse()
+    shift = PolyMap(
+        [_combination(n, row, F.components) for row in inverse.entries]
+    ) - PolyMap.identity(n)
+    return linear, inverse, shift
 
 
 def keller_check(F: PolyMap) -> bool:
@@ -178,14 +187,10 @@ def keller_check(F: PolyMap) -> bool:
     det(I + JH') = 1 (`analysis._unit_determinant`, on the quotient of
     JH' by its common flag space).
     """
-    n = F.dimension
-    linear = _jacobian_at(F, (0,) * n)
-    if _keller_refuted(F, linear):
+    normalized = _normalized_shift(F)
+    if normalized is None:
         return False
-    shifted = PolyMap(
-        [_combination(n, row, F.components) for row in linear.inverse().entries]
-    ) - PolyMap.identity(n)
-    return _unit_determinant(*_jacobian_terms(shifted), n)
+    return _unit_determinant(*_jacobian_terms(normalized[2]), F.dimension)
 
 
 def _shift_part(F: PolyMap) -> PolyMap:
@@ -225,14 +230,14 @@ def formal_inverse(
         )
     if _shift_part(F).is_zero():
         return PolyMap.identity(n)
-    linear = _jacobian_at(F, (0,) * n)
-    if _keller_refuted(F, linear):
+    normalized = _normalized_shift(F)
+    if normalized is None:
         return None
-    undo = LinearMap(linear.inverse(), linear).as_poly_map()
-    G = _fixpoint_inverse(_shift_part(undo.compose(F)), degree_bound)
+    linear, inverse, shift = normalized
+    G = _fixpoint_inverse(shift, degree_bound)
     if G is None:
         return None
-    G = G.compose(undo)
+    G = G.compose(LinearMap(inverse, linear).as_poly_map())
     identity = PolyMap.identity(n)
     if F.compose(G) == identity and G.compose(F) == identity:
         return G
@@ -312,7 +317,9 @@ def _factor(
         factors.extend(chain)
     result = TameFactorization(factors, F.dimension)
     if compose_factorization(result) != F:
-        raise ConstructionMismatch("factorization does not recompose to F")
+        raise ConstructionMismatch(
+            "factorization does not recompose to F", map_to_document(F)
+        )
     return result
 
 

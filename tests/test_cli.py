@@ -1,8 +1,12 @@
 """Exit-code and output tests for the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,14 @@ def run(capsys, argv):
     code = cli.run_command(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env():
+    """This environment with the checkout's src first on PYTHONPATH, so a
+    child interpreter imports the nilmap under test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
 
 
 class TestNilpotent:
@@ -73,6 +85,20 @@ class TestInputHandling:
         f = write(tmp_path, "m.txt", "b^2; a*b")
         code, _, _ = run(capsys, ["nilpotent", "-f", f, "--var-alias", "ab"])
         assert code == 1
+
+    @pytest.mark.parametrize("aliases", ["xx", "x y", "1y", "xyzwxyzw", "x_"])
+    @pytest.mark.parametrize("verb", ["nilpotent", "keller4d"])
+    def test_aliases_that_are_not_distinct_letters_exit_2(
+        self, tmp_path, capsys, aliases, verb
+    ):
+        # With "xx", x would name x1 and silently never x2; with "xyzwxyzw"
+        # on two variables, z and w would name nothing.
+        text = "x; y" if verb == "nilpotent" else "x; y; 0; 0"
+        f = write(tmp_path, "m.txt", text)
+        code, out, err = run(capsys, [verb, "-f", f, "--var-alias", aliases])
+        assert code == 2
+        assert out == ""
+        assert f"variable aliases must be distinct letters, got {aliases!r}" in err
 
     def test_deeply_nested_parentheses(self, tmp_path, capsys):
         f = write(tmp_path, "m.txt", "(" * 3000 + "x" + ")" * 3000)
@@ -763,9 +789,6 @@ class TestVerify:
 
     def test_failed_suite_exits_3_under_optimization(self):
         # `python -O` strips assert statements; the suites must still fail.
-        import subprocess
-        import sys
-
         code = (
             "from nilmap import analysis, cli, suites; "
             "analysis.check_divergence_coefficients = lambda u, v: False; "
@@ -773,21 +796,21 @@ class TestVerify:
             "else lambda rng: {}) for n, f in suites.SUITES); "
             "raise SystemExit(cli.run_command(['verify']))"
         )
-        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, env=src_env()
+        )
         assert proc.returncode == 3
         assert b"[FAIL] divergence coefficients" in proc.stdout
 
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
-        import subprocess
-        import sys
-
         f = write(tmp_path, "m.txt", "z^2; x*z; 0")
         proc = subprocess.run(
             [sys.executable, "-m", "nilmap.cli", "nilpotent", "-f", f],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert "nilpotent" in proc.stdout

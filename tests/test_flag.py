@@ -23,13 +23,13 @@ from nilmap import (
     jacobian,
     nilpotency_equations,
     parse_map,
-    principal_minor_sum,
 )
 from nilmap import analysis, generators, linalg
 from nilmap.classify import build_canonical_pair
-from nilmap.linalg import RationalMatrix, _common_flag, _nonsingular, poly_det
+from nilmap.linalg import RationalMatrix, _common_flag, _int_det, poly_det
 from nilmap.parsing import format_map, format_polynomial
 from reference_flag import reference_common_flag
+from reference_matrix import principal_minor_sum, ref_det
 
 
 FLAG_MIN_SIZE = analysis._FLAG_MIN_SIZE
@@ -269,7 +269,7 @@ class TestReferenceChain:
                 kinds["w = n"] += 1
             elif w:
                 kinds["0 < w < n"] += 1
-            elif not _nonsingular([[sum(t.values()) for t in row] for row in grid]):
+            elif not _int_det([[sum(t.values()) for t in row] for row in grid]):
                 kinds["w = 0 after the chain"] += 1
         assert min(kinds.values()) >= 40, kinds
 
@@ -313,7 +313,7 @@ class TestGate:
             m = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
             if rng.random() < 0.3 and size > 1:
                 m[-1] = [a + b for a, b in zip(m[0], m[1 % size])]
-            assert _nonsingular([row[:] for row in m]) == (RationalMatrix(m).det() != 0)
+            assert _int_det([row[:] for row in m]) == ref_det(m)
 
     @pytest.fixture
     def steps(self, monkeypatch):

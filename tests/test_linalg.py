@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -17,18 +18,26 @@ from nilmap import (
     parse_polynomial,
     poly_det,
     poly_matrix_rank,
-    principal_minor_sum,
     sigma_polynomials,
 )
 from nilmap import PolyMap, conjugate, generators, jacobian
 from nilmap.errors import InexactValue, ParseError, ShapeError
-from stored_form import assert_clean, stored_terms
 from nilmap.linalg import (
     RationalMatrix,
-    _det_cofactor,
+    _grid_power,
+    _int_det,
     coefficient_kernel,
     row_conjugator,
 )
+from nilmap.poly import _reduced
+from reference_matrix import (
+    enumerated_sigmas,
+    principal_minor_sum,
+    ref_det,
+    ref_matmul,
+    ref_matrix_power,
+)
+from stored_form import assert_clean, stored_terms
 
 
 def Q(rows):
@@ -61,9 +70,6 @@ class TestRationalMatrix:
     def test_apply(self):
         m = Q([[1, 2], [0, 1]])
         assert m.apply([Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(1)]
-
-    def test_transpose(self):
-        assert Q([[1, 2], [3, 4]]).transpose() == Q([[1, 3], [2, 4]])
 
     def test_rref_pivots(self):
         m = Q([[0, 1, 2], [0, 2, 4]])
@@ -118,8 +124,8 @@ class TestLinearMap:
             LinearMap(m, Q([[1, 0], [0, 1]]))
 
     def test_compose_and_invert(self):
-        a = LinearMap.from_matrix([[1, 1], [0, 1]])
-        b = LinearMap.from_matrix([[2, 0], [0, 1]])
+        a = LinearMap(Q([[1, 1], [0, 1]]))
+        b = LinearMap(Q([[2, 0], [0, 1]]))
         ab = a * b
         assert ab.matrix == a.matrix * b.matrix
         assert (ab.matrix * ab.inverse).is_identity()
@@ -192,7 +198,7 @@ class TestPolyMatrix:
     def test_multiplication_and_power(self):
         m = self.J([["0", "z"], ["0", "0"]])
         assert not m.is_zero()
-        assert m.power(2).is_zero()
+        assert grid_power(m, 2).is_zero()
 
     def test_det_2x2(self):
         m = self.J([["x", "y"], ["z", "x"]])
@@ -215,7 +221,7 @@ class TestPolyMatrix:
                     for _ in range(size)
                 ]
             )
-            assert _det_cofactor(m) == poly_det(m)
+            assert ref_det(m.entries) == poly_det(m)
 
     def test_det_multiplicative(self):
         rng = random.Random(5)
@@ -238,7 +244,7 @@ class TestPolyMatrix:
                     )
                 )
             a, b = mats
-            assert poly_det(a * b) == poly_det(a) * poly_det(b)
+            assert poly_det(ref_matmul(a, b)) == poly_det(a) * poly_det(b)
 
     def test_principal_minor_sums_vs_hand_count(self):
         m = self.J([["x", "1", "0"], ["0", "y", "1"], ["1", "0", "z"]])
@@ -256,22 +262,18 @@ class TestPolyMatrix:
         )
 
 
-def ref_matmul(a, b):
-    """Matrix product summed term by term; entries built only through the
-    validating public Polynomial constructor."""
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            terms = {}
-            for k in range(a.cols):
-                for ea, ca in a[i, k].terms.items():
-                    for eb, cb in b[k, j].terms.items():
-                        e = tuple(x + y for x, y in zip(ea, eb))
-                        terms[e] = terms.get(e, Fraction(0)) + ca * cb
-            row.append(Polynomial(a.n, terms))
-        out.append(row)
-    return PolyMatrix(out)
+def grid_power(m, k):
+    """m^k by `linalg._grid_power`, the product behind the J^n oracle: on
+    the integer grid cm, for c the lcm of m's denominators, each entry of
+    the power divided by c^k.  No entry of the power may hold a zero."""
+    c = lcm(*(p._den for row in m.entries for p in row))
+    grid = [[{key: v * (c // p._den) for key, v in p._terms.items()} for p in row]
+            for row in m.entries]
+    power = _grid_power(grid, k, m.n)
+    assert all(all(row[j].values()) for row in power for j in range(m.cols))
+    return PolyMatrix(
+        [[Polynomial._trusted(m.n, *_reduced(t, c**k)) for t in row] for row in power]
+    )
 
 
 def assert_clean_entries(m):
@@ -285,11 +287,13 @@ def assert_clean_entries(m):
 
 
 class TestMatmulInvariant:
+    """The square powers of `_grid_power` against repeated `ref_matmul`."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_products_match_reference(self, seed):
         rng = random.Random(seed)
         n = rng.choice([2, 3, 4])
-        rows, inner, cols = (rng.randint(1, 3) for _ in range(3))
+        size, k = rng.randint(1, 3), rng.randint(2, 3)
 
         def entry():
             if rng.random() < 0.2:
@@ -297,30 +301,29 @@ class TestMatmulInvariant:
             p = generators.random_polynomial(rng, n, 2, terms=3, zero_constant=False)
             return p.scale(Fraction(1, rng.randint(1, 3)))
 
-        a = PolyMatrix([[entry() for _ in range(inner)] for _ in range(rows)])
-        b = PolyMatrix([[entry() for _ in range(cols)] for _ in range(inner)])
-        got = a * b
+        m = PolyMatrix([[entry() for _ in range(size)] for _ in range(size)])
+        got = grid_power(m, k)
         assert_clean_entries(got)
-        assert got == ref_matmul(a, b)
+        assert got == ref_matrix_power(m, k)
 
     def test_integral_products_of_fractions_are_ints(self):
-        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-        half = Fraction(1, 2)
-        a = PolyMatrix([[x.scale(half), y.scale(half)]])
-        b = PolyMatrix([[Polynomial.const(2, 2)], [y.scale(4)]])
-        got = a * b
+        # (x/2) * 1 + 1 * (x/2) = x is integral; its grid entry is 4x over
+        # c^2 = 4.
+        x = Polynomial.variable(2, 1)
+        one = Polynomial.const(2, 1)
+        m = PolyMatrix([[x.scale(Fraction(1, 2)), one], [one, x.scale(Fraction(1, 2))]])
+        got = grid_power(m, 2)
         assert_clean_entries(got)
-        assert got == ref_matmul(a, b)
-        assert stored_terms(got[0, 0]) == {(1, 0): 1, (0, 2): 2}
+        assert got == ref_matmul(m, m)
+        assert stored_terms(got[0, 1]) == {(1, 0): 1}
 
     def test_cancelling_entries_are_zero(self):
-        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-        a = PolyMatrix([[x, y], [y, x]])
-        b = PolyMatrix([[y, x], [-x, -y]])
-        got = a * b
+        x = Polynomial.variable(2, 1)
+        m = PolyMatrix([[x, -x], [x, -x]])
+        got = grid_power(m, 2)
         assert_clean_entries(got)
-        assert got == ref_matmul(a, b)
-        assert got[0, 0].is_zero() and got[1, 1].is_zero()
+        assert got == ref_matmul(m, m)
+        assert got.is_zero()
         assert got[0, 0].terms == {}
 
     @pytest.mark.parametrize("seed", range(5))
@@ -329,16 +332,12 @@ class TestMatmulInvariant:
         H = generators.random_nilpotent_map(rng, rng.choice([2, 3, 4]))
         J = jacobian(H)
         power = J
-        for _ in range(H.dimension - 1):
-            nxt = power * J
-            assert_clean_entries(nxt)
-            assert nxt == ref_matmul(power, J)
-            power = nxt
+        for k in range(2, H.dimension + 1):
+            got = grid_power(J, k)
+            assert_clean_entries(got)
+            power = ref_matmul(power, J)
+            assert got == power
         assert power.is_zero()
-
-
-def enumerated_sigmas(m):
-    return [principal_minor_sum(m, k) for k in range(1, m.rows + 1)]
 
 
 class TestSigmaPolynomials:
@@ -607,19 +606,6 @@ class TestRationalProduct:
                 assert all(type(v) is int for row in got.entries for v in row)
 
 
-def ref_det(grid):
-    """Leibniz expansion in Fractions: the sum over permutations."""
-    n = len(grid)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = Fraction(-1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term *= grid[i][j]
-        total += term
-    return total
-
-
 class TestRationalDet:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_leibniz_and_poly_det(self, n):
@@ -632,10 +618,73 @@ class TestRationalDet:
             constants = [[Polynomial.const(1, v) for v in row] for row in grid]
             assert got == poly_det(PolyMatrix(constants)).constant_value()
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_rational_rows_match_the_cofactor_expansion(self, n):
+        # random_grid mixes Fractions, zero entries, dependent rows and
+        # all-zero columns.
+        rng = random.Random(60 + n)
+        for _ in range(4 if n == 6 else 2):
+            grid = random_grid(rng, n, n)
+            assert RationalMatrix(grid).det() == ref_det(grid)
+
     def test_singular_and_non_square(self):
         assert RationalMatrix([[1, 2], [2, 4]]).det() == 0
         with pytest.raises(ShapeError):
             RationalMatrix([[1, 2]]).det()
+
+
+def permutation_rows(perm, scale=1):
+    """The permutation matrix with a one at (i, perm[i]), times scale."""
+    n = len(perm)
+    return [[scale if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+
+
+class TestIntDet:
+    """`_int_det`, the one determinant of constant matrices: closed forms at
+    sizes 3 and 4, signed Bareiss elimination at every other size."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_the_cofactor_expansion(self, n):
+        rng = random.Random(80 + n)
+        signs = set()
+        for _ in range(30 if n < 6 else 6 if n == 6 else 2):
+            rows = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(n)]
+                    for _ in range(n)]
+            want = ref_det(rows)
+            assert _int_det([row[:] for row in rows]) == want
+            signs.add((want > 0) - (want < 0))
+        if n < 6:
+            assert {-1, 1} <= signs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_permutation_matrices_take_the_row_order_sign(self, n):
+        # Every column's pivot row sits at a different place, so each
+        # elimination step moves a row past the ones before it.
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            want = (-1) ** inversions * (-2) ** n
+            assert _int_det(permutation_rows(perm, scale=-2)) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_zero_column(self, n):
+        rng = random.Random(n)
+        rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        for row in rows:
+            row[rng.randrange(n)] = 0 if n == 1 else row[0]
+            row[n - 1] = 0
+        assert _int_det(rows) == 0
+
+    def test_late_pivot_after_a_zero_leading_block(self):
+        # The first column's only nonzero entry is in the last row, and the
+        # second step finds its pivot below a row with a zero first entry.
+        rows = [
+            [0, 0, 3, 1, 2],
+            [0, 1, 0, 4, 0],
+            [0, 2, 5, 0, 1],
+            [0, 0, 1, 1, 7],
+            [-4, 3, 0, 2, 1],
+        ]
+        assert _int_det(rows) == ref_det(rows) != 0
 
 
 # (rows, cols): wide, tall and square, including single rows and columns.
@@ -733,7 +782,7 @@ class TestStoredForm:
     def test_derived_matrices(self):
         a = RationalMatrix([[2, Fraction(1, 2)], [Fraction(3, 4), 1]])
         b = RationalMatrix([[4, 0], [0, Fraction(2, 3)]])
-        for m in (a * b, a.transpose(), a.inverse(), a.rref()[0],
+        for m in (a * b, a.inverse(), a.rref()[0],
                   RationalMatrix.identity(3), elementary_row_add(3, 1, Fraction(1, 2), 2).inverse,
                   elementary_permutation(3, 1, 3).matrix):
             assert_stored_form(m)
@@ -883,7 +932,7 @@ class TestCoefficientKernel:
 
 class TestAsPolyMap:
     def test_rows_become_linear_components(self):
-        T = LinearMap.from_matrix([[2, Fraction(1, 2), 0], [0, -3, 0], [1, 0, 1]])
+        T = LinearMap(Q([[2, Fraction(1, 2), 0], [0, -3, 0], [1, 0, 1]]))
         got = T.as_poly_map()
         n = 3
         for i in range(n):

@@ -50,6 +50,23 @@ class TestParsing:
         p = parse_polynomial("t*z", 2, aliases="tz")
         assert p == Polynomial.variable(2, 1) * Polynomial.variable(2, 2)
 
+    @pytest.mark.parametrize("aliases", ["xx", "x y", "1y", "xyzwxyzw", "x_"])
+    def test_aliases_must_be_distinct_letters(self, aliases):
+        x = Polynomial.variable(2, 1)
+        for call in (
+            lambda: parse_polynomial("x", 2, aliases=aliases),
+            lambda: parse_map("x; y", aliases=aliases),
+            lambda: load_map_text('{"n": 2, "components": ["x", "y"]}', aliases),
+            lambda: format_polynomial(x, aliases),
+        ):
+            with pytest.raises(ParseError, match="distinct letters"):
+                call()
+
+    def test_no_aliases(self):
+        assert parse_polynomial("x2", 2, aliases="") == Polynomial.variable(2, 2)
+        assert parse_polynomial("x2", 2, aliases=None) == Polynomial.variable(2, 2)
+        assert format_polynomial(Polynomial.variable(2, 2), "") == "x2"
+
     def test_indexed_names_for_wide_rings(self):
         p = parse_polynomial("x1 + x5", 5)
         assert p == Polynomial.variable(5, 1) + Polynomial.variable(5, 5)

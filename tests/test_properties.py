@@ -16,6 +16,7 @@ from nilmap import (
     poly_det,
 )
 from nilmap.linalg import PolyMatrix, row_conjugator
+from reference_matrix import ref_matmul
 from stored_form import assert_clean
 from test_poly import ref_substitute
 
@@ -100,7 +101,7 @@ def test_truncation_splits_degrees(p):
 def test_det_is_multiplicative(entries):
     a = PolyMatrix([[entries[0], entries[1]], [entries[2], entries[3]]])
     b = PolyMatrix([[entries[3], entries[1]], [entries[2], entries[0]]])
-    assert poly_det(a * b) == poly_det(a) * poly_det(b)
+    assert poly_det(ref_matmul(a, b)) == poly_det(a) * poly_det(b)
 
 
 @given(

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from nilmap import (
+    ConstructionMismatch,
     ElementaryMap,
     LinearMap,
     NotTriangularizable,
     PolyMap,
     Polynomial,
+    RationalMatrix,
     ShapeError,
     TameFactorization,
     classify_and_decompose,
@@ -18,6 +20,7 @@ from nilmap import (
     formal_inverse,
     jacobian,
     keller_check,
+    map_to_document,
     parse_map,
     parse_polynomial,
     poly_det,
@@ -326,9 +329,17 @@ class TestTameDecompose:
         with pytest.raises(NotTriangularizable):
             tame_decompose(parse_map("x + x*y; y"))
 
+    def test_mismatch_carries_the_instance(self):
+        # A chain built from a shift that is not F's does not recompose to F.
+        F = parse_map("x + y^2; y")
+        with pytest.raises(ConstructionMismatch) as info:
+            tame._factor(F, parse_map("y^3; 0"), [1, 2], None)
+        assert info.value.instance == map_to_document(F)
+        assert '"components": ["y^2 + x", "y"]' in str(info.value)
+
     def test_conjugated_chain_brackets(self):
         F = parse_map("x + y^2; y")
-        T = LinearMap.from_matrix([["2", "0"], ["0", "1"]])
+        T = LinearMap(RationalMatrix([["2", "0"], ["0", "1"]]))
         fact = tame_decompose(F, conjugation=T)
         assert len(fact.factors) == 3
         assert isinstance(fact.factors[0], LinearMap)
