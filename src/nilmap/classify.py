@@ -10,9 +10,8 @@ Two families are handled:
 
 * Generalized maps H = (H_1(x), b.x + H_2^(0), H_3(x1,x2), ..., H_n(x1,x2))
   whose Jacobian nilpotency collapses to four explicit polynomial
-  equations, and which reduce by a single elementary conjugation to a
-  previously classified external form, and further to a four-variable
-  core tied to a parameterized Keller condition.
+  equations; with H_1 linear in x3..xn they have a four-variable core
+  tied to a parameterized Keller condition.
 
 Routines that certify proved structural facts raise TheoremViolation with
 the full instance when a guarantee fails: that means an implementation bug
@@ -40,7 +39,6 @@ from .errors import (
 from .linalg import (
     LinearMap,
     coefficient_kernel,
-    elementary_permutation,
     elementary_row_add,
     row_conjugator,
 )
@@ -496,84 +494,6 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
                     map_to_document(m),
                 )
     return [e1, e2, e3, e4]
-
-
-def leading_part_degree(H: GeneralizedFormB) -> int:
-    """Degree in x3..xn of the leading homogeneous part of H_1; at most 1.
-
-    A degree above 1, or a degree-1 leading part with non-constant
-    coefficients, falsifies a proved bound and raises TheoremViolation.
-    """
-    if linear_dependence(H.map.components) is not None:
-        raise PreconditionError("components must be linearly independent")
-    if not is_nilpotent(H.map):
-        raise PreconditionError("the Jacobian must be nilpotent")
-    n = H.dimension
-    H1 = H.map.components[0]
-    parts = H1.homogeneous_parts(range(3, n + 1))
-    d = len(parts) - 1
-    if d > 1:
-        raise TheoremViolation(
-            f"leading part of H_1 has degree {d} > 1 in x3..xn",
-            map_to_document(H.map),
-        )
-    if d == 1:
-        lead = parts[1]
-        if lead.variables_used() & {1, 2}:
-            raise TheoremViolation(
-                "degree-1 leading part of H_1 has non-constant coefficients",
-                map_to_document(H.map),
-            )
-    return d
-
-
-def reduce_generalized(
-    H: GeneralizedFormB,
-) -> tuple[LinearMap, PolyMap]:
-    """One elementary conjugation bringing H to the external classified form.
-
-    Requires the narrower shape with H_2 free of x1, and linearly
-    independent components: dependent components raise PreconditionError.
-    With b = 0 the map is already of the external form.  Otherwise the
-    leading part of H_1 in x3..xn has degree 0 (swap the first two
-    coordinates) or degree 1 (add c = c2/c1 times the first coordinate to
-    the second, where the proportionality h2 = c h1 is guaranteed).
-    """
-    n = H.dimension
-    if 1 in H.H2_0.variables_used():
-        raise PreconditionError("the second component must be free of x1")
-    if all(bi == 0 for bi in H.b):
-        if linear_dependence(H.map.components) is not None:
-            raise PreconditionError("components must be linearly independent")
-        return LinearMap.identity(n), H.map
-    # leading_part_degree checks independence and nilpotency.
-    d = leading_part_degree(H)
-    if d == 0:
-        T = elementary_permutation(n, 1, 2)
-        return T, conjugate(H.map, T)
-    a = H.linear_tail_coefficients()
-    h1, h2 = _tail_sum(H, a), _tail_sum(H, H.b)
-    cert = linear_dependence([h1, h2])
-    if cert is None or cert.coefficients[1] == 0:
-        raise TheoremViolation(
-            "h2 is not proportional to h1 despite the guaranteed ratio",
-            map_to_document(H.map),
-        )
-    l1, l2 = cert.coefficients
-    c = -l1 / l2
-    if not (h2 - h1.scale(c)).is_zero():
-        raise TheoremViolation(
-            "h2 differs from c*h1 for the computed ratio",
-            map_to_document(H.map),
-        )
-    for ai, bi in zip(a, H.b):
-        if bi != c * ai:
-            raise TheoremViolation(
-                "linear coefficients of H_1 and H_2 are not aligned by c",
-                map_to_document(H.map),
-            )
-    T = elementary_row_add(n, 1, c, 2)
-    return T, conjugate(H.map, T)
 
 
 # ---------------------------------------------------------------------------

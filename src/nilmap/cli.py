@@ -162,27 +162,21 @@ def _cmd_classify(args) -> int:
             lambda: "canonical pair form recognized",
         )
         return EXIT_OK
-    routes = (
-        ("low-z-normalization", "normalized",
-         lambda: classify.normalize_low_z_degree(classify.FormAInstance(H))),
-        ("generalized-reduction", "reduced",
-         lambda: classify.reduce_generalized(classify.GeneralizedFormB(H))),
-    )
-    for route, verb, attempt in routes:
-        try:
-            T, reduced = attempt()
-        except (ShapeError, PreconditionError):
-            continue  # this route does not apply to H
+    try:
+        T, reduced = classify.normalize_low_z_degree(classify.FormAInstance(H))
+    except (ShapeError, PreconditionError):
+        pass  # the low-z route does not apply to H
+    else:
         _emit(
             args,
             lambda: {
                 "nilpotent": True,
-                "route": route,
+                "route": "low-z-normalization",
                 "T": T.matrix.to_json(),
                 "status": "external-form-reached",
                 "map": map_to_document(reduced),
             },
-            lambda: f"{verb}: external-form-reached",
+            lambda: "normalized: external-form-reached",
         )
         return EXIT_OK
     _emit(

@@ -460,16 +460,6 @@ class LinearMap:
         return f"LinearMap({json.dumps(self.matrix.to_json())})"
 
 
-def elementary_permutation(n: int, i: int, j: int) -> LinearMap:
-    """The permutation matrix interchanging coordinates i and j (1-based)."""
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ShapeError(f"need distinct indices in 1..{n}, got {i}, {j}")
-    grid = [[int(r == c) for c in range(n)] for r in range(n)]
-    grid[i - 1], grid[j - 1] = grid[j - 1], grid[i - 1]
-    m = RationalMatrix(grid)
-    return LinearMap(m, m)
-
-
 def elementary_row_add(n: int, i: int, a, j: int) -> LinearMap:
     """The elementary matrix adding a times row i to row j (1-based, i != j)."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -803,14 +793,18 @@ def _int_det(rows: list[list[int]]) -> int:
 
 
 def poly_matrix_rank(m: PolyMatrix) -> int:
-    """Rank over the fraction field, by fraction-free elimination.
+    """Rank over the fraction field, by fraction-free (Bareiss) elimination.
 
-    Pivots are chosen as the lowest-total-degree nonzero entry in the
-    current column block to limit intermediate growth; any nonzero pivot
-    is mathematically valid.
+    The pivot is the lowest-total-degree nonzero entry of the current
+    column among the rows not yet used; a column without one is skipped.
+    Every row below the pivot row, rows with a zero in the pivot column
+    included, is replaced by (pivot * row - factor * pivot_row) / den, and
+    the pivot becomes the new den, as in `_rref_den`.  Every entry stays a
+    minor of the input, so each division is exact and entry degrees grow
+    linearly, not exponentially, with the step.
     """
     work = [list(row) for row in m.entries]
-    rank = 0
+    den = Polynomial.const(m.n, 1)
     row = 0
     for col in range(m.cols):
         candidates = [
@@ -824,14 +818,13 @@ def poly_matrix_rank(m: PolyMatrix) -> int:
         work[row], work[pr] = work[pr], work[row]
         pivot = work[row][col]
         for r in range(row + 1, m.rows):
-            if work[r][col].is_zero():
-                continue
             factor = work[r][col]
             work[r] = [
-                pivot * a - factor * b for a, b in zip(work[r], work[row])
+                (pivot * a - factor * b).exact_div(den)
+                for a, b in zip(work[r], work[row])
             ]
-        rank += 1
+        den = pivot
         row += 1
         if row == m.rows:
             break
-    return rank
+    return row

@@ -23,8 +23,8 @@ from nilmap import (
     conjugate,
     elementary_row_add,
     is_nilpotent,
+    is_nilpotent_bruteforce,
     keller_parameterized_check,
-    leading_part_degree,
     linear_dependence,
     nilpotency_system,
     normalize_low_z_degree,
@@ -32,7 +32,6 @@ from nilmap import (
     parse_polynomial,
     recognize_canonical_pair,
     reduce_4d,
-    reduce_generalized,
     split_dependent_4d,
     triangularize_top_coefficients,
 )
@@ -318,32 +317,33 @@ class TestNilpotencySystem:
         assert system[0] == parse_polynomial("2*x1", 4)
 
 
+def generalized_map(rng, n, b, p, tails):
+    """(H_1, b.x + p(x2), tails...) with trace zero: H_1 = -p'(x2) x1 + R.
+
+    R is random in x2..xn, so the trace equation of the nilpotency system
+    holds and only the other three can refute nilpotency.
+    """
+    x = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+    R = generators.random_polynomial(rng, n, 2, terms=3).substitute(
+        {1: Polynomial.zero(n)}
+    )
+    H1 = R - p.partial(2) * x[0]
+    H2 = p
+    for bi, xi in zip(b, x[2:]):
+        H2 = H2 + xi.scale(bi)
+    return PolyMap([H1, H2, *tails])
+
+
+def planar(rng, n):
+    """A random polynomial in (x1, x2), lifted to n variables."""
+    return generators.random_polynomial(rng, 2, 2, terms=2).lift(n, [1, 2])
+
+
 class TestLeadingPartDegree:
-    def test_rejects_non_nilpotent(self):
-        rng = random.Random(16)
-        inst = generators.random_generalized(rng, 4)
-        while is_nilpotent(inst.map):
-            inst = generators.random_generalized(rng, 4)
-        with pytest.raises(PreconditionError):
-            leading_part_degree(inst)
-
-    def test_rejects_independent_non_nilpotent(self):
-        inst = GeneralizedFormB(parse_map("x3 + x1; x2; x1^2; x2^2"))
-        assert linear_dependence(inst.map.components) is None
-        with pytest.raises(PreconditionError, match="nilpotent"):
-            leading_part_degree(inst)
-
-    def test_rejects_dependent_components(self):
-        inst = generators.nilpotent_generalized(random.Random(14), 4)
-        assert linear_dependence(inst.map.components) is not None
-        with pytest.raises(PreconditionError):
-            leading_part_degree(inst)
-
     def test_nilpotent_instances_of_this_shape_are_always_dependent(self):
-        # Hand derivation backed by a large random search: within this
-        # shape a nilpotent Jacobian forces a linear dependence among the
-        # components, so the bound is certified only through the
-        # independence precondition rejecting every nilpotent instance.
+        # Both generators build the dependence in: nilpotent_generalized
+        # has (H_1, H_2) = (q f(w), -p f(w)), so p H_1 + q H_2 = 0, and the
+        # coupled family has H_3 = H_4.
         rng = random.Random(15)
         checked = 0
         for _ in range(400):
@@ -358,36 +358,60 @@ class TestLeadingPartDegree:
             checked += 1
         assert checked == 400
 
+    def test_uncoupled_second_component_is_never_nilpotent(self):
+        # b = 0: row 2 of JH is (0, p'(x2), 0, ..., 0), so t - p' divides
+        # det(tI - JH), and nilpotency forces p' = 0, that is H_2 = 0.
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.choice([3, 4, 5])
+            p = generators.random_univariate(rng, 3).lift(n, [2])
+            H = generalized_map(
+                rng, n, [0] * (n - 2), p, [planar(rng, n) for _ in range(n - 2)]
+            )
+            assert all(bi == 0 for bi in GeneralizedFormB(H).b)
+            assert not is_nilpotent_bruteforce(H)
+
+    def test_coupling_with_h2_free_of_x1_is_never_nilpotent(self):
+        # b != 0 with h2 = sum b_i H_i free of x1: det(tI - JH) =
+        # t^(n-4) det(t^2 I - tK - LN), whose coefficients then read
+        # AB = 0, p'(A - B) = 0 and p'^2 + A + B = 0 for A = sum a_i
+        # dH_i/dx1 and B = dh2/dx2.  So nilpotency forces p' = B = 0,
+        # that is p = h2 = 0.
+        rng = random.Random(22)
+        for _ in range(60):
+            n = rng.choice([3, 4, 5])
+            b = [rng.randint(-2, 2) for _ in range(n - 2)]
+            j = rng.randrange(n - 2)
+            b[j] = rng.choice([-2, -1, 1, 2])
+            p, k = Polynomial.zero(n), Polynomial.zero(n)
+            while p.is_zero() and k.is_zero():
+                if rng.random() < 0.7:
+                    p = generators.random_univariate(rng, 3).lift(n, [2])
+                if rng.random() < 0.7:
+                    k = generators.random_univariate(rng, 3).lift(n, [2])
+            tails = [planar(rng, n) for _ in range(n - 2)]
+            rest = sum(
+                (t.scale(bi) for i, (t, bi) in enumerate(zip(tails, b)) if i != j),
+                Polynomial.zero(n),
+            )
+            tails[j] = (k - rest).scale(Fraction(1, b[j]))
+            H = generalized_map(rng, n, b, p, tails)
+            inst = GeneralizedFormB(H)
+            h2 = sum(
+                (t.scale(bi) for t, bi in zip(H.components[2:], inst.b)),
+                Polynomial.zero(n),
+            )
+            assert h2 == k and h2.partial(1).is_zero()
+            assert not is_nilpotent_bruteforce(H)
+
 
 class TestReduceGeneralized:
-    def test_decoupled_instances_are_terminal(self):
-        # no linear coupling in the second component and H_2 free of x1:
-        # the map is already of the external form
-        H = parse_map("x3 + x1*x2; x2^2; x1; x2")
-        inst = GeneralizedFormB(H)
-        assert all(b == 0 for b in inst.b)
-        T, reduced = reduce_generalized(inst)
-        assert T.is_identity()
-        assert reduced == inst.map
-
-    def test_requires_second_component_free_of_x1(self):
-        H = parse_map("x3; x1^2; x2^2; 0")
-        with pytest.raises(PreconditionError):
-            reduce_generalized(GeneralizedFormB(H))
-
-    def test_requires_independent_components(self):
-        # b = 0 and H_2 free of x1, but H_4 = 2 H_3.
-        H = parse_map("x3 + x1*x2; x2^2; x1; 2*x1")
-        inst = GeneralizedFormB(H)
-        assert all(b == 0 for b in inst.b)
-        with pytest.raises(PreconditionError, match="independent"):
-            reduce_generalized(inst)
-
     def test_coupled_nilpotent_instances_are_dependent(self):
-        # Searched exhaustively: within this shape, nonzero linear coupling
-        # in the second component plus a nilpotent Jacobian forces a linear
-        # dependence among the components, so the coupled reduction branch
-        # only ever sees inputs its precondition rejects.
+        # The random instances with b != 0 and H_2 free of x1 that are
+        # nilpotent all have dependent components.  The cases h2 free of x1
+        # and b = 0 are proved (see the two tests above); for h2 with x1,
+        # H_1 = -p'(x2) x1 + rho(x2) + S(x3, ..., xn) is forced, and every
+        # such map of total degree <= 2 in four variables is dependent.
         rng = random.Random(18)
         hits = 0
         for _ in range(300):
@@ -400,13 +424,10 @@ class TestReduceGeneralized:
                 continue
             hits += 1
             assert linear_dependence(inst.map.components) is not None
-            with pytest.raises(PreconditionError):
-                reduce_generalized(inst)
         assert hits >= 1
 
     def test_coupling_conjugation_matrix_action(self):
-        # the conjugation used by the coupled branch: add c times the first
-        # coordinate to the second, here with c = 2
+        # add c times the first coordinate to the second, here with c = 2
         T = elementary_row_add(4, 1, Fraction(2), 2)
         H = parse_map("x1^2; 0; 0; 0")
         Hc = conjugate(H, T)

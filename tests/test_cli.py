@@ -1,8 +1,10 @@
 """Exit-code and output tests for the command-line interface."""
 
+import ast
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -371,6 +373,24 @@ class TestClassify:
         code, out, err = run(capsys, ["classify", "-f", f, "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out) == {"nilpotent": True, "route": "unclassified"}
+
+    def test_readme_route_table_lists_the_cli_routes(self):
+        # The "Classify routes" table of README names each route in its
+        # first column; cli.py prints each as a "route" literal.
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Classify routes", 1)[1].split("\n#", 1)[0]
+        documented = re.findall(r"^\| `([a-z-]+)` \|", section, re.M)
+        tree = ast.parse((root / "src" / "nilmap" / "cli.py").read_text())
+        printed = [
+            value.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "route"
+        ]
+        assert "unclassified" in documented
+        assert sorted(documented) == sorted(printed)
 
     @pytest.mark.parametrize("text", [H3, H4], ids=["H3", "H4"])
     def test_independent_nilpotent_maps(self, tmp_path, capsys, text):

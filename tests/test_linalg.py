@@ -12,7 +12,6 @@ from nilmap import (
     NilmapError,
     PolyMatrix,
     Polynomial,
-    elementary_permutation,
     elementary_row_add,
     kernel,
     parse_polynomial,
@@ -134,15 +133,6 @@ class TestLinearMap:
     def test_identity(self):
         assert LinearMap.identity(4).is_identity()
 
-    def test_elementary_permutation(self):
-        t = elementary_permutation(3, 1, 2)
-        assert t.matrix.apply([Fraction(5), Fraction(7), Fraction(9)]) == [
-            Fraction(7),
-            Fraction(5),
-            Fraction(9),
-        ]
-        assert (t.matrix * t.matrix).is_identity()
-
     def test_elementary_row_add(self):
         # adds a * (coordinate i) to coordinate j
         t = elementary_row_add(3, 1, Fraction(2), 2)
@@ -260,6 +250,15 @@ class TestPolyMatrix:
         assert (
             poly_matrix_rank(self.J([["0", "0"], ["0", "0"]])) == 0
         )
+        # After the first step the second column is zero below the pivot,
+        # so it is skipped.
+        m = self.J([["x", "y", "1"], ["2*x", "2*y", "3"], ["x", "y", "2"]])
+        assert poly_matrix_rank(m) == 2
+        # Row 2 has a zero in the first column, but the division by the
+        # pivot x at the next step is exact only if the first step scaled
+        # row 2 too.
+        m = self.J([["x", "1", "y"], ["0", "x", "1"], ["y", "y", "x"]])
+        assert poly_matrix_rank(m) == 3
 
 
 def grid_power(m, k):
@@ -784,7 +783,7 @@ class TestStoredForm:
         b = RationalMatrix([[4, 0], [0, Fraction(2, 3)]])
         for m in (a * b, a.inverse(), a.rref()[0],
                   RationalMatrix.identity(3), elementary_row_add(3, 1, Fraction(1, 2), 2).inverse,
-                  elementary_permutation(3, 1, 3).matrix):
+                  RationalMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])):
             assert_stored_form(m)
         # (1/2)*4 and (3/4)*4 are integral products of Fractions.
         assert (a * b).entries == ((8, Fraction(1, 3)), (3, Fraction(2, 3)))

@@ -8,7 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from nilmap import PolyMap, Polynomial, generators, jacobian, poly_det
+from nilmap import (
+    PolyMap,
+    Polynomial,
+    build_canonical_pair,
+    conjugate,
+    generators,
+    jacobian,
+    poly_det,
+    poly_matrix_rank,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -86,6 +95,55 @@ def test_substitute_into_another_ring_matches_sympy(n, seed):
         {x: to_sympy(q, ys) for x, q in zip(xs, images)}, simultaneous=True
     )
     assert got.terms == from_sympy(want, ys)
+
+
+def rank_case(kind, n, seed):
+    """A seeded map whose Jacobian is of full rank ("random") or, for
+    every other kind, rank-deficient: a zero component, a component that is
+    the product of two others, a conjugated canonical pair (n = 3), or one
+    of the two nilpotent generalized families."""
+    rng = random.Random(4000 * n + seed)
+    if kind == "canonical":
+        H = build_canonical_pair(generators.random_canonical_params(rng))
+        return conjugate(H, generators.random_invertible(rng, 3))
+    if kind == "generalized":
+        return generators.nilpotent_generalized(rng, n).map
+    if kind == "coupled":
+        return generators.nilpotent_generalized_coupled(rng, n).map
+    comps = list(scaled_map(rng, n, 2, terms=3))
+    if kind == "zero":
+        comps[rng.randrange(n)] = Polynomial.zero(n)
+    elif kind == "product":
+        i, j, k = rng.sample(range(n), 3)
+        comps[k] = comps[i] * comps[j]
+    return PolyMap(comps)
+
+
+RANK_CASES = [
+    (kind, n, seed)
+    for kind, dims in (
+        ("random", (3, 4, 5)),
+        ("zero", (3, 4, 5)),
+        ("product", (3, 4, 5)),
+        ("canonical", (3,)),
+        ("generalized", (4, 5)),
+        ("coupled", (4, 5)),
+    )
+    for n in dims
+    for seed in range(2 if len(dims) > 1 else 4)
+]
+
+
+@pytest.mark.parametrize("kind,n,seed", RANK_CASES)
+def test_poly_matrix_rank_matches_sympy(kind, n, seed):
+    H = rank_case(kind, n, seed)
+    J = jacobian(H)
+    xs = symbols(n)
+    M = sympy.Matrix([[to_sympy(p, xs) for p in row] for row in J.entries])
+    want = sympy.polys.matrices.DomainMatrix.from_Matrix(M).to_field().rank()
+    assert poly_matrix_rank(J) == want
+    if kind != "random":
+        assert want < n
 
 
 def test_zero_and_constant_results():
