@@ -17,11 +17,8 @@ ch. 7).  In a basis that starts with one of W, J is block triangular with
 a nilpotent first block, so det(tI - J) = t^w det(tI - Q) for w = dim W and
 Q the block on the quotient: sigma_k(J) = sigma_k(Q) for k <= n - w, and 0
 beyond.  When W is everything, as for the paper's second family under any
-constant conjugation, no characteristic polynomial is taken at all.  A
-gate keeps other maps from paying for the chain: a nonsingular
-J(1, ..., 1) proves W = 0, and then the recursion runs on J as it is.
-Jacobians of size 3 or less skip the flag, whose chain costs more there
-than the recursion it would save.
+constant conjugation, no characteristic polynomial is taken at all.
+Jacobians of every size take this one path.
 
 A verdict needs less than the report.  `nilpotency_witness` (behind
 `classify`) and `is_nilpotent` stop at the first nonzero sigma: the trace
@@ -80,6 +77,7 @@ from .linalg import (
     _kernel_vectors,
     _sigma_terms,
 )
+from .parsing import DEFAULT_ALIASES, format_polynomial
 from .poly import (
     Polynomial,
     PolyMap,
@@ -113,16 +111,14 @@ class NilpotencyReport:
     def __setattr__(self, *args):
         raise AttributeError("NilpotencyReport instances are immutable")
 
-    def to_json(self) -> dict:
-        from .parsing import format_polynomial
-
+    def to_json(self, aliases: str | None = DEFAULT_ALIASES) -> dict:
         doc = {
-            "sigma": [format_polynomial(s) for s in self.sigma],
+            "sigma": [format_polynomial(s, aliases) for s in self.sigma],
             "nilpotent": self.nilpotent,
         }
         if self.witness is not None:
             k, s = self.witness
-            doc["witness"] = {"k": k, "sigma_k": format_polynomial(s)}
+            doc["witness"] = {"k": k, "sigma_k": format_polynomial(s, aliases)}
         return doc
 
 
@@ -270,12 +266,6 @@ def _nilpotency_index(m: RationalMatrix) -> int | None:
     return k
 
 
-# The smallest Jacobian whose report goes through the common flag.  A
-# characteristic polynomial of size 3 or less takes about a dozen dot
-# products of term dicts, fewer than the chain's first elimination needs.
-_FLAG_MIN_SIZE = 4
-
-
 def _quotient_sigma(grid: list[list[Terms]], n: int) -> tuple[list[Terms], int]:
     """(sigma, d) for the integer grid cJ of a Jacobian in n variables:
     sigma_k(cJ) = sigma[k - 1] / d^k for k <= len(sigma), and 0 for every
@@ -284,11 +274,8 @@ def _quotient_sigma(grid: list[list[Terms]], n: int) -> tuple[list[Terms], int]:
     sigma holds the integer sigma_1..sigma_(n - w) of the quotient block dQ
     of the common flag space W of dimension w (`linalg._common_flag`):
     det(tI - cJ) = t^w det(tI - Q).  When W = 0, dQ is cJ itself and
-    d = 1; when W is everything, sigma is empty.  A grid smaller than
-    `_FLAG_MIN_SIZE` takes the recursion on cJ itself.
+    d = 1; when W is everything, sigma is empty.
     """
-    if len(grid) < _FLAG_MIN_SIZE:
-        return _sigma_terms(grid, n), 1
     flag = _common_flag(grid)
     return _sigma_terms(flag.quotient, n), flag.den
 
@@ -338,32 +325,22 @@ def nilpotency_witness(H: PolyMap) -> tuple[int, Polynomial] | None:
     """
     n = H.dimension
     grid, c = _jacobian_terms(H)
-    found = _first_nonzero_sigma(grid, n)
-    if found is None:
-        return None
-    k, s, d = found
-    return k, Polynomial._trusted(n, *_reduced(s, (d * c) ** k))
-
-
-def _first_nonzero_sigma(
-    grid: list[list[Terms]], n: int
-) -> tuple[int, Terms, int] | None:
-    """(k, s, d) with sigma_k(cJ) = s / d^k the first nonzero sigma of the
-    integer grid cJ of a Jacobian in n variables, or None when all vanish.
-    The trace comes first, with d = 1; then `_quotient_sigma`."""
     trace: Terms = {}
     for i in range(n):
         _add_into(trace, grid[i][i])
     if any(trace.values()):
-        return 1, trace, 1
+        return 1, Polynomial._trusted(n, *_reduced(trace, c))
     sigma, d = _quotient_sigma(grid, n)
-    return next(((k, s, d) for k, s in enumerate(sigma, 1) if s), None)
+    for k, s in enumerate(sigma, 1):
+        if s:
+            return k, Polynomial._trusted(n, *_reduced(s, (d * c) ** k))
+    return None
 
 
 def is_nilpotent(H: PolyMap) -> bool:
-    """True iff every sigma_k of J(H) vanishes: `nilpotency_witness`
-    without the witness polynomial."""
-    return _first_nonzero_sigma(_jacobian_terms(H)[0], H.dimension) is None
+    """True iff every sigma_k of J(H) vanishes: `nilpotency_witness` finds
+    no witness."""
+    return nilpotency_witness(H) is None
 
 
 def is_nilpotent_bruteforce(H: PolyMap) -> bool:

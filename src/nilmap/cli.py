@@ -81,8 +81,8 @@ def _cmd_jacobian(args) -> int:
     J = analysis.jacobian(H)
     _emit(
         args,
-        lambda: {"jacobian": J.to_json()},
-        lambda: "\n".join("  ".join(r) for r in J.to_json()),
+        lambda: {"jacobian": J.to_json(args.var_alias)},
+        lambda: "\n".join("  ".join(r) for r in J.to_json(args.var_alias)),
     )
     return EXIT_OK
 
@@ -92,10 +92,10 @@ def _cmd_nilpotent(args) -> int:
     report = analysis.nilpotency_equations(H)
     _emit(
         args,
-        report.to_json,
+        lambda: report.to_json(args.var_alias),
         lambda: "nilpotent" if report.nilpotent else
         f"not nilpotent: sigma_{report.witness[0]} = "
-        f"{format_polynomial(report.witness[1])}",
+        f"{format_polynomial(report.witness[1], args.var_alias)}",
     )
     return EXIT_OK if report.nilpotent else EXIT_FALSE
 
@@ -130,7 +130,11 @@ def _cmd_conjugate(args) -> int:
     H = _read_map(args)
     T = _parse_matrix(args.matrix)
     result = analysis.conjugate(H, T)
-    _emit(args, lambda: map_to_document(result), lambda: format_map(result))
+    _emit(
+        args,
+        lambda: map_to_document(result, args.var_alias),
+        lambda: format_map(result, args.var_alias),
+    )
     return EXIT_OK
 
 
@@ -139,13 +143,14 @@ def _cmd_classify(args) -> int:
     witness = analysis.nilpotency_witness(H)
     if witness is not None:
         k, s = witness
+        aliases = args.var_alias
         _emit(
             args,
             lambda: {
                 "nilpotent": False,
-                "witness": {"k": k, "sigma_k": format_polynomial(s)},
+                "witness": {"k": k, "sigma_k": format_polynomial(s, aliases)},
             },
-            lambda: f"not nilpotent: sigma_{k} = {format_polynomial(s)}",
+            lambda: f"not nilpotent: sigma_{k} = {format_polynomial(s, aliases)}",
         )
         return EXIT_FALSE
     recognized = classify.recognize_canonical_pair(H)
@@ -174,7 +179,7 @@ def _cmd_classify(args) -> int:
                 "route": "low-z-normalization",
                 "T": T.matrix.to_json(),
                 "status": "external-form-reached",
-                "map": map_to_document(reduced),
+                "map": map_to_document(reduced, args.var_alias),
             },
             lambda: "normalized: external-form-reached",
         )
@@ -205,7 +210,11 @@ def _cmd_build_canonical(args) -> int:
         parse_polynomial(doc["h"], 2, aliases="tz"),
     )
     H = classify.build_canonical_pair(params)
-    _emit(args, lambda: map_to_document(H), lambda: format_map(H))
+    _emit(
+        args,
+        lambda: map_to_document(H, args.var_alias),
+        lambda: format_map(H, args.var_alias),
+    )
     return EXIT_OK
 
 
@@ -217,7 +226,11 @@ def _cmd_invert(args) -> int:
             args, lambda: {"inverse": None}, lambda: "no polynomial inverse found"
         )
         return EXIT_FALSE
-    _emit(args, lambda: {"inverse": map_to_document(G)}, lambda: format_map(G))
+    _emit(
+        args,
+        lambda: {"inverse": map_to_document(G, args.var_alias)},
+        lambda: format_map(G, args.var_alias),
+    )
     return EXIT_OK
 
 
@@ -234,7 +247,7 @@ def _cmd_decompose(args) -> int:
         return EXIT_FALSE
     _emit(
         args,
-        factorization.to_json,
+        lambda: factorization.to_json(args.var_alias),
         lambda: f"{len(factorization.factors)} factors",
     )
     return EXIT_OK

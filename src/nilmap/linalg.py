@@ -33,9 +33,8 @@ denominator, so the grid cM, c the lcm of the entries' denominators, is
 the numerators scaled by c / den (nothing at all for an integral M), and
 sigma_k(M) = sigma_k(cM) / c^k.  `_grid_power` powers such a grid for the
 J^n oracle of `analysis`.  Constant matrices take one determinant,
-`_int_det`, on integer rows: closed forms at sizes 3 and 4, fraction-free
-elimination (Bareiss) otherwise.  It is the gate of `_common_flag` and,
-with each row's denominators cleared, `RationalMatrix.det`.
+`_int_det`, fraction-free elimination (Bareiss) on integer rows, behind
+`RationalMatrix.det` with each row's denominators cleared.
 
 `_common_flag` finds, on such a grid cJ = sum_m M_m x^m, the largest
 subspace on which all the constant matrices M_m act by one strictly
@@ -60,7 +59,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NilmapError, ParseError, ShapeError
-from .parsing import MAX_DIGITS
+from .parsing import DEFAULT_ALIASES, MAX_DIGITS, format_polynomial
 from .poly import (
     _ONE,
     PolyMap,
@@ -532,10 +531,8 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
-    def to_json(self) -> list[list[str]]:
-        from .parsing import format_polynomial
-
-        return [[format_polynomial(p) for p in row] for row in self.entries]
+    def to_json(self, aliases: str | None = DEFAULT_ALIASES) -> list[list[str]]:
+        return [[format_polynomial(p, aliases) for p in row] for row in self.entries]
 
     def __repr__(self):
         return f"PolyMatrix({json.dumps(self.to_json())})"
@@ -649,24 +646,17 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     last step before the stall are put in reduced row echelon form, once.
     The rows a * M_m are produced one row a at a time (`_row_products`),
     as `_flag_step` asks for them: a step that stalls needs only as many
-    as the rank.
-
-    A gate comes first: a nonsingular cJ(1, ..., 1), the sum of the M_m,
-    has no kernel vector common to every M_m, so W_1 = 0 and the chain is
-    not run.  Its determinant test is cheap beside the chain's first
-    elimination, which a typical non-nilpotent map would pay for nothing.
+    as the rank.  When the M_m have no common kernel vector, W_1 = 0 and
+    the first step stalls as soon as it has seen `size` independent rows.
     """
     size = len(grid)
-    identity = Flag(_identity_rows(size), 1, range(size), grid)
-    if _int_det([[sum(terms.values()) for terms in row] for row in grid]):
-        return identity
     terms = [
         [(key, j, c) for j, entry in enumerate(row) for key, c in entry.items()]
         for row in grid
     ]
     rows = _flag_step(_row_products(_identity_rows(size), terms, size), size)
     if rows is None:
-        return identity
+        return Flag(_identity_rows(size), 1, range(size), grid)
     while rows:
         step = _flag_step(_row_products(rows, terms, size), len(rows))
         if step is None:
@@ -747,11 +737,7 @@ def _identity_rows(size: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _int_det(rows: list[list[int]]) -> int:
-    """The determinant of a square integer matrix, given by its rows.
-
-    3x3 and 4x4 matrices take the expansion by the minors of the first row
-    and by the 2x2 minors of the first two rows (Laplace), a few products
-    where the elimination would build lists.  Any other size takes
+    """The determinant of a square integer matrix, given by its rows, by
     fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): each
     step moves the first row P with P[0] != 0 to the top, which flips the
     sign when an odd number of rows precede it, keeps the other rows, each
@@ -759,19 +745,6 @@ def _int_det(rows: list[list[int]]) -> int:
     and makes P[0] the new den; every // is exact, and the last den is the
     determinant of the reordered matrix.
     """
-    if len(rows) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
-    if len(rows) == 4:
-        (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
-        return (
-            (a * f - b * e) * (k * p - l * o)
-            - (a * g - c * e) * (j * p - l * n)
-            + (a * h - d * e) * (j * o - k * n)
-            + (b * g - c * f) * (i * p - l * m)
-            - (b * h - d * f) * (i * o - k * m)
-            + (c * h - d * g) * (i * n - j * m)
-        )
     sign = den = 1
     while rows:
         for r, prow in enumerate(rows):

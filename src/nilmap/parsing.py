@@ -13,8 +13,10 @@ helpers behind ``Polynomial`` ``*`` and ``**``, with their ExponentOverflow
 guard) on the numerators, and one `Polynomial` is built per parsed text.
 Both are bounded before they run: a power by the estimated size of its
 result (`MAX_POWER_BITS`), a product by its number of term pairs
-(`MAX_PRODUCT_PAIRS`).  A run of digits longer than `MAX_DIGITS` is a
-ParseError, in polynomial text and in JSON documents alike.
+(`MAX_PRODUCT_PAIRS`), with the term count of a power factor estimated,
+so no power is computed for a product that the bound refuses.  A run of
+digits longer than `MAX_DIGITS` is a ParseError, in polynomial text and in
+JSON documents alike.
 
 The formatter emits graded-lexicographically sorted terms, so equal
 polynomials always format identically and ``format(parse(t))`` is a fixpoint
@@ -57,7 +59,9 @@ MAX_POWER_BITS = 1 << 20
 
 # A product p * q is rejected before it is computed when it would multiply
 # more than this many pairs of terms, len(p) * len(q), so a short input
-# cannot demand unbounded work through products of powers either.
+# cannot demand unbounded work through products of powers either.  The
+# term count of a factor p^k is the estimate of `_power_terms`, taken
+# before p^k is computed.
 MAX_PRODUCT_PAIRS = 1 << 21
 
 # A run of more digits than this, in polynomial text or as a JSON integer,
@@ -91,22 +95,27 @@ def _power_size(p: Terms, den: int, k: int, n: int) -> int:
     numerators' |c|, every coefficient of p^k has numerator at most S^k and
     denominator at most D^k, so at most k times the bits of max(S, D).
     A monomial with coefficient 1 or -1 has the one-term power of 1 bit.
-    p^k has at most C(t - 1 + k, k) terms, the multisets of k of p's t
-    terms, and at most C(n + k*d, n), the monomials of total degree at
-    most k*d for d = deg p.  A count is cut off once the bound is past
-    MAX_POWER_BITS, so the estimate never costs more than a few dozen
-    steps.
+    The term count is `_power_terms`, cut off once the bound is past
+    MAX_POWER_BITS.
     """
     if len(p) == 1 and den == 1 and abs(next(iter(p.values()))) == 1:
         return 1
     bits = k * max(sum(map(abs, p.values())), den).bit_length()
-    limit = MAX_POWER_BITS // bits + 1
+    return _power_terms(p, k, n, MAX_POWER_BITS // bits + 1) * bits
+
+
+def _power_terms(p: Terms, k: int, n: int, limit: int) -> int:
+    """An upper bound on the term count of p^k (k >= 0, p nonzero, in n
+    variables), or limit + 1 once the bound exceeds limit: p^k has at most
+    C(t - 1 + k, k) terms, the multisets of k of p's t terms, and at most
+    C(n + k*d, n), the monomials of total degree at most k*d for
+    d = deg p.  The cut-off keeps the estimate to a few dozen steps.
+    """
     degree = max(p) >> (_B * n)
-    terms = min(
+    return min(
         _binomial_at_most(len(p) - 1, k, limit),
         _binomial_at_most(n, k * degree, limit),
     )
-    return terms * bits
 
 
 def _binomial_at_most(a: int, b: int, limit: int) -> int:
@@ -227,39 +236,65 @@ class _Parser:
         return p, den
 
     def term(self) -> tuple[Terms, int]:
-        p, den = self.factor()
+        negative, p, den, k = self.factor()
         while self.peek()[0] == "*":
             tok = self.advance()
-            q, qden = self.factor()
-            if len(p) * len(q) > MAX_PRODUCT_PAIRS:
+            q_negative, q, qden, qk = self.factor()
+            negative ^= q_negative
+            a = len(p) if k == 1 else self.term_count(p, k)
+            b = len(q) if qk == 1 else self.term_count(q, qk)
+            if a * b > MAX_PRODUCT_PAIRS:
                 raise ParseError(
-                    f"product of {len(p)} and {len(q)} terms is too large: it "
+                    f"product of {a} and {b} terms is too large: it "
                     f"multiplies more than {MAX_PRODUCT_PAIRS} pairs of terms",
                     *tok[2:],
                 )
+            if k != 1:
+                p, den = self.power(p, den, k)
+                k = 1
+            if qk != 1:
+                q, qden = self.power(q, qden, qk)
             p = _product(p, q, self.n)
             if den != 1 or qden != 1:
                 p, den = _reduced(p, den * qden)
-        return p, den
+        if k != 1:
+            p, den = self.power(p, den, k)
+        return (_negate(p) if negative else p), den
 
-    def factor(self) -> tuple[Terms, int]:
+    def factor(self) -> tuple[bool, Terms, int, int]:
+        """(negative, p, den, k) for the factor -(p / den)^k when negative,
+        (p / den)^k otherwise; the power is left to `term`, which bounds
+        each product before it computes any power."""
         negative = self.signs()
         p, den = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("int")
-            k = tok[1]
-            if p and k and _power_size(p, den, k, self.n) > MAX_POWER_BITS:
-                raise ParseError(
-                    f"power with exponent {k} is too large: its result is "
-                    f"estimated beyond {MAX_POWER_BITS} bits",
-                    *tok[2:],
-                )
-            # The numerators' content is coprime to den, so by Gauss's
-            # lemma that of the power is coprime to den^k.
-            p = _power(p, k, self.n)
-            den = den**k if p else 1
-        return (_negate(p) if negative else p), den
+        if self.peek()[0] != "^":
+            return negative, p, den, 1
+        self.advance()
+        tok = self.expect("int")
+        k = tok[1]
+        if p and k and _power_size(p, den, k, self.n) > MAX_POWER_BITS:
+            raise ParseError(
+                f"power with exponent {k} is too large: its result is "
+                f"estimated beyond {MAX_POWER_BITS} bits",
+                *tok[2:],
+            )
+        return negative, p, den, k
+
+    def term_count(self, p: Terms, k: int) -> int:
+        """The term count of p^k: exact for k = 0 and for p = 0, and the
+        estimate of `_power_terms` otherwise."""
+        if k == 0:
+            return 1
+        if not p:
+            return 0
+        return _power_terms(p, k, self.n, MAX_PRODUCT_PAIRS)
+
+    def power(self, p: Terms, den: int, k: int) -> tuple[Terms, int]:
+        """The stored form of (p / den)^k."""
+        # The numerators' content is coprime to den, so by Gauss's lemma
+        # that of the power is coprime to den^k.
+        p = _power(p, k, self.n)
+        return p, (den**k if p else 1)
 
     def signs(self) -> bool:
         """Consume a run of unary signs; True when it negates."""

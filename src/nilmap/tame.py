@@ -52,7 +52,7 @@ from .linalg import (
     coefficient_kernel,
     row_conjugator,
 )
-from .parsing import map_to_document
+from .parsing import DEFAULT_ALIASES, format_polynomial, map_to_document
 from .poly import Polynomial, PolyMap, _combination
 
 Factor = Union["ElementaryMap", LinearMap]
@@ -97,18 +97,14 @@ class ElementaryMap:
             and self.shift == other.shift
         )
 
-    def to_json(self) -> dict:
-        from .parsing import format_polynomial
-
+    def to_json(self, aliases: str | None = DEFAULT_ALIASES) -> dict:
         return {
             "kind": "elementary",
             "i": self.index,
-            "Q": format_polynomial(self.shift),
+            "Q": format_polynomial(self.shift, aliases),
         }
 
     def __repr__(self):
-        from .parsing import format_polynomial
-
         return (
             f"ElementaryMap({self.dimension}, {self.index}, "
             f"{format_polynomial(self.shift)!r})"
@@ -137,11 +133,11 @@ class TameFactorization:
     def __setattr__(self, *args):
         raise AttributeError("TameFactorization instances are immutable")
 
-    def to_json(self) -> dict:
+    def to_json(self, aliases: str | None = DEFAULT_ALIASES) -> dict:
         out = []
         for f in self.factors:
             if isinstance(f, ElementaryMap):
-                out.append(f.to_json())
+                out.append(f.to_json(aliases))
             else:
                 out.append({"kind": "linear", "matrix": f.matrix.to_json()})
         return {"dimension": self.dimension, "factors": out}

@@ -214,6 +214,32 @@ class TestInputHandling:
         assert run(capsys, ["jacobian", "-f", f])[0] == 0
         assert sizes == [(231, 231)]
 
+    def test_product_of_powers_is_refused_before_either_power(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Each power is under the size cap, with an estimated 5,151 terms;
+        # their product would multiply 26,532,801 pairs.
+        text = "(x + y + 1)^100 * (x + y + 1)^100; y"
+        start = time.perf_counter()
+        with pytest.raises(parsing.ParseError, match="5151 and 5151 terms"):
+            parsing.parse_map(text)
+        assert time.perf_counter() - start < 0.05
+
+        def refuse(*args):
+            raise AssertionError("a power of a refused product was computed")
+
+        monkeypatch.setattr(parsing, "_power", refuse)
+        f = write(tmp_path, "m.txt", text)
+        code, out, err = run(capsys, ["jacobian", "-f", f])
+        assert code == 2
+        assert "too large" in err and "pairs of terms" in err
+        assert out == "" and "Traceback" not in err
+
+    def test_power_alone_under_both_caps_parses(self):
+        p = parsing.parse_polynomial("(x + y + 1)^100", 2)
+        assert len(p.terms) == 5151
+        assert p.total_degree() == 100
+
     def test_parse_error_positions(self, tmp_path, capsys):
         # Text syntax errors carry a position; errors about the structure
         # of a JSON document or matrix have none to give.
@@ -579,6 +605,68 @@ class TestLongNumbers:
     def test_long_json_integer_in_a_parameter_document(self, tmp_path, capsys):
         f = write(tmp_path, "p.json", f'{{"a1": "1", "n": {self.LONG}}}')
         self.check(capsys, ["build-canonical", "-f", f], "digits is longer than the limit")
+
+
+def string_leaves(doc):
+    """The strings of a JSON document, but for the route, status and kind
+    labels, which are not polynomials."""
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from string_leaves(v)
+    elif isinstance(doc, dict):
+        for key, v in doc.items():
+            if key not in ("route", "status", "kind"):
+                yield from string_leaves(v)
+
+
+# verb: (input file text, aliases, extra arguments, plain output -> the
+# polynomials it prints).
+ALIAS_CASES = {
+    "jacobian": ("a*b; b^2", "ab", [], lambda out: re.split(r"\n|  ", out)),
+    "nilpotent": ("a*b; b^2", "ab", [], lambda out: [out.split(" = ")[1]]),
+    "conjugate": (
+        "a*b; b^2", "ab", ["-m", "[[0,1],[1,0]]"], lambda out: out.split(";")
+    ),
+    "classify": ("a*b; b^2", "ab", [], lambda out: [out.split(" = ")[1]]),
+    "classify-low-z": (H3.replace("x", "a").replace("y", "b").replace("z", "c"),
+                       "abc", [], lambda out: []),
+    "invert": ("a + b^2; b", "ab", [], lambda out: out.split(";")),
+    "decompose": ("a + b^2; b", "ab", [], lambda out: []),
+    "build-canonical": (
+        json.dumps({"a1": "1", "a2": "1", "c1": "z^2", "c2": "z", "h": "t"}),
+        "abc", [], lambda out: out.split(";"),
+    ),
+}
+
+
+class TestVarAliasOutput:
+    """Every polynomial a verb prints is written in its --var-alias names,
+    so the output parses back with the same flag."""
+
+    @pytest.mark.parametrize("case", sorted(ALIAS_CASES))
+    def test_output_parses_back_with_the_same_flag(self, tmp_path, capsys, case):
+        text, aliases, extra, plain = ALIAS_CASES[case]
+        verb = case.removesuffix("-low-z")
+        f = write(tmp_path, "m.txt", text)
+        argv = [verb, "-f", f, *extra, "--var-alias", aliases]
+        code, out, _ = run(capsys, argv)
+        assert code in (0, 1)
+        code, doc, _ = run(capsys, argv + ["--json"])
+        assert code in (0, 1)
+        polys = [*plain(out.strip()), *string_leaves(json.loads(doc))]
+        assert polys
+        n = len(aliases)
+        for p in polys:
+            parsing.parse_polynomial(p, n, aliases)
+        if verb in ("conjugate", "invert", "build-canonical"):
+            # A printed map is read back as a map file: by the same verb,
+            # or by `invert` after `build-canonical`, which reads parameters.
+            g = write(tmp_path, "out.txt", out)
+            again = ["invert" if verb == "build-canonical" else verb]
+            code, _, err = run(capsys, [*again, "-f", g, *extra, "--var-alias", aliases])
+            assert code in (0, 1), err
 
 
 class TestMatrixEntries:

@@ -639,8 +639,8 @@ def permutation_rows(perm, scale=1):
 
 
 class TestIntDet:
-    """`_int_det`, the one determinant of constant matrices: closed forms at
-    sizes 3 and 4, signed Bareiss elimination at every other size."""
+    """`_int_det`, the one determinant of constant matrices: signed
+    Bareiss elimination at every size."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_the_cofactor_expansion(self, n):
@@ -654,6 +654,17 @@ class TestIntDet:
             signs.add((want > 0) - (want < 0))
         if n < 6:
             assert {-1, 1} <= signs
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6])
+    def test_nonsingular_matches_the_determinant(self, size):
+        # Small entries, and a last row that is the sum of two others about
+        # a third of the time: singular and nonsingular matrices both.
+        rng = random.Random(size)
+        for _ in range(300):
+            m = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
+            if rng.random() < 0.3 and size > 1:
+                m[-1] = [a + b for a, b in zip(m[0], m[1 % size])]
+            assert _int_det([row[:] for row in m]) == ref_det(m)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_permutation_matrices_take_the_row_order_sign(self, n):

@@ -15,6 +15,8 @@ from nilmap import (
     conjugate,
     generators,
     jacobian,
+    nilpotency_equations,
+    nilpotency_witness,
     poly_det,
     poly_matrix_rank,
 )
@@ -154,3 +156,44 @@ def test_zero_and_constant_results():
     assert got.terms == from_sympy(sympy.Integer(0), xs) == {}
     J = jacobian(PolyMap([Polynomial.variable(2, 2) ** 2, Polynomial.zero(2)]))
     assert poly_det(J).terms == {}
+
+
+def sigma_from_sympy(H):
+    """sigma_1..sigma_n of J(H) as term dicts: the coefficients of
+    det(tI + J) = t^n + sigma_1 t^(n-1) + ... + sigma_n, by sympy's
+    Berkowitz determinant."""
+    n = H.dimension
+    xs = symbols(n)
+    t = sympy.Symbol("t")
+    J = sympy.Matrix([[to_sympy(p, xs) for p in row] for row in jacobian(H).entries])
+    charpoly = sympy.Poly(
+        sympy.expand((t * sympy.eye(n) + J).det(method="berkowitz")), t
+    )
+    return [from_sympy(charpoly.coeff_monomial(t ** (n - k)), xs) for k in range(1, n + 1)]
+
+
+SIGMA_CASES = [("random", n) for n in (1, 2, 3, 4, 5)] + [
+    ("nilpotent", n) for n in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("kind,n", SIGMA_CASES)
+def test_sigma_report_matches_sympy(kind, n):
+    # The report goes through the common flag at every size, so it is
+    # checked here against a characteristic polynomial taken outside this
+    # package: random maps (W = 0 or a part-way flag) and conjugated
+    # nilpotent maps (all sigma zero).
+    rng = random.Random(5000 * n + len(kind))
+    if kind == "random":
+        H = scaled_map(rng, n, 3 if n < 5 else 2, terms=3)
+    else:
+        H = conjugate(
+            generators.random_nilpotent_map(rng, n),
+            generators.random_invertible(rng, n),
+        )
+    want = sigma_from_sympy(H)
+    assert [s.terms for s in nilpotency_equations(H).sigma] == want
+    first = next(((k, s) for k, s in enumerate(want, 1) if s), None)
+    witness = nilpotency_witness(H)
+    assert (witness and (witness[0], witness[1].terms)) == first
+    assert (first is None) == (kind == "nilpotent")
