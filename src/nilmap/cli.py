@@ -30,6 +30,7 @@ from .parsing import (
     format_polynomial,
     load_map_text,
     map_to_document,
+    parse_components,
     parse_polynomial,
     read_json,
 )
@@ -254,10 +255,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_keller4d(args) -> int:
-    parts = [p for p in _read_text(args.file).split(";") if p.strip()]
-    if len(parts) != 4:
-        raise ParseError(f"expected 4 components, found {len(parts)}")
-    polys = [parse_polynomial(p, 2, aliases=args.var_alias) for p in parts]
+    polys = parse_components(_read_text(args.file), 2, args.var_alias, count=4)
     h = classify.ReducedForm4D(*polys)
     keller = classify.keller_parameterized_check(h)
     nilp = analysis.is_nilpotent(h.realize())

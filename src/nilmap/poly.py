@@ -230,7 +230,13 @@ def _product(a: Terms, b: Terms, n: int) -> Terms:
 
 def _power(terms: Terms, k: int, n: int) -> Terms:
     """The k-th power (k >= 0) of an integer term dict in n variables, by
-    square-and-multiply; the result is a new dict."""
+    square-and-multiply; the result is a new dict.  A single term whose
+    power stays below the degree limit is raised at once: key times k,
+    coefficient to the k."""
+    if len(terms) == 1:
+        ((key, c),) = terms.items()
+        if k * (key >> _B * n) < _LIMIT:
+            return {key * k: c**k}
     result: Terms = {0: 1}
     base = terms
     while k:

@@ -21,7 +21,8 @@ _DIGITS = "0123456789"
 
 
 class _Token(NamedTuple):
-    """A token, equal to the plain tuple `nilmap.parsing` gives."""
+    """A token as (kind, value, line, column); the differential test puts
+    the tokens of `nilmap.parsing` in this form."""
 
     kind: str
     value: object
@@ -106,11 +107,15 @@ class RefParser:
         self.pos += 1
         return tok
 
+    def found(self):
+        tok = self.peek()
+        return "end of input" if tok.kind == "end" else repr(tok.value)
+
     def expect(self, kind):
         tok = self.peek()
         if tok.kind != kind:
             raise ParseError(
-                f"expected {kind!r}, found {tok.value!r}", tok.line, tok.column
+                f"expected {kind!r}, found {self.found()}", tok.line, tok.column
             )
         return self.advance()
 
@@ -121,7 +126,7 @@ class RefParser:
     def parse(self):
         p = self.expression()
         if self.peek().kind != "end":
-            self.fail(f"trailing input starting at {self.peek().value!r}")
+            self.fail(f"trailing input starting at {self.found()}")
         return p
 
     def expression(self):
@@ -182,7 +187,7 @@ class RefParser:
         if tok.kind == "name":
             self.advance()
             return Polynomial.variable(self.n, self.variable_index(tok))
-        self.fail(f"expected a number, variable or '(', found {tok.value!r}")
+        self.fail(f"expected a number, variable or '(', found {self.found()}")
 
     def variable_index(self, tok):
         name = tok.value

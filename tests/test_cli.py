@@ -239,6 +239,56 @@ class TestInputHandling:
         p = parsing.parse_polynomial("(x + y + 1)^100", 2)
         assert len(p.terms) == 5151
         assert p.total_degree() == 100
+        # Two powers of 68,880 estimated bits each, and a product of
+        # 861 * 861 pairs, are well inside the budget of one call.
+        p = parsing.parse_polynomial("(x + y + 1)^40 * (x + y + 1)^40", 2)
+        assert p.total_degree() == 80
+
+    def test_powers_past_the_budget_of_one_call_exit_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Each power is estimated at 1,030,200 bits, under the cap of 2^20,
+        # but two of them are past it: the budget is one per parse call, so
+        # the second power is refused before it is computed.  Without the
+        # budget, all ten were computed, in several seconds.
+        calls, inside = [], []
+        power = parsing._power
+
+        def timed(p, k, n):
+            start = time.perf_counter()
+            try:
+                return power(p, k, n)
+            finally:
+                calls.append(k)
+                inside.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(parsing, "_power", timed)
+        f = write(tmp_path, "m.txt", " + ".join(["(x + y + 1)^100"] * 10) + "; y")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["jacobian", "-f", f])
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == ""
+        assert "power with exponent 100 is too large: together" in err
+        assert "(line 1, column 31)" in err
+        assert calls == [100]
+        # Apart from the one power it computed, the refusal costs nothing.
+        assert elapsed - sum(inside) < 0.1
+
+    def test_parse_errors_in_later_components_count_from_the_file_start(
+        self, tmp_path, capsys
+    ):
+        eoi = "expected ')', found end of input"
+        cases = [
+            ("nilpotent", "x;\ny;\nz + (x", f"{eoi} (line 3, column 7)"),
+            ("nilpotent", "x + ; y", "found ';' (line 1, column 5)"),
+            ("keller4d", "x; y;\nx*y;\nx + $", "character '$' (line 3, column 5)"),
+            ("keller4d", "x; y;\n  0;\n (y", f"{eoi} (line 3, column 4)"),
+        ]
+        for verb, text, message in cases:
+            f = write(tmp_path, "m.txt", text)
+            code, out, err = run(capsys, [verb, "-f", f])
+            assert code == 2 and out == ""
+            assert message in err, (text, err)
 
     def test_parse_error_positions(self, tmp_path, capsys):
         # Text syntax errors carry a position; errors about the structure

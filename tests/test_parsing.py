@@ -110,6 +110,80 @@ class TestParseErrors:
             parse_map(" ; ")
         assert str(info.value) == "empty map text"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x +", "expected a number, variable or '(', found end of input"),
+            ("(x", "expected ')', found end of input"),
+            ("x^", "expected 'int', found end of input"),
+            ("x^y", "expected 'int', found 'y'"),
+            ("(x 3", "expected ')', found 3"),
+        ],
+    )
+    def test_what_was_found_instead(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, 3)
+        assert str(info.value).startswith(message + " (line 1, column")
+
+    def test_map_positions_count_from_the_start_of_the_text(self):
+        # A component ends at its ';', which is what the parser finds there.
+        for text, message in [
+            ("x;\ny;\nz + (x", "expected ')', found end of input (line 3, column 7)"),
+            ("x; y +;\n z", "found ';' (line 1, column 7)"),
+            ("x;\n\n y + $; z", "unexpected character '$' (line 3, column 6)"),
+            ("x; 1/0;\ny", "zero denominator (line 1, column 4)"),
+            ("x; y\n  w", "trailing input starting at 'w' (line 2, column 3)"),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_map(text)
+            assert message in str(info.value), text
+
+    def test_json_components_keep_their_own_positions(self):
+        with pytest.raises(ParseError) as info:
+            map_from_document({"n": 2, "components": ["x", "y +\n $"]})
+        assert (info.value.line, info.value.column) == (2, 2)
+
+    def test_components_before_an_error_token_are_read_first(self):
+        # The whole text is tokenized at once, but an error in a component
+        # is raised only when the parser reaches that component.
+        with pytest.raises(ParseError, match="unknown variable 'q'"):
+            parse_map("q; x $ y")
+
+    def test_components_with_a_count_and_a_ring(self):
+        from nilmap.parsing import parse_components
+
+        polys = parse_components("x; y;\n ; x*y; 0", 2, count=4)
+        assert [p.n for p in polys] == [2] * 4
+        with pytest.raises(ParseError, match="expected 4 components, found 3"):
+            parse_components("x; y; z +", 2, count=4)
+        with pytest.raises(ParseError, match="expected 4 components, found 0"):
+            parse_components(" ; ", 2, count=4)
+
+    def test_budget_is_one_per_parse_call(self, monkeypatch):
+        from nilmap import parsing
+
+        # (x + y)^3 is estimated at 4 terms of 6 bits, (x + y) * (x + y)
+        # multiplies 4 pairs: one of each fits these bounds, two do not.
+        monkeypatch.setattr(parsing, "MAX_POWER_BITS", 40)
+        monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", 6)
+        assert parse_polynomial("(x + y)^3", 2) == parse_polynomial("(x + y)^3", 2)
+        with pytest.raises(ParseError) as info:
+            parse_polynomial("(x + y)^3 - (x + y)^3", 2)
+        assert str(info.value) == (
+            "power with exponent 3 is too large: together, this input's powers "
+            "are estimated beyond 40 bits (line 1, column 21)"
+        )
+        with pytest.raises(ParseError, match="together, this input's powers"):
+            map_from_document({"n": 2, "components": ["(x + y)^3", "(x + y)^3"]})
+        with pytest.raises(ParseError) as info:
+            parse_map("(x + y)*(x + y); (x - y)*(x - y)")
+        assert str(info.value) == (
+            "product of 2 and 2 terms is too large: together, this input's "
+            "products multiply more than 6 pairs of terms (line 1, column 25)"
+        )
+        with pytest.raises(ParseError, match="2 and 4 terms .* it multiplies"):
+            parse_polynomial("(x + y)*(x + y + 1 + x*y)", 2)
+
     def test_out_of_range_variable(self):
         with pytest.raises(ParseError):
             parse_polynomial("z", 2)
