@@ -5,7 +5,7 @@ sigma_1..sigma_n vanish (these are, up to sign, the characteristic
 polynomial's coefficients).  `nilpotency_equations` computes those sums as
 explicit polynomials, all at once from a characteristic polynomial taken by
 Berkowitz's division-free recursion (S. J. Berkowitz, Inf. Process. Lett.
-18, 1984; see `linalg.sigma_polynomials`).
+18, 1984; see `linalg._sigma_terms`).
 
 The recursion does not run on J(H) itself but on its quotient by the
 common flag space (`_quotient_sigma`).  Write J = sum_m M_m x^m.  The
@@ -18,7 +18,8 @@ a nilpotent first block, so det(tI - J) = t^w det(tI - Q) for w = dim W and
 Q the block on the quotient: sigma_k(J) = sigma_k(Q) for k <= n - w, and 0
 beyond.  When W is everything, as for the paper's second family under any
 constant conjugation, no characteristic polynomial is taken at all.
-Jacobians of every size take this one path.
+Jacobians of every size take this one path, and it is the only one in the
+package that takes a characteristic polynomial.
 
 A verdict needs less than the report.  `nilpotency_witness` (behind
 `classify`) and `is_nilpotent` stop at the first nonzero sigma: the trace
@@ -28,11 +29,11 @@ condition of `tame.keller_check` (`_unit_determinant`): det(I + J) is
 1 + sum_k sigma_k(J).
 
 `is_nilpotent_bruteforce` independently checks J(H)^n = 0 by exact matrix
-powering, so the two definitions guard each other in the test suite;
-`linalg.sigma_polynomials` (full Berkowitz on J) is a further oracle for
-the sigma polynomials themselves, and the test suite enumerates the
-C(n,k) minors explicitly.  None of them reads the flag, so a fault in the
-flag cannot hide behind an oracle that shares it.
+powering, so the two definitions guard each other in the test suite.  The
+test suite also checks the sigma polynomials themselves against full
+Berkowitz on J and against the C(n,k) minors enumerated explicitly.  None
+of these oracles reads the flag, so a fault in the flag cannot hide behind
+an oracle that shares it.
 
 Both the report and the J^n oracle work on term dicts, not on polynomial
 objects.
@@ -70,7 +71,6 @@ from .linalg import (
     LinearMap,
     PolyMatrix,
     RationalMatrix,
-    _clear_denominators,
     _common_flag,
     _grid_power,
     _int_matmul,
@@ -85,6 +85,7 @@ from .poly import (
     _add_into,
     _combination,
     _exact,
+    _over_one_den,
     _reduced,
     _scaled,
     _unit,
@@ -253,7 +254,7 @@ def _nilpotency_index(m: RationalMatrix) -> int | None:
     powering stops at the first zero power.
     """
     size = m.rows
-    flat, _ = _clear_denominators(chain.from_iterable(m.entries))
+    flat, _ = _over_one_den(list(chain.from_iterable(m.entries)))
     rows = [flat[i:i + size] for i in range(0, size * size, size)]
     columns = list(zip(*rows))
     power = rows
@@ -398,9 +399,11 @@ def linear_dependence(
     return DependenceCertificate(vector)
 
 
-def check_divergence_coefficients(
-    u: Polynomial, v: Polynomial, zvar: int = 3
-) -> bool:
+# z of the (u, v, h) family: the third variable.
+_Z = 3
+
+
+def check_divergence_coefficients(u: Polynomial, v: Polynomial) -> bool:
     """Coefficient consequences of u_x + v_y = 0 with deg_z v <= deg_z u.
 
     Writing u = sum u_j z^j (degree d) and v = sum v_j z^j (degree l), the
@@ -413,10 +416,10 @@ def check_divergence_coefficients(
         raise DimensionMismatch("u and v live in different rings")
     if not (u.partial(1) + v.partial(2)).is_zero():
         raise PreconditionError("u_x + v_y must vanish identically")
-    if not v.degree_in(zvar) <= u.degree_in(zvar):
+    if not v.degree_in(_Z) <= u.degree_in(_Z):
         raise PreconditionError("deg_z v must not exceed deg_z u")
-    ucoeffs = u.coefficients_in(zvar)
-    vcoeffs = v.coefficients_in(zvar)
+    ucoeffs = u.coefficients_in(_Z)
+    vcoeffs = v.coefficients_in(_Z)
     d = len(ucoeffs) - 1
     l = len(vcoeffs) - 1
     for j in range(l + 1, d + 1):

@@ -27,6 +27,7 @@ from .analysis import (
     conjugate,
     is_nilpotent,
     linear_dependence,
+    nilpotency_equations,
 )
 from .errors import (
     ConstructionMismatch,
@@ -461,12 +462,9 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
     2-minor sum, the 3-minor sum and the 4-minor sum of the Jacobian; all
     higher principal-minor sums vanish identically for this shape (this
     is asserted, not assumed).  The assertion takes sigma_5..sigma_n from
-    the characteristic polynomial of the Jacobian, computed by Berkowitz's
-    division-free recursion (`linalg.sigma_polynomials`).
+    `analysis.nilpotency_equations`, the one characteristic polynomial of
+    the package, taken on the quotient by the Jacobian's common flag.
     """
-    from .linalg import sigma_polynomials
-    from .analysis import jacobian
-
     n = H.dimension
     m = H.map
     H1, H2 = m.components[0], m.components[1]
@@ -486,7 +484,7 @@ def nilpotency_system(H: GeneralizedFormB) -> list[Polynomial]:
             Hi.partial(1) * h2.partial(2) - Hi.partial(2) * h2.partial(1)
         )
     if n >= 5:
-        sigma = sigma_polynomials(jacobian(m))
+        sigma = nilpotency_equations(m).sigma
         for k in range(5, n + 1):
             if not sigma[k - 1].is_zero():
                 raise ConstructionMismatch(

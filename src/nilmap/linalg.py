@@ -3,16 +3,18 @@
 Rational matrices are dense grids of exact rationals, each entry stored as
 an int when it is integral and as a Fraction otherwise; polynomial matrices
 are dense grids of Polynomial sharing one ambient ring.  Everything is
-immutable and exact.  Reduced row echelon forms, and through them kernels
-and inverses, come from one fraction-free Gauss-Jordan elimination
+immutable and exact.  Inverses, determinants and the reduced form behind
+the common flag all come from one fraction-free Gauss-Jordan elimination
 (`_rref_den`): each row's denominators are cleared, the elimination runs on
-ints, and the result is divided by the last pivot once, at the end.
+ints, and the result is divided by the last pivot once, at the end.  That
+last pivot, signed by the parity of the row swaps, is the determinant of
+the cleared rows when every column has a pivot.
 Coefficient kernels, the linear relations among polynomials behind every
 dependence certificate, build no matrix: `_kernel_vectors` eliminates one
 polynomial at a time on the polynomials' own integer numerators, as in
 fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968), with
-each stored column divided by its content, and yields the vectors of the
-dense `kernel` of the stacked monomial rows, one free column at a time.
+each stored column divided by its content, and yields a basis of the
+kernel of the stacked monomial rows, one free column at a time.
 Products are fraction-free too: each entry is an integer dot product of a
 row and a column with their denominators cleared, divided once by the two
 denominators.
@@ -21,20 +23,16 @@ unit rows; it is the linear change of coordinates behind every dependence
 and mixing conjugation of `classify` and `tame`.  Symbolic rank comes from
 fraction-free elimination with nonzero polynomial pivots.
 
-The principal-minor sums sigma_1..sigma_n of a polynomial matrix, and with
-sigma_n its determinant, all come from one characteristic polynomial,
-computed by Berkowitz's division-free recursion (S. J. Berkowitz, "On
-computing the determinant in small parallel time using a small number of
-processors", Inf. Process. Lett. 18, 1984) in O(n^4) ring operations.
-The loop (`_sigma_terms`) runs on term dicts, with `poly._dot_terms` as
-the dot product.  No Polynomial is built inside the loop, and it runs on
-integers: each polynomial is stored as integer numerators over one
-denominator, so the grid cM, c the lcm of the entries' denominators, is
-the numerators scaled by c / den (nothing at all for an integral M), and
-sigma_k(M) = sigma_k(cM) / c^k.  `_grid_power` powers such a grid for the
-J^n oracle of `analysis`.  Constant matrices take one determinant,
-`_int_det`, fraction-free elimination (Bareiss) on integer rows, behind
-`RationalMatrix.det` with each row's denominators cleared.
+The principal-minor sums sigma_1..sigma_n of a square grid of integer
+term dicts all come from one characteristic polynomial, computed by
+Berkowitz's division-free recursion (S. J. Berkowitz, "On computing the
+determinant in small parallel time using a small number of processors",
+Inf. Process. Lett. 18, 1984) in O(n^4) ring operations.  The loop
+(`_sigma_terms`) runs on term dicts, with `poly._dot_terms` as the dot
+product, and builds no Polynomial.  `analysis` runs it on the integer grid
+cJ of a Jacobian, c the lcm of the entries' denominators, restricted to
+the quotient by the common flag below.  `_grid_power` powers such a grid
+for the J^n oracle of `analysis`.
 
 `_common_flag` finds, on such a grid cJ = sum_m M_m x^m, the largest
 subspace on which all the constant matrices M_m act by one strictly
@@ -43,8 +41,7 @@ linear algebra on the M_m without building them: the rows a * M_m of
 every monomial m come from one pass over the grid's terms in the rows
 i with a[i] != 0, each step keeps only independent integer rows, and
 `_rref_den` runs once, on the last space.  `analysis` takes the
-characteristic polynomial of that block only.  `sigma_polynomials` and
-`poly_det` do not use it.
+characteristic polynomial of that block only.
 """
 
 from __future__ import annotations
@@ -71,25 +68,8 @@ from .poly import (
     _int_combination,
     _linear,
     _negated,
-    _reduced,
-    _scaled,
+    _over_one_den,
 )
-
-
-def _clear_denominators(values) -> tuple[list[int], int]:
-    """(ints, den): den is the lcm of the denominators of the int or
-    Fraction values and ints[k] == values[k] * den, an int."""
-    values = list(values)
-    den = 1
-    for v in values:
-        if v.__class__ is not int:
-            den = lcm(den, v.denominator)
-    if den == 1:
-        return values, 1
-    return [
-        v * den if v.__class__ is int else v.numerator * (den // v.denominator)
-        for v in values
-    ], den
 
 
 class RationalMatrix:
@@ -148,37 +128,33 @@ class RationalMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # Fraction-free: integer dot products of the rows of self and the
-        # columns of other with their denominators cleared, each divided by
-        # its two denominators once.
-        rows = [_clear_denominators(row) for row in self.entries]
-        columns = [_clear_denominators(col) for col in zip(*other.entries)]
+        # Fraction-free: the integer product of the rows of self and the
+        # columns of other with their denominators cleared, each entry
+        # divided by its two denominators once.
+        rows, row_dens = zip(*map(_over_one_den, self.entries))
+        columns, col_dens = zip(*map(_over_one_den, zip(*other.entries)))
         return RationalMatrix._trusted(
             tuple(
                 tuple(
-                    sum(map(mul, row, col)) if rd == cd == 1
-                    else _quotient(sum(map(mul, row, col)), rd * cd)
-                    for col, cd in columns
+                    v if rd == cd == 1 else _quotient(v, rd * cd)
+                    for v, cd in zip(products, col_dens)
                 )
-                for row, rd in rows
+                for products, rd in zip(_int_matmul(rows, columns), row_dens)
             )
         )
 
     def det(self) -> Fraction:
-        """Exact determinant: `_int_det` of the rows with their denominators
-        cleared, divided by the product of those denominators."""
+        """Exact determinant: the rows with their denominators cleared go
+        through `_rref_den`, whose last den is the determinant of the rows
+        in the order it left them when every column has a pivot, and the
+        signed den is divided by the product of those denominators."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        cleared = [_clear_denominators(row) for row in self.entries]
-        return Fraction(
-            _int_det([row for row, _ in cleared]), prod(d for _, d in cleared)
-        )
-
-    def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        if len(vector) != self.cols:
-            raise DimensionMismatch("vector length does not match column count")
-        vector = [_coeff(v) for v in vector]
-        return [Fraction(sum(map(mul, row, vector))) for row in self.entries]
+        rows, dens = zip(*map(_over_one_den, self.entries))
+        den, pivots, sign = _rref_den(list(rows))
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction(sign * den, prod(dens))
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -194,22 +170,15 @@ class RationalMatrix:
             raise ShapeError("only square matrices can be inverted")
         n = self.rows
         work = [
-            _clear_denominators(row + tuple(int(i == j) for j in range(n)))[0]
+            _over_one_den(row + _identity_rows(n)[i])[0]
             for i, row in enumerate(self.entries)
         ]
-        den, pivots = _rref_den(work)
+        den, pivots, _ = _rref_den(work)
         if pivots != list(range(n)):
             raise NilmapError("matrix is singular")
         return RationalMatrix._trusted(
             tuple(_divided(row[n:], den) for row in work)
         )
-
-    def rref(self) -> tuple["RationalMatrix", list[int]]:
-        """Reduced row echelon form plus the pivot column indices."""
-        work = [_clear_denominators(row)[0] for row in self.entries]
-        den, pivots = _rref_den(work)
-        reduced = RationalMatrix._trusted(tuple(_divided(row, den) for row in work))
-        return reduced, pivots
 
     def to_json(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
@@ -252,27 +221,33 @@ def _json_entry(value):
     )
 
 
-def _rref_den(work: list[list[int]]) -> tuple[int, list[int]]:
+def _rref_den(work: list[Sequence[int]]) -> tuple[int, list[int], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Returns (den, pivots).  Afterwards row r < len(pivots) is den times row
-    r of the reduced row echelon form and every other row is zero.  Each
-    step with pivot row P and pivot P[col] replaces every other row by
+    Returns (den, pivots, sign).  Afterwards row r < len(pivots) is den
+    times row r of the reduced row echelon form and every other row is
+    zero.  Each step swaps its pivot row P up to the next row, when it is
+    not there already, replaces every other row by
     (P[col] * row - row[col] * P) // den, rows with row[col] = 0 included,
     and then makes P[col] the new den.  All entries stay integer minors of
     the input (Nakos, Turner, Williams, "Fraction-free algorithms for
     linear and polynomial equations", SIGSAM Bull. 31(3), 1997), so every
-    // is exact.
+    // is exact, and den is the leading minor of the rows in their new
+    order on the pivot columns.  sign is (-1)^s for s the number of swaps,
+    so for a square input whose every column has a pivot, sign * den is
+    its determinant.
     """
     rows, cols = len(work), len(work[0])
-    den = 1
+    den = sign = 1
     pivots: list[int] = []
     r = 0
     for col in range(cols):
         pivot = next((i for i in range(r, rows) if work[i][col]), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            sign = -sign
         prow = work[r]
         p = prow[col]
         for i, row in enumerate(work):
@@ -284,7 +259,7 @@ def _rref_den(work: list[list[int]]) -> tuple[int, list[int]]:
         r += 1
         if r == rows:
             break
-    return den, pivots
+    return den, pivots, sign
 
 
 def _int_matmul(rows: list[list[int]], columns: list) -> list[list[int]]:
@@ -303,31 +278,18 @@ def _divided(values: list[int], den: int) -> tuple[int | Fraction, ...]:
     return tuple(_quotient(v, den) for v in values)
 
 
-def kernel(m: RationalMatrix) -> list[list[Fraction]]:
-    """Basis of the right null space; empty iff the matrix has full column rank."""
-    reduced, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m.cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = Fraction(-reduced.entries[r][fc])
-        basis.append(vec)
-    return basis
-
-
 def coefficient_kernel(
     equations: Sequence[Sequence[Polynomial]],
 ) -> list[list[Fraction]]:
     """Basis of the rational vectors lam with sum_j lam[j] * eq[j] = 0 for
     every equation eq (all equations of one length).
 
-    The basis is the `kernel` of the coefficient matrix with one row per
-    equation and monomial, vector for vector, but no such matrix is built:
-    the vectors come from `_kernel_vectors`, which eliminates on the
-    polynomials' term dicts.  When every polynomial is zero, the basis is
-    the unit vectors.
+    The basis is the one Gauss-Jordan elimination gives for the kernel of
+    the coefficient matrix with one row per equation and monomial: for
+    each free column j, 1 at j, 0 at the other free columns.  No such
+    matrix is built: the vectors come from `_kernel_vectors`, which
+    eliminates on the polynomials' term dicts.  When every polynomial is
+    zero, the basis is the unit vectors.
     """
     return list(_kernel_vectors(equations))
 
@@ -346,8 +308,8 @@ def _kernel_vectors(equations: Sequence[Sequence[Polynomial]]):
     where a is R_b's pivot entry and f is R's entry at that key, both
     divided by their gcd.  A column that reduces to zero yields C / C[j]:
     1 at j, minus the unique expression of column j in the earlier
-    independent columns, which is the vector `kernel` gives the free column
-    j of the stacked matrix.  Any other column joins the echelon list,
+    independent columns, which is the basis vector of the free column j of
+    the stacked matrix.  Any other column joins the echelon list,
     divided by the content of R and C together, with its first key as its
     pivot.  A caller that stops after the first vector never reads the
     later columns.
@@ -538,44 +500,17 @@ class PolyMatrix:
         return f"PolyMatrix({json.dumps(self.to_json())})"
 
 
-def poly_det(m: PolyMatrix) -> Polynomial:
-    """Exact determinant of a square polynomial matrix: sigma_n, the last
-    coefficient of Berkowitz's characteristic polynomial."""
-    if m.rows != m.cols:
-        raise ShapeError("determinant of a non-square matrix")
-    return sigma_polynomials(m)[-1]
-
-
-def sigma_polynomials(m: PolyMatrix) -> list[Polynomial]:
-    """All principal-minor sums [sigma_1, ..., sigma_n] of a square matrix.
-
-    They are the coefficients of det(tI + M) = t^n + sigma_1 t^(n-1) + ...
-    + sigma_n, from Berkowitz's division-free recursion applied to -M: for
-    M = [[a, R], [C, A]] the coefficients of det(tI + M) are the Toeplitz
-    product of (1, a, -RC, RAC, -RA^2C, ...) with those of det(tI + A).
-    The loop grows A from the bottom-right corner one row and column at a
-    time.  It runs on the integer grid cM (`_sigma_terms`), and
-    only the n sums are built as polynomials, sigma_k(cM) over c^k.
-    """
-    if m.rows != m.cols:
-        raise ShapeError("principal minors need a square matrix")
-    n = m.n
-    c = lcm(*(p._den for row in m.entries for p in row))
-    grid = [
-        [p._terms if p._den == c else _scaled(p._terms, c // p._den) for p in row]
-        for row in m.entries
-    ]
-    return [
-        Polynomial._trusted(n, *_reduced(s, c**k))
-        for k, s in enumerate(_sigma_terms(grid, n), 1)
-    ]
-
-
 def _sigma_terms(grid: list[list[Terms]], n: int) -> list[Terms]:
-    """The integer term dicts of sigma_1..sigma_size of a square grid of
-    integer term dicts in n variables, without zero coefficients: the
-    coefficients of det(tI + M) after the leading 1, by Berkowitz's
-    recursion (see `sigma_polynomials`)."""
+    """The integer term dicts of sigma_1..sigma_size of a square grid M of
+    integer term dicts in n variables, without zero coefficients.
+
+    They are the coefficients of det(tI + M) = t^size + sigma_1 t^(size-1)
+    + ... + sigma_size after the leading 1, from Berkowitz's division-free
+    recursion applied to -M: for M = [[a, R], [C, A]] the coefficients of
+    det(tI + M) are the Toeplitz product of (1, a, -RC, RAC, -RA^2C, ...)
+    with those of det(tI + A).  The loop grows A from the bottom-right
+    corner one row and column at a time.
+    """
     size = len(grid)
     # Coefficients of det(tI + A), highest power first, for the trailing
     # block A = M[k+1:, k+1:].
@@ -667,7 +602,7 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     # den times the reduced form, whose den is the last pivot and may be
     # negative: rows and den are divided by their gcd, taken with den's
     # sign, so den > 0 is the lcm of the reduced form's denominators.
-    den, pivots = _rref_den(rows)
+    den, pivots, _ = _rref_den(rows)
     g = gcd(den, *itertools.chain.from_iterable(rows))
     if den < 0:
         g = -g
@@ -734,35 +669,6 @@ def _flag_step(vectors, rank: int) -> list[list[int]] | None:
 @functools.cache
 def _identity_rows(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """The determinant of a square integer matrix, given by its rows, by
-    fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): each
-    step moves the first row P with P[0] != 0 to the top, which flips the
-    sign when an odd number of rows precede it, keeps the other rows, each
-    replaced by (P[0] * row - row[0] * P) // den without its first entry,
-    and makes P[0] the new den; every // is exact, and the last den is the
-    determinant of the reordered matrix.
-    """
-    sign = den = 1
-    while rows:
-        for r, prow in enumerate(rows):
-            if prow[0]:
-                break
-        else:
-            return 0
-        if r % 2:
-            sign = -sign
-        p, tail = prow[0], prow[1:]
-        rows = [
-            [(p * a - f * b) // den for a, b in zip(row[1:], tail)]
-            for row in rows
-            if row is not prow
-            for f in (row[0],)
-        ]
-        den = p
-    return sign * den
 
 
 def poly_matrix_rank(m: PolyMatrix) -> int:

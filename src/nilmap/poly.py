@@ -200,21 +200,23 @@ def _scaled(terms: Terms, f: int) -> Terms:
     return {key: f * c for key, c in terms.items()}
 
 
-def _over_one_den(values: dict) -> tuple[Terms, int]:
-    """(ints, den) in stored form for a dict of nonzero int or reduced
-    Fraction values: den is the lcm of their denominators and
-    ints[k] == values[k] * den.  The dict itself is returned when every
-    value is an int."""
+def _over_one_den(values):
+    """(ints, den) for a dict or a sequence of int or reduced Fraction
+    values: den is the lcm of their denominators and ints holds each value
+    times den, under the same key or at the same index.  The values
+    themselves are returned, uncopied, when every one is an int."""
+    items = values.values() if values.__class__ is dict else values
     den = 1
-    for v in values.values():
+    for v in items:
         if v.__class__ is not int:
             den = lcm(den, v.denominator)
     if den == 1:
         return values, 1
-    return {
-        key: v * den if v.__class__ is int else v.numerator * (den // v.denominator)
-        for key, v in values.items()
-    }, den
+    ints = [
+        v * den if v.__class__ is int else v.numerator * (den // v.denominator)
+        for v in items
+    ]
+    return (ints if items is values else dict(zip(values, ints))), den
 
 
 _ONE: Terms = {0: 1}

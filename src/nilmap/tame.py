@@ -224,8 +224,7 @@ def formal_inverse(
             f"degree bound {degree_bound} is below the default (deg F)^(n-1) = "
             f"{default_bound}, so a miss would prove nothing"
         )
-    if _shift_part(F).is_zero():
-        return PolyMap.identity(n)
+    _shift_part(F)  # raises ShapeError unless F(0) = 0
     normalized = _normalized_shift(F)
     if normalized is None:
         return None

@@ -100,7 +100,7 @@ def _reference_step(vectors, rank):
     if not kept:
         return [], 1, []
     rows = [v for _, v in kept]
-    den, pivots = _rref_den(rows)
+    den, pivots, _ = _rref_den(rows)
     g = gcd(den, *itertools.chain.from_iterable(rows))
     if den < 0:
         g = -g

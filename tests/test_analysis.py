@@ -12,6 +12,7 @@ from nilmap import (
     PolyMap,
     Polynomial,
     PreconditionError,
+    RationalMatrix,
     check_divergence_coefficients,
     conjugate,
     is_nilpotent,
@@ -27,8 +28,12 @@ from nilmap import (
 from nilmap import analysis, generators
 from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
 from nilmap.errors import InexactValue, ShapeError
-from nilmap.linalg import RationalMatrix, kernel
-from reference_matrix import principal_minor_sum, ref_det, ref_matrix_power
+from reference_matrix import (
+    principal_minor_sum,
+    ref_det,
+    ref_kernel,
+    ref_matrix_power,
+)
 from stored_form import stored_terms
 
 
@@ -354,13 +359,13 @@ class TestDependence:
 
     @staticmethod
     def reference(components):
-        """The first vector of the dense `kernel` of the monomial
+        """The first vector of the dense Fraction kernel of the monomial
         coefficient matrix, the reference for `linear_dependence`."""
         monomials = sorted({e for p in components for e in p.terms})
         if not monomials:
             return [Fraction(int(j == 0)) for j in range(len(components))]
         rows = [[p.coefficient(e) for p in components] for e in monomials]
-        basis = kernel(RationalMatrix(rows))
+        basis = ref_kernel(rows)
         return basis[0] if basis else None
 
     def test_matches_dense_kernel(self):

@@ -11,6 +11,7 @@ from nilmap import (
     FormAInstance,
     GeneralizedFormB,
     LinearMap,
+    NilpotencyReport,
     NotNilpotentTop,
     PolyMap,
     Polynomial,
@@ -26,6 +27,7 @@ from nilmap import (
     is_nilpotent_bruteforce,
     keller_parameterized_check,
     linear_dependence,
+    map_to_document,
     nilpotency_system,
     normalize_low_z_degree,
     parse_map,
@@ -35,7 +37,7 @@ from nilmap import (
     split_dependent_4d,
     triangularize_top_coefficients,
 )
-from nilmap import generators
+from nilmap import classify, generators
 
 
 def pz(text):
@@ -315,6 +317,28 @@ class TestNilpotencySystem:
         H = parse_map("x1^2; x3; x1*x2; 0")
         system = nilpotency_system(GeneralizedFormB(H))
         assert system[0] == parse_polynomial("2*x1", 4)
+
+    def test_nonzero_higher_minor_sum_is_a_construction_mismatch(self, monkeypatch):
+        # sigma_5..sigma_n vanish for every map of this shape, so only a
+        # faulty sigma source reaches the guard: here one whose sigma_5 is 1.
+        inst = generators.nilpotent_generalized(random.Random(3), 5)
+        sigma = list(classify.nilpotency_equations(inst.map).sigma)
+        assert all(s.is_zero() for s in sigma[4:])
+        sigma[4] = Polynomial.const(5, 1)
+        seen = []
+
+        def faulty(m):
+            seen.append(m)
+            return NilpotencyReport(sigma)
+
+        monkeypatch.setattr(classify, "nilpotency_equations", faulty)
+        with pytest.raises(ConstructionMismatch) as info:
+            nilpotency_system(inst)
+        assert str(info.value).splitlines()[0] == (
+            "principal minor sum of size 5 is nonzero for this shape"
+        )
+        assert info.value.instance == map_to_document(inst.map)
+        assert seen == [inst.map]
 
 
 def generalized_map(rng, n, b, p, tails):

@@ -3,9 +3,10 @@
 `nilpotency_equations` and `is_nilpotent` take the characteristic
 polynomial of the quotient of J(H) by its largest common flag space W
 (`linalg._common_flag`), with sigma_k = 0 for k > n - dim W, at every size
-n.  Every sigma must equal full Berkowitz on J(H)
-(`linalg.sigma_polynomials`), which stays the independent reference, as do
-the J^n oracle and the enumerated minors.
+n; it is the only characteristic polynomial the package takes.  Every
+sigma must equal full Berkowitz on J(H) (`sigma_polynomials` in
+`reference_matrix.py`), which stays the independent reference, as do the
+J^n oracle and the enumerated minors.
 The flag itself must equal the one of the dense chain in
 `reference_flag.py`.
 """
@@ -27,10 +28,15 @@ from nilmap import (
 )
 from nilmap import analysis, generators, linalg
 from nilmap.classify import build_canonical_pair
-from nilmap.linalg import RationalMatrix, _common_flag, poly_det
+from nilmap.linalg import _common_flag
 from nilmap.parsing import format_map, format_polynomial
 from reference_flag import reference_common_flag
-from reference_matrix import principal_minor_sum
+from reference_matrix import (
+    poly_det,
+    principal_minor_sum,
+    ref_rref,
+    sigma_polynomials,
+)
 
 
 def perturbed(H):
@@ -56,7 +62,7 @@ def flag_of(H):
 
 def assert_matches_berkowitz(H):
     report = nilpotency_equations(H)
-    assert report.sigma == tuple(linalg.sigma_polynomials(jacobian(H)))
+    assert report.sigma == tuple(sigma_polynomials(jacobian(H)))
     assert is_nilpotent(H) == report.nilpotent
 
 
@@ -187,7 +193,7 @@ class TestReducedSigma:
 
 
 def rank(rows):
-    return len(RationalMatrix(rows).rref()[1]) if rows else 0
+    return len(ref_rref(rows)[1]) if rows else 0
 
 
 class TestFlagInvariants:
@@ -342,8 +348,8 @@ class TestOraclesIndependent:
         assert not is_nilpotent_bruteforce(other)
         for H in (nilpotent, other):
             J = jacobian(H)
-            sigma = linalg.sigma_polynomials(J)
+            sigma = sigma_polynomials(J)
             assert [principal_minor_sum(J, k) for k in range(1, 6)] == sigma
             assert poly_det(J) == sigma[-1]
-        assert all(s.is_zero() for s in linalg.sigma_polynomials(jacobian(nilpotent)))
-        assert not all(s.is_zero() for s in linalg.sigma_polynomials(jacobian(other)))
+        assert all(s.is_zero() for s in sigma_polynomials(jacobian(nilpotent)))
+        assert not all(s.is_zero() for s in sigma_polynomials(jacobian(other)))

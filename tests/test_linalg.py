@@ -13,34 +13,50 @@ from nilmap import (
     PolyMatrix,
     Polynomial,
     elementary_row_add,
-    kernel,
     parse_polynomial,
-    poly_det,
     poly_matrix_rank,
-    sigma_polynomials,
 )
 from nilmap import PolyMap, conjugate, generators, jacobian
 from nilmap.errors import InexactValue, ParseError, ShapeError
 from nilmap.linalg import (
     RationalMatrix,
     _grid_power,
-    _int_det,
+    _rref_den,
     coefficient_kernel,
     row_conjugator,
 )
-from nilmap.poly import _reduced
+from nilmap.poly import _over_one_den, _reduced
 from reference_matrix import (
     enumerated_sigmas,
+    poly_det,
     principal_minor_sum,
     ref_det,
+    ref_kernel,
     ref_matmul,
     ref_matrix_power,
+    ref_rref,
+    sigma_polynomials,
 )
 from stored_form import assert_clean, stored_terms
 
 
 def Q(rows):
     return RationalMatrix([[Fraction(v) for v in row] for row in rows])
+
+
+def rref(grid):
+    """(reduced, pivots) of a grid by `_rref_den`, the elimination behind
+    `det`, `inverse` and the common flag: each row's denominators cleared,
+    and the rows it leaves divided by its den."""
+    work = [_over_one_den(row)[0] for row in RationalMatrix(grid).entries]
+    den, pivots, _ = _rref_den(work)
+    return Q([[Fraction(v, den) for v in row] for row in work]), pivots
+
+
+def kernel(grid):
+    """The kernel of a grid by `coefficient_kernel`, the one kernel of the
+    package, with each row an equation of constant polynomials."""
+    return coefficient_kernel([[Polynomial.const(1, v) for v in row] for row in grid])
 
 
 class TestRationalMatrix:
@@ -66,13 +82,8 @@ class TestRationalMatrix:
         with pytest.raises(NilmapError):
             Q([[1, 2], [2, 4]]).inverse()
 
-    def test_apply(self):
-        m = Q([[1, 2], [0, 1]])
-        assert m.apply([Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(1)]
-
     def test_rref_pivots(self):
-        m = Q([[0, 1, 2], [0, 2, 4]])
-        reduced, pivots = m.rref()
+        reduced, pivots = rref([[0, 1, 2], [0, 2, 4]])
         assert pivots == [1]
         assert reduced == Q([[0, 1, 2], [0, 0, 0]])
 
@@ -100,17 +111,17 @@ class TestFloatRejection:
 
 class TestKernel:
     def test_trivial_kernel(self):
-        assert kernel(Q([[1, 0], [0, 1]])) == []
+        assert kernel([[1, 0], [0, 1]]) == []
 
     def test_kernel_vectors_annihilate(self):
-        m = Q([[1, 2, 3], [2, 4, 6]])
-        basis = kernel(m)
+        grid = [[1, 2, 3], [2, 4, 6]]
+        basis = kernel(grid)
         assert len(basis) == 2
         for v in basis:
-            assert m.apply(v) == [Fraction(0)] * 2
+            assert ref_product(grid, [[c] for c in v]) == [[0], [0]]
 
     def test_kernel_golden(self):
-        basis = kernel(Q([[1, 1, 1]]))
+        basis = kernel([[1, 1, 1]])
         assert len(basis) == 2
         for v in basis:
             assert sum(v) == 0
@@ -136,11 +147,7 @@ class TestLinearMap:
     def test_elementary_row_add(self):
         # adds a * (coordinate i) to coordinate j
         t = elementary_row_add(3, 1, Fraction(2), 2)
-        assert t.matrix.apply([Fraction(1), Fraction(0), Fraction(0)]) == [
-            Fraction(1),
-            Fraction(2),
-            Fraction(0),
-        ]
+        assert ref_product(t.matrix.entries, [[1], [0], [0]]) == [[1], [2], [0]]
         assert (t.matrix * t.inverse).is_identity()
 
 
@@ -464,44 +471,6 @@ class TestSigmaPolynomials:
 # -- fraction-free elimination against the Fraction reference ---------------
 
 
-def ref_rref(grid):
-    """Gauss-Jordan on Fraction entries, normalizing each pivot row: the
-    reference for the fraction-free `RationalMatrix.rref`."""
-    work = [[Fraction(v) for v in row] for row in grid]
-    rows, cols = len(work), len(work[0])
-    pivots = []
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][col]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(rows):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return work, pivots
-
-
-def ref_kernel(grid):
-    reduced, pivots = ref_rref(grid)
-    cols = len(grid[0])
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def ref_inverse(grid):
     """Gauss-Jordan on [A | I] in Fractions: the reference for `inverse`."""
     n = len(grid)
@@ -606,6 +575,9 @@ class TestRationalProduct:
 
 
 class TestRationalDet:
+    """`RationalMatrix.det`, the signed last pivot of `_rref_den` over the
+    product of the rows' denominators, against the cofactor expansion."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_leibniz_and_poly_det(self, n):
         rng = random.Random(40 + n)
@@ -639,8 +611,9 @@ def permutation_rows(perm, scale=1):
 
 
 class TestIntDet:
-    """`_int_det`, the one determinant of constant matrices: signed
-    Bareiss elimination at every size."""
+    """`RationalMatrix.det` on integer rows: the last den of `_rref_den`,
+    signed by the parity of its row swaps, and 0 when a column has no
+    pivot."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_the_cofactor_expansion(self, n):
@@ -650,7 +623,7 @@ class TestIntDet:
             rows = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(n)]
                     for _ in range(n)]
             want = ref_det(rows)
-            assert _int_det([row[:] for row in rows]) == want
+            assert RationalMatrix(rows).det() == want
             signs.add((want > 0) - (want < 0))
         if n < 6:
             assert {-1, 1} <= signs
@@ -664,16 +637,47 @@ class TestIntDet:
             m = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
             if rng.random() < 0.3 and size > 1:
                 m[-1] = [a + b for a, b in zip(m[0], m[1 % size])]
-            assert _int_det([row[:] for row in m]) == ref_det(m)
+            assert RationalMatrix(m).det() == ref_det(m)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_permutation_matrices_take_the_row_order_sign(self, n):
         # Every column's pivot row sits at a different place, so each
-        # elimination step moves a row past the ones before it.
+        # elimination step may swap a row up past the ones before it.
         for perm in itertools.permutations(range(n)):
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
             want = (-1) ** inversions * (-2) ** n
-            assert _int_det(permutation_rows(perm, scale=-2)) == want
+            assert RationalMatrix(permutation_rows(perm, scale=-2)).det() == want
+
+    @pytest.mark.parametrize(
+        "rows, swaps, want",
+        [
+            # No swap: every pivot is already in place.
+            ([[2, 1], [0, 3]], 0, 6),
+            # One swap: column 0 pivots in row 1.
+            ([[0, 3], [2, 5]], 1, -6),
+            ([[0, 1, 2], [3, 0, 1], [0, 0, 4]], 1, -12),
+            # Two swaps: column 0 pivots in row 2, then column 1 in the
+            # row that the first swap moved down.
+            ([[0, 2, 1], [0, 0, 3], [5, 1, 0]], 2, 30),
+            ([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]], 2, 210),
+            # Three swaps: a 4-cycle of the unit rows.
+            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], 3, -1),
+        ],
+    )
+    def test_odd_and_even_swap_counts(self, rows, swaps, want):
+        den, pivots, sign = _rref_den([row[:] for row in rows])
+        assert pivots == list(range(len(rows)))
+        assert sign == (-1) ** swaps
+        assert sign * den == want == ref_det(rows)
+        assert RationalMatrix(rows).det() == want
+
+    def test_singular_with_a_pivot_free_column_after_a_swap(self):
+        # Column 0 pivots in row 1, a swap; column 1 then has no nonzero
+        # entry below the pivot row, so it has no pivot and det = 0.
+        rows = [[0, 0, 4], [3, 6, 1], [0, 0, 2]]
+        den, pivots, sign = _rref_den([row[:] for row in rows])
+        assert 1 not in pivots and sign == -1
+        assert RationalMatrix(rows).det() == 0 == ref_det(rows)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_zero_column(self, n):
@@ -682,7 +686,7 @@ class TestIntDet:
         for row in rows:
             row[rng.randrange(n)] = 0 if n == 1 else row[0]
             row[n - 1] = 0
-        assert _int_det(rows) == 0
+        assert RationalMatrix(rows).det() == 0
 
     def test_late_pivot_after_a_zero_leading_block(self):
         # The first column's only nonzero entry is in the last row, and the
@@ -694,7 +698,7 @@ class TestIntDet:
             [0, 0, 1, 1, 7],
             [-4, 3, 0, 2, 1],
         ]
-        assert _int_det(rows) == ref_det(rows) != 0
+        assert RationalMatrix(rows).det() == ref_det(rows) != 0
 
 
 # (rows, cols): wide, tall and square, including single rows and columns.
@@ -707,13 +711,11 @@ class TestFractionFreeElimination:
         rng = random.Random(rows * 10 + cols)
         for _ in range(60):
             grid = random_grid(rng, rows, cols)
-            m = RationalMatrix(grid)
-            reduced, pivots = m.rref()
+            reduced, pivots = rref(grid)
             want, want_pivots = ref_rref(grid)
             assert pivots == want_pivots
             assert reduced == RationalMatrix(want)
-            assert_stored_form(reduced)
-            basis = kernel(m)
+            basis = kernel(grid)
             assert basis == ref_kernel(grid)
             assert all(type(v) is Fraction for vec in basis for v in vec)
 
@@ -749,11 +751,11 @@ class TestFractionFreeElimination:
     )
     def test_hand_picked_matrices_match_reference(self, grid):
         m = RationalMatrix(grid)
-        reduced, pivots = m.rref()
         want, want_pivots = ref_rref(grid)
-        assert (reduced, pivots) == (RationalMatrix(want), want_pivots)
-        assert kernel(m) == ref_kernel(grid)
+        assert rref(grid) == (RationalMatrix(want), want_pivots)
+        assert kernel(grid) == ref_kernel(grid)
         if m.rows == m.cols:
+            assert m.det() == ref_det(grid)
             try:
                 want_inv = ref_inverse(grid)
             except NilmapError:
@@ -771,7 +773,7 @@ class TestFractionFreeElimination:
                 [[sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
                   for v in row] for row in grid]
             ).rref()
-            reduced, pivots = RationalMatrix(grid).rref()
+            reduced, pivots = rref(grid)
             assert pivots == list(want_pivots)
             assert reduced.to_json() == [
                 [str(want[i, j]) for j in range(cols)] for i in range(rows)
@@ -792,17 +794,12 @@ class TestStoredForm:
     def test_derived_matrices(self):
         a = RationalMatrix([[2, Fraction(1, 2)], [Fraction(3, 4), 1]])
         b = RationalMatrix([[4, 0], [0, Fraction(2, 3)]])
-        for m in (a * b, a.inverse(), a.rref()[0],
+        for m in (a * b, a.inverse(),
                   RationalMatrix.identity(3), elementary_row_add(3, 1, Fraction(1, 2), 2).inverse,
                   RationalMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])):
             assert_stored_form(m)
         # (1/2)*4 and (3/4)*4 are integral products of Fractions.
         assert (a * b).entries == ((8, Fraction(1, 3)), (3, Fraction(2, 3)))
-
-    def test_apply_returns_fractions(self):
-        got = RationalMatrix([[2, Fraction(1, 2)], [0, 1]]).apply([1, 2])
-        assert got == [Fraction(3), Fraction(2)]
-        assert all(type(v) is Fraction for v in got)
 
     def test_json_text_is_unchanged(self):
         m = RationalMatrix([[Fraction(3), Fraction(-1, 2)], [0, Fraction(10, 5)]])
@@ -823,7 +820,7 @@ class TestCoefficientKernel:
             size = len(equations[0])
             return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
         rows = [[p.coefficient(e) for p in eq] for e in monomials for eq in equations]
-        return kernel(RationalMatrix(rows))
+        return ref_kernel(rows)
 
     def test_single_equation_dependence(self):
         x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)

@@ -13,10 +13,9 @@ from nilmap import (
     is_nilpotent_bruteforce,
     jacobian,
     parse_polynomial,
-    poly_det,
 )
 from nilmap.linalg import PolyMatrix, row_conjugator
-from reference_matrix import ref_matmul
+from reference_matrix import poly_det, ref_matmul
 from stored_form import assert_clean
 from test_poly import ref_substitute
 

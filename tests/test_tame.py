@@ -23,11 +23,11 @@ from nilmap import (
     map_to_document,
     parse_map,
     parse_polynomial,
-    poly_det,
     tame_decompose,
 )
 from nilmap import analysis, generators, linalg, tame
 from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
+from reference_matrix import poly_det
 
 # det JF is -6 at the origin and 32,496 at the probe point (2, -3, 5); the
 # inverse iteration used to run to its full degree bound on this map.
