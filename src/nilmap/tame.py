@@ -9,6 +9,15 @@ the first two components share a constant gradient direction, mixes them
 so their contribution collapses.  Each move is one `linalg.row_conjugator`,
 which puts the combination it found in one coordinate slot.
 
+Every factorization is checked before it is returned: the exact
+composition of all its factors must equal F (`compose_factorization`).
+The composition runs innermost-first.  It starts from the components of
+x and applies the factors from the last to the first: an elementary
+factor (i, Q) adds Q(R) to R_i, and a linear factor takes rational
+combinations of R.  So each elementary factor costs one substitution
+into its own shift, not a composition of the running product with a
+whole map.
+
 `keller_check` and `formal_inverse` share one first step,
 `_normalized_shift`.  A polynomial automorphism has a nonzero constant
 Jacobian determinant, so it compares det JF, a number taken by
@@ -144,14 +153,25 @@ class TameFactorization:
 
 
 def compose_factorization(f: TameFactorization) -> PolyMap:
-    """Exact composition of the factors, first factor outermost."""
-    result = PolyMap.identity(f.dimension)
-    for factor in f.factors:
+    """Exact composition of every factor, first factor outermost.
+
+    The product is evaluated innermost-first: R starts as the components
+    of x, and each factor from the last to the first is applied to R.  An
+    elementary factor (i, Q) adds Q(R) to R_i, one substitution binding
+    only the variables of Q; a linear factor replaces R by the rational
+    combinations of R given by its rows.  No factor is turned into a
+    polynomial map and no running product is composed with a whole map.
+    """
+    n = f.dimension
+    R = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+    for factor in reversed(f.factors):
         if isinstance(factor, ElementaryMap):
-            result = result.compose(factor.realize())
+            Q = factor.shift
+            i = factor.index - 1
+            R[i] = R[i] + Q.substitute({j: R[j - 1] for j in Q.variables_used()})
         else:
-            result = result.compose(factor.as_poly_map())
-    return result
+            R = [_combination(n, row, R) for row in factor.matrix.entries]
+    return PolyMap(R)
 
 
 def _normalized_shift(
@@ -169,7 +189,7 @@ def _normalized_shift(
     inverse = linear.inverse()
     shift = PolyMap(
         [_combination(n, row, F.components) for row in inverse.entries]
-    ) - PolyMap.identity(n)
+    ).minus_identity()
     return linear, inverse, shift
 
 
@@ -189,12 +209,17 @@ def keller_check(F: PolyMap) -> bool:
     return _unit_determinant(*_jacobian_terms(normalized[2]), F.dimension)
 
 
+def _require_origin_fixed(F: PolyMap) -> None:
+    """Raise ShapeError unless F(0) = 0, read off F's constant terms; x
+    has none, so this is H(0) = 0 for F = x + H."""
+    if any(F.value_at_zero()):
+        raise ShapeError("the shift part must vanish at the origin")
+
+
 def _shift_part(F: PolyMap) -> PolyMap:
     """H with F = x + H and H(0) = 0; raises on any other shape."""
-    H = F - PolyMap.identity(F.dimension)
-    if any(c != 0 for c in H.value_at_zero()):
-        raise ShapeError("the shift part must vanish at the origin")
-    return H
+    _require_origin_fixed(F)
+    return F.minus_identity()
 
 
 def formal_inverse(
@@ -224,7 +249,7 @@ def formal_inverse(
             f"degree bound {degree_bound} is below the default (deg F)^(n-1) = "
             f"{default_bound}, so a miss would prove nothing"
         )
-    _shift_part(F)  # raises ShapeError unless F(0) = 0
+    _require_origin_fixed(F)
     normalized = _normalized_shift(F)
     if normalized is None:
         return None
@@ -242,10 +267,9 @@ def formal_inverse(
 def _fixpoint_inverse(H: PolyMap, degree_bound: int) -> PolyMap | None:
     """The fixpoint of G <- x - H(G), truncated at the degree bound, or
     None when the iteration repeats a map or runs out of rounds first."""
-    identity = PolyMap.identity(H.dimension)
-    G = identity
+    G = PolyMap.identity(H.dimension)
     for _ in range((degree_bound + 2) * H.dimension):
-        R = identity - H.compose(G)
+        R = H.compose(G).minus_identity(negate=True)
         if R == G:
             return G
         G_next = R.truncate(degree_bound)

@@ -836,6 +836,14 @@ class TestInvertDecomposeKeller:
         code, _, _ = run(capsys, ["invert", "-f", f])
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["invert", "decompose"])
+    def test_origin_not_fixed_exit_2(self, tmp_path, capsys, verb):
+        f = write(tmp_path, "m.txt", "x + y^2; y - 1/2")
+        code, out, err = run(capsys, [verb, "-f", f, "--json"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: the shift part must vanish at the origin\n"
+
     def test_decompose_success(self, tmp_path, capsys):
         f = write(tmp_path, "m.txt", "x + y^2; y + z^3; z")
         code, out, _ = run(capsys, ["decompose", "-f", f, "--json"])

@@ -222,6 +222,19 @@ class TestTrustedInvariant:
             assert_clean(got)
             assert got == ref_substitute(f, images)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_minus_identity(self, seed):
+        rng, n, _, _ = self.pair(seed)
+        F = PolyMap([random_rational_poly(rng, n) for _ in range(n)])
+        identity = PolyMap.identity(n)
+        for got, want in [
+            (F.minus_identity(), F - identity),
+            (F.minus_identity(negate=True), identity - F),
+        ]:
+            for p in got:
+                assert_clean(p)
+            assert got == want
+
     def test_substitute_cancels_to_zero(self):
         p = P("x*y - y*z", 3)
         got = p.substitute({1: P("z"), 3: P("x")})
@@ -758,6 +771,29 @@ class TestPolyMap:
         F = parse_map("x + y; y")
         assert (F - F).is_zero()
         assert F + PolyMap.zero(2) == F
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # x's coefficient 1 cancels exactly; y's is 2/3 over den 6
+            "x + 1/2*y^2 - 1/3*z; 2/3*y + 5/6*x*z; 0",
+            # the zero component, then x_i alone, then x_i and a constant
+            "0; y; z - 7/4",
+            "1/2*x - 3/5*y^3; 3/7*x + y; 2*z + 1/9*x*y",
+        ],
+    )
+    def test_minus_identity(self, text):
+        from nilmap import parse_map
+
+        F = parse_map(text)
+        identity = PolyMap.identity(3)
+        for got, want in [
+            (F.minus_identity(), F - identity),
+            (F.minus_identity(negate=True), identity - F),
+        ]:
+            for p in got:
+                assert_clean(p)
+            assert got == want
 
     def test_value_at_zero(self):
         from nilmap import parse_map

@@ -1,8 +1,10 @@
 """Unit tests for Keller checks, formal inversion and tame factorization."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmap import (
     ConstructionMismatch,
@@ -28,6 +30,7 @@ from nilmap import (
 from nilmap import analysis, generators, linalg, tame
 from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
 from reference_matrix import poly_det
+from reference_tame import ref_compose_factorization
 
 # det JF is -6 at the origin and 32,496 at the probe point (2, -3, 5); the
 # inverse iteration used to run to its full degree bound on this map.
@@ -266,7 +269,7 @@ class TestFormalInverse:
         assert formal_inverse(parse_map("x + x^2; y")) is None
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^the shift part must vanish at the origin$"):
             formal_inverse(parse_map("x + 1; y"))
 
     @pytest.mark.parametrize(
@@ -410,3 +413,115 @@ class TestTameFactorization:
         e3 = ElementaryMap(3, 1, parse_polynomial("y", 3))
         with pytest.raises(DimensionMismatch):
             TameFactorization([e2, e3])
+
+
+FRACTIONS = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
+)
+recomposition = settings(max_examples=80, derandomize=True, deadline=None)
+
+
+@st.composite
+def elementary_maps(draw, n):
+    """An elementary map of dimension n at any index, with a Fraction
+    shift free of the shifted variable (a constant when n = 1)."""
+    i = draw(st.integers(1, n))
+    exps = st.tuples(
+        *(st.just(0) if k == i else st.integers(0, 2) for k in range(1, n + 1))
+    )
+    terms = draw(st.dictionaries(exps, FRACTIONS, max_size=3))
+    return ElementaryMap(n, i, Polynomial(n, terms))
+
+
+@st.composite
+def linear_maps(draw, n):
+    """P * L * U with Fraction entries: a row permutation, a unit lower
+    triangular L and an upper triangular U with a nonzero diagonal, so
+    every draw is invertible."""
+    below = [[draw(FRACTIONS) for _ in range(n)] for _ in range(n)]
+    above = [[draw(FRACTIONS) for _ in range(n)] for _ in range(n)]
+    pivots = [draw(FRACTIONS.filter(bool)) for _ in range(n)]
+    L = RationalMatrix(
+        [[below[r][c] if c < r else int(c == r) for c in range(n)] for r in range(n)]
+    )
+    U = RationalMatrix(
+        [
+            [above[r][c] if c > r else (pivots[r] if c == r else 0) for c in range(n)]
+            for r in range(n)
+        ]
+    )
+    rows = (L * U).entries
+    order = draw(st.permutations(range(n)))
+    return LinearMap(RationalMatrix([rows[r] for r in order]))
+
+
+@st.composite
+def factorizations(draw):
+    n = draw(st.integers(1, 4))
+    factor = elementary_maps(n) | linear_maps(n)
+    return TameFactorization(draw(st.lists(factor, max_size=4)), n)
+
+
+class TestRecompositionReference:
+    """compose_factorization, evaluated innermost-first, against the left
+    fold of PolyMap.compose over the realized factors."""
+
+    @recomposition
+    @given(factorizations())
+    def test_random_factorizations(self, fact):
+        assert compose_factorization(fact) == ref_compose_factorization(fact)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_factorization_is_the_identity(self, n):
+        fact = TameFactorization([], dimension=n)
+        assert compose_factorization(fact) == ref_compose_factorization(fact)
+        assert compose_factorization(fact).is_identity()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_elementary_factor_at_every_index(self, n):
+        rng = random.Random(n)
+        factors = []
+        for i in range(1, n + 1):
+            terms = {
+                tuple(0 if k == i else rng.randint(0, 2) for k in range(1, n + 1)):
+                Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+                for _ in range(3)
+            }
+            factors.append(ElementaryMap(n, i, Polynomial(n, terms)))
+        for chain in (factors, factors[::-1]):
+            for i in range(len(chain)):
+                fact = TameFactorization(chain[i:] + chain[:i], n)
+                assert compose_factorization(fact) == ref_compose_factorization(fact)
+
+    def test_linear_factors_with_fraction_entries(self):
+        A = LinearMap(RationalMatrix([["1/2", "2/3", "0"], ["0", "3", "-1/5"], ["1", "0", "1"]]))
+        e = ElementaryMap(3, 2, parse_polynomial("1/3*x^2 - 5/7*x*z", 3))
+        for factors in ([A], [A, e, A.inverted()], [e, A, e], [A.inverted(), A]):
+            fact = TameFactorization(factors, 3)
+            assert compose_factorization(fact) == ref_compose_factorization(fact)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_decomposable_shifts(self, seed):
+        rng = random.Random(seed)
+        for n in (3, 4, 5):
+            F = PolyMap.identity(n) + generators.decomposable_shift(rng, n)
+            fact = classify_and_decompose(F)
+            assert compose_factorization(fact) == ref_compose_factorization(fact) == F
+
+
+class TestOriginMustBeFixed:
+    """F(0) != 0 is an input error for every verb that takes F = x + H;
+    keller_check reads only JF, which a translation does not change."""
+
+    MESSAGE = "^the shift part must vanish at the origin$"
+
+    @pytest.mark.parametrize("text", ["x + 1; y", "x + y^2; y - 1/2", "x; y; z + 3"])
+    def test_api_raises(self, text):
+        F = parse_map(text)
+        for verb in (formal_inverse, classify_and_decompose, tame_decompose):
+            with pytest.raises(ShapeError, match=self.MESSAGE):
+                verb(F)
+
+    def test_keller_check_ignores_the_translation(self):
+        assert keller_check(parse_map("x + y^2 + 1; y - 2"))
+        assert not keller_check(parse_map("x + x^2 + 1; y"))
