@@ -6,7 +6,11 @@ Two families are handled:
   whose second component has z-degree at most 1.  When deg_z u >= 2 the
   components are provably linearly dependent, and conjugating the
   dependence relation into the third slot yields the canonical pair form
-  (a2(z) h(a1(z)x + a2(z)y) + c1(z), -a1(z) h(...) + c2(z), 0).
+  (a2(z) h(a1(z)x + a2(z)y) + c1(z), -a1(z) h(...) + c2(z), 0).  Its
+  parameters are read off coefficients: each one is the z-coefficient
+  polynomial of one (x, y)-monomial of the conjugated map, divided by a
+  univariate polynomial in z, and they count only if they rebuild that map
+  exactly.
 
 * Generalized maps H = (H_1(x), b.x + H_2^(0), H_3(x1,x2), ..., H_n(x1,x2))
   whose Jacobian nilpotency collapses to four explicit polynomial
@@ -43,15 +47,17 @@ from .linalg import (
     elementary_row_add,
     row_conjugator,
 )
-from .parsing import map_to_document
+from .parsing import format_polynomial, map_to_document
 from .poly import (
     Polynomial,
     PolyMap,
     _coeff,
     _combination,
     _exact,
+    _grlex_key,
     _split_off,
     _unit,
+    univariate_gcd,
 )
 
 
@@ -62,7 +68,7 @@ from .poly import (
 class FormAInstance:
     """A 3-map (u, v, h) with h free of z, deg_z v <= 1 and H(0) = 0."""
 
-    __slots__ = ("map", "z_index")
+    __slots__ = ("map",)
 
     def __init__(self, map: PolyMap):
         if map.dimension != 3:
@@ -75,7 +81,6 @@ class FormAInstance:
         if any(c != 0 for c in map.value_at_zero()):
             raise ShapeError("the map must vanish at the origin")
         object.__setattr__(self, "map", map)
-        object.__setattr__(self, "z_index", 3)
 
     def __setattr__(self, *args):
         raise AttributeError("FormAInstance instances are immutable")
@@ -124,8 +129,6 @@ class CanonicalFormA:
         raise AttributeError("CanonicalFormA instances are immutable")
 
     def to_json(self) -> dict:
-        from .parsing import format_polynomial
-
         return {
             "a1": format_polynomial(self.a1, aliases="z"),
             "a2": format_polynomial(self.a2, aliases="z"),
@@ -220,62 +223,39 @@ def recognize_canonical_pair(
 
 
 def _extract_canonical_params(Hc: PolyMap) -> CanonicalFormA | None:
-    """Read canonical parameters off a conjugated map with zero third slot."""
-    if not Hc.components[2].is_zero():
-        return None
-    zero3 = Polynomial.zero(3)
-    up, vp = Hc.components[0], Hc.components[1]
-    c1_3 = up.substitute({1: zero3, 2: zero3})
-    c2_3 = vp.substitute({1: zero3, 2: zero3})
-    U = up - c1_3
-    V = vp - c2_3
-    c1 = c1_3.restrict([3]) if not c1_3.is_zero() else Polynomial.zero(1)
-    c2 = c2_3.restrict([3]) if not c2_3.is_zero() else Polynomial.zero(1)
-    if U.is_zero() and V.is_zero():
-        params = CanonicalFormA(
-            Polynomial.const(1, 1),
-            Polynomial.const(1, 1),
-            c1,
-            c2,
-            Polynomial.zero(2),
-        )
-        return params if build_canonical_pair(params) == Hc else None
-    # Leading (x,y)-monomial of the non-constant part; its z-coefficients
-    # are a2(z) and -a1(z) times a common univariate factor.
-    from .poly import _grlex_key, univariate_gcd
+    """Read the canonical parameters off a conjugated map with zero third
+    slot, from the z-coefficients of single (x, y)-monomials.
 
-    xy_monomials = {e[:2] for p in (U, V) for e in p.monomials()}
-    m0 = max(xy_monomials, key=_grlex_key)
-    u_m0 = _z_slice(U, m0)
-    v_m0 = _z_slice(V, m0)
-    D = univariate_gcd(u_m0, v_m0)
-    a2 = u_m0.exact_div(D) if not u_m0.is_zero() else Polynomial.zero(1)
-    a1 = (-v_m0).exact_div(D) if not v_m0.is_zero() else Polynomial.zero(1)
-    a1_3 = a1.lift(3, [3]) if not a1.is_zero() else zero3
-    a2_3 = a2.lift(3, [3]) if not a2.is_zero() else zero3
-    w = a1_3 * Polynomial.variable(3, 1) + a2_3 * Polynomial.variable(3, 2)
-    if not a2.is_zero():
-        G = U.exact_div(a2_3)
-    else:
-        G = (-V).exact_div(a1_3)
-    parts = G.homogeneous_parts([1, 2])
-    if not parts[0].is_zero():
+    c1 and c2 are the slices of u and v at 1.  a2 and -a1 are the slices
+    at the leading (x, y)-monomial over their monic gcd.  If
+    u - c1 = a2 * sum_k h_k w^k with w = a1 x + a2 y, its x^k slice is
+    a2 a1^k h_k, so each h_k is one univariate division (the y^k slice,
+    a2^(k+1) h_k, when a1 = 0; v - c2 with -a1 in place of a2 when
+    a2 = 0).  The parameters stand only if they rebuild Hc exactly.
+    """
+    up, vp, third = Hc.components
+    if not third.is_zero():
         return None
-    h = Polynomial.zero(2)
-    t = Polynomial.variable(2, 1)
-    for k in range(1, len(parts)):
-        if parts[k].is_zero():
-            continue
-        hk_3 = parts[k].exact_div(w ** k)
-        if hk_3.variables_used() - {3}:
-            return None
-        hk = (
-            hk_3.restrict([3]).lift(2, [2])
-            if not hk_3.is_zero()
-            else Polynomial.zero(2)
-        )
-        h = h + hk * t ** k
-    params = CanonicalFormA(a1, a2, c1, c2, h)
+    c1 = _z_slice(up, (0, 0))
+    c2 = _z_slice(vp, (0, 0))
+    xy_monomials = {e[:2] for p in (up, vp) for e in p.monomials()} - {(0, 0)}
+    a1 = a2 = Polynomial.const(1, 1)
+    h_terms = {}
+    if xy_monomials:
+        m0 = max(xy_monomials, key=_grlex_key)
+        u_m0 = _z_slice(up, m0)
+        v_m0 = _z_slice(vp, m0)
+        D = univariate_gcd(u_m0, v_m0)
+        a2 = u_m0.exact_div(D)
+        a1 = (-v_m0).exact_div(D)
+        source, multiplier = (vp, -a1) if a2.is_zero() else (up, a2)
+        ratio = a2 if a1.is_zero() else a1
+        for k in range(1, sum(m0) + 1):
+            multiplier = multiplier * ratio
+            coeff = _z_slice(source, (0, k) if a1.is_zero() else (k, 0))
+            for (e,), c in coeff.exact_div(multiplier).terms.items():
+                h_terms[(k, e)] = c
+    params = CanonicalFormA(a1, a2, c1, c2, Polynomial(2, h_terms))
     return params if build_canonical_pair(params) == Hc else None
 
 
@@ -534,8 +514,6 @@ class ReducedForm4D:
         )
 
     def to_json(self) -> dict:
-        from .parsing import format_polynomial
-
         return {
             name: format_polynomial(p, aliases="xy")
             for name, p in zip(("h1", "h2", "h3", "h4"), self.parts)

@@ -11,7 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .classify import CanonicalFormA, GeneralizedFormB, ReducedForm4D
+from .classify import (
+    CanonicalFormA,
+    GeneralizedFormB,
+    ReducedForm4D,
+    build_canonical_pair,
+)
 from .errors import NilmapError
 from .linalg import LinearMap, RationalMatrix
 from .poly import Polynomial, PolyMap
@@ -283,8 +288,6 @@ def random_nilpotent_map(rng: random.Random, n: int) -> PolyMap:
         h1, h2 = planar_nilpotent_pair(rng, 2, rng.randint(1, 3))
         return PolyMap([h1, h2])
     if n == 3:
-        from .classify import build_canonical_pair
-
         return build_canonical_pair(random_canonical_params(rng))
     if n == 4:
         if rng.random() < 0.5:
@@ -300,8 +303,6 @@ def random_nilpotent_map(rng: random.Random, n: int) -> PolyMap:
 def decomposable_shift(rng: random.Random, n: int) -> PolyMap:
     """Nilpotent H whose x + H factors after a searched conjugation."""
     if n == 3:
-        from .classify import build_canonical_pair
-
         p = _nonzero_int(rng)
         q = _nonzero_int(rng)
         h = random_univariate(rng, rng.randint(1, 2)).lift(2, [1])

@@ -685,30 +685,6 @@ class Polynomial:
             buckets[e][key - e * step] = coeff
         return [Polynomial._trusted(self.n, *_reduced(b, self._den)) for b in buckets]
 
-    def homogeneous_parts(self, subset: Iterable[int]) -> list["Polynomial"]:
-        """Split by total degree in the given variables.
-
-        Returns [p^(0), ..., p^(d)] where p^(i) collects the terms of total
-        degree i in the subset variables; the parts sum back to p.
-        """
-        indices = sorted(set(subset))
-        if not indices:
-            raise ShapeError("homogeneous_parts requires a non-empty subset")
-        for i in indices:
-            _check_index(self.n, i)
-        if not self._terms:
-            return [Polynomial.zero(self.n)]
-        shifts = [_shift(self.n, i) for i in indices]
-        graded: dict[int, Terms] = {}
-        for key, coeff in self._terms.items():
-            deg = sum((key >> s) & _MASK for s in shifts)
-            graded.setdefault(deg, {})[key] = coeff
-        top = max(graded)
-        return [
-            Polynomial._trusted(self.n, *_reduced(graded.get(d, {}), self._den))
-            for d in range(top + 1)
-        ]
-
     def truncate(self, max_total_degree: int) -> "Polynomial":
         """Drop all terms of total degree above the bound."""
         bound = (max_total_degree + 1) << _B * self.n

@@ -47,6 +47,7 @@ from .analysis import (
     _probe_point,
     _unit_determinant,
     conjugate,
+    linear_dependence,
 )
 from .errors import (
     ConstructionMismatch,
@@ -292,48 +293,20 @@ def _dependency_order(H: PolyMap) -> list[int] | None:
         return None
 
 
-def tame_decompose(
-    F: PolyMap, conjugation: LinearMap | None = None
-) -> TameFactorization:
-    """Factor F = x + H into elementary maps, optionally in conjugated
-    coordinates.
-
-    The conjugation (from the classification pipeline) brackets the
-    elementary chain: F = T o (elementary chain) o T^{-1}.  The chain
-    requires the dependency digraph of the conjugated shift to be acyclic;
-    otherwise NotTriangularizable is raised.  The recomposition identity
-    is checked before returning.
-    """
-    H = _shift_part(F)
-    if conjugation is not None:
-        H = conjugate(H, conjugation)
-    order = _dependency_order(H)
-    if order is None:
-        raise NotTriangularizable(
-            "the dependency digraph of the shift part has a cycle"
-        )
-    return _factor(F, H, order, conjugation)
-
-
 def _factor(
-    F: PolyMap, H: PolyMap, order: list[int], conjugation: LinearMap | None
+    F: PolyMap, H: PolyMap, order: list[int], conjugation: LinearMap
 ) -> TameFactorization:
     """The factorization of F whose chain adds the components of H, the
-    shift part of F conjugated by `conjugation` (None: not conjugated), in
-    the reverse of the topological `order` of its dependency digraph;
-    checked to recompose to F."""
-    chain: list[Factor] = []
-    for i in reversed(order):
-        Q = H.components[i - 1]
-        if not Q.is_zero():
-            chain.append(ElementaryMap(H.dimension, i, Q))
-    factors: list[Factor] = []
-    if conjugation is not None and not conjugation.is_identity():
-        factors.append(conjugation)
-        factors.extend(chain)
-        factors.append(conjugation.inverted())
-    else:
-        factors.extend(chain)
+    shift part of F conjugated by `conjugation`, in the reverse of the
+    topological `order` of its dependency digraph, bracketed by the
+    conjugation unless it is the identity; checked to recompose to F."""
+    factors: list[Factor] = [
+        ElementaryMap(H.dimension, i, H.components[i - 1])
+        for i in reversed(order)
+        if not H.components[i - 1].is_zero()
+    ]
+    if not conjugation.is_identity():
+        factors = [conjugation, *factors, conjugation.inverted()]
     result = TameFactorization(factors, F.dimension)
     if compose_factorization(result) != F:
         raise ConstructionMismatch(
@@ -348,8 +321,6 @@ def _zeroing_conjugation(H: PolyMap) -> LinearMap | None:
     nonzero = [i for i in range(1, n + 1) if not H.components[i - 1].is_zero()]
     if not nonzero:
         return None
-    from .analysis import linear_dependence
-
     cert = linear_dependence([H.components[i - 1] for i in nonzero])
     if cert is None:
         return None

@@ -38,6 +38,9 @@ from nilmap import (
     triangularize_top_coefficients,
 )
 from nilmap import classify, generators
+from nilmap.errors import NilmapError
+from nilmap.linalg import coefficient_kernel, row_conjugator
+from reference_classify import reference_extract
 
 
 def pz(text):
@@ -99,8 +102,8 @@ class TestFormAInstance:
             FormAInstance(parse_map("x + 1; y; x"))  # moves the origin
 
     def test_accepts_valid_instance(self):
-        inst = FormAInstance(parse_map("z^2; x*z; y"))
-        assert inst.z_index == 3
+        H = parse_map("z^2; x*z; y")
+        assert FormAInstance(H).map == H
 
 
 class TestCertifyDependence:
@@ -187,6 +190,136 @@ class TestRecognizeCanonical:
         assert recognize_canonical_pair(parse_map("z^2 + x; x*z; 0")) is None
         # deg_z u too small
         assert recognize_canonical_pair(parse_map("z; x*z; 0")) is None
+
+
+def varied_canonical_params(rng):
+    """Canonical parameters over every case the extraction branches on:
+    a1 = 0 or a2 = 0 (not both), constant or z-dependent a's, h with
+    several powers of t (some missing, some z-dependent), h = 0 (so
+    u - c1 = v - c2 = 0), and h(0, 0) != 0."""
+    one = Polynomial.const(1, 1)
+    a1, a2 = (
+        one.scale(rng.choice([-2, -1, 1, 3]))
+        + (pz("z").scale(rng.randint(-1, 2)) if rng.random() < 0.3 else pz("0"))
+        for _ in range(2)
+    )
+    zero_slot = rng.random()
+    if zero_slot < 0.2:
+        a1 = pz("0")
+    elif zero_slot < 0.4:
+        a2 = pz("0")
+    h = Polynomial.zero(2)
+    if rng.random() > 0.1:
+        for k in range(rng.randint(1, 3) + 1):
+            for j in range(2):
+                if rng.random() < 0.45:
+                    h = h + Polynomial.monomial(2, (k, j), rng.choice([-3, -1, 1, 2]))
+    h00 = h.constant_value()
+    c1 = generators.random_univariate(rng, 2) - one.scale(a2.constant_value() * h00)
+    c2 = generators.random_univariate(rng, 2) + one.scale(a1.constant_value() * h00)
+    return CanonicalFormA(a1, a2, c1, c2, h)
+
+
+def perturbed(rng, H):
+    """H with one term added to its first or second component."""
+    exps = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+    term = Polynomial.monomial(3, exps, rng.choice([-1, 1, 2]))
+    comps = list(H.components)
+    comps[rng.randrange(2)] += term
+    return PolyMap(comps)
+
+
+def extraction_inputs(seed, count):
+    """Built canonical pairs, their conjugates by each coefficient-kernel
+    row conjugator, perturbed copies of both, and random maps whose third
+    slot is zero (a few with a nonzero third slot)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        H = build_canonical_pair(varied_canonical_params(rng))
+        yield H
+        yield perturbed(rng, H)
+        if rng.random() < 0.5:
+            T0 = generators.random_form_a_conjugator(rng)
+        else:
+            T0 = generators.random_invertible(rng, 3)
+        H0 = conjugate(H, T0)
+        for lam in coefficient_kernel([H0.components]):
+            Hc = conjugate(H0, row_conjugator(lam, 3))
+            yield Hc
+            yield perturbed(rng, Hc)
+        u, v = (generators.random_polynomial(rng, 3, 3) for _ in range(2))
+        third = Polynomial.zero(3)
+        if rng.random() < 0.1:
+            third = generators.random_polynomial(rng, 3, 2, terms=1)
+        yield PolyMap([u, v, third])
+
+
+def as_polys(params):
+    """The five parameters as polynomials, or None for no parameters."""
+    if params is None:
+        return None
+    return (params.a1, params.a2, params.c1, params.c2, params.h)
+
+
+def outcome(extract, Hc):
+    """What `extract` finds on Hc; a NilmapError counts as None."""
+    try:
+        return as_polys(extract(Hc))
+    except NilmapError:
+        return None
+
+
+class TestExtractCanonicalParams:
+    """Coefficient reading returns exactly what the division by w^k of
+    `reference_classify` returns."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_the_division_reference(self, seed):
+        seen = {"params": 0, "none": 0, "a1 = 0": 0, "a2 = 0": 0,
+                "z in a": 0, "h = 0": 0, "powers of t > 1": 0}
+        for Hc in extraction_inputs(seed, 60):
+            want = outcome(reference_extract, Hc)
+            assert outcome(classify._extract_canonical_params, Hc) == want
+            if want is None:
+                seen["none"] += 1
+                continue
+            a1, a2, _, _, h = want
+            assert build_canonical_pair(CanonicalFormA(*want)) == Hc
+            seen["params"] += 1
+            seen["a1 = 0"] += a1.is_zero()
+            seen["a2 = 0"] += a2.is_zero()
+            seen["z in a"] += bool((a1 * a2).variables_used())
+            seen["h = 0"] += h.is_zero()
+            seen["powers of t > 1"] += len({e[0] for e in h.monomials()}) > 1
+        assert min(seen.values()) >= 2, seen
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_recognition_agrees_with_the_division_reference(self, seed, monkeypatch):
+        rng = random.Random(100 + seed)
+        maps = []
+        for _ in range(25):
+            if rng.random() < 0.5:
+                params = generators.random_canonical_params(rng)
+            else:
+                params = varied_canonical_params(rng)
+            H = build_canonical_pair(params)
+            maps.append(conjugate(H, generators.random_form_a_conjugator(rng)))
+
+        def recognized():
+            out = []
+            for H in maps:
+                try:
+                    found = recognize_canonical_pair(H)
+                except NilmapError as exc:
+                    out.append(type(exc))
+                    continue
+                out.append(found and (found[0].matrix, as_polys(found[1])))
+            return out
+
+        got = recognized()
+        monkeypatch.setattr(classify, "_extract_canonical_params", reference_extract)
+        assert got == recognized()
+        assert sum(isinstance(r, tuple) for r in got) >= 10
 
 
 class TestTriangularize:

@@ -405,8 +405,6 @@ class TestRationalReference:
         assert stored_terms(p.partial(i)) == ref.ref_partial(a, i)
         assert stored_terms(p.integrate(i)) == ref.ref_integrate(a, i)
         assert stored_terms(p.truncate(2)) == ref.ref_truncate(a, 2)
-        got = [stored_terms(part) for part in p.homogeneous_parts(subset)]
-        assert got == ref.ref_homogeneous_parts(a, subset, n)
         got = [stored_terms(part) for part in p.coefficients_in(i)]
         assert got == ref.ref_coefficients_in(a, i)
         variables = sorted(p.variables_used() | set(subset))
@@ -659,14 +657,6 @@ class TestStructure:
             assert 3 not in c.variables_used()
             acc = acc + c * z ** k
         assert acc == p
-
-    def test_homogeneous_parts_reconstruct(self):
-        p = P("x^2*y + x*z + z^2 + y")
-        parts = p.homogeneous_parts([1, 2])
-        assert sum(parts, Polynomial.zero(3)) == p
-        # part k is exactly the degree-k slice in (x, y)
-        assert parts[0] == P("z^2")
-        assert parts[1] == P("x*z + y")
 
     def test_truncate(self):
         p = P("x^3 + x*y + z")

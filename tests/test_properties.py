@@ -69,14 +69,6 @@ def test_coefficients_reconstruct(p):
 
 
 @given(polynomials())
-def test_homogeneous_parts_reconstruct(p):
-    acc = Polynomial.zero(2)
-    for part in p.homogeneous_parts([1, 2]):
-        acc = acc + part
-    assert acc == p
-
-
-@given(polynomials())
 def test_format_parse_round_trip(p):
     assert parse_polynomial(format_polynomial(p), 2) == p
 

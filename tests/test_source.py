@@ -1,6 +1,7 @@
 """Checks on the source itself: every module of the package and of its
 tests parses as the oldest supported Python, the package exports exactly
-`nilmap.__all__`, and no package module imports a test-only oracle.
+`nilmap.__all__`, no package module imports a test-only oracle, and none
+imports a module inside a function that it already imports at the top.
 
 pyproject.toml declares ``requires-python >= 3.10``; syntax newer than that
 (``except*``, type parameter lists, ...) would load on the interpreter that
@@ -75,3 +76,33 @@ def test_package_imports_no_test_oracle(path):
     test_modules = {p.stem for p in TESTS.glob("*.py")}
     roots = {name.split(".")[0] for name in imported}
     assert roots.isdisjoint(TEST_ONLY | test_modules)
+
+
+def late_imports_of_top_level_modules(path):
+    """Line numbers of the `from .m import ...` statements inside functions
+    or classes whose module `.m` the file already imports at the top."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    top = {
+        (node.level, node.module)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    nested = (
+        node
+        for statement in tree.body
+        if not isinstance(statement, ast.ImportFrom)
+        for node in ast.walk(statement)
+    )
+    return [
+        node.lineno
+        for node in nested
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in top
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_late_import_of_a_module_imported_at_the_top(path):
+    """A function-level import breaks an import cycle only when the module
+    has no top-level import of the same module; otherwise it belongs at
+    the top."""
+    assert late_imports_of_top_level_modules(path) == []

@@ -25,7 +25,6 @@ from nilmap import (
     map_to_document,
     parse_map,
     parse_polynomial,
-    tame_decompose,
 )
 from nilmap import analysis, generators, linalg, tame
 from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
@@ -310,9 +309,12 @@ class TestFormalInverse:
 
 
 class TestTameDecompose:
+    """Maps whose shift already has an acyclic dependency digraph: the
+    search returns the plain elementary chain, with no linear factor."""
+
     def test_single_elementary(self):
         F = parse_map("x + y^2; y")
-        fact = tame_decompose(F)
+        fact = classify_and_decompose(F)
         assert len(fact.factors) == 1
         assert compose_factorization(fact) == F
 
@@ -320,42 +322,43 @@ class TestTameDecompose:
         # the first component depends on the second, which depends on the
         # third: the factors must recompose exactly
         F = parse_map("x + y^2; y + z^3; z")
-        fact = tame_decompose(F)
+        fact = classify_and_decompose(F)
         assert len(fact.factors) == 2
         assert compose_factorization(fact) == F
 
     def test_cycle_raises(self):
         with pytest.raises(NotTriangularizable):
-            tame_decompose(parse_map("x + y^2; y + x^2"))
+            classify_and_decompose(parse_map("x + y^2; y + x^2"))
 
     def test_self_loop_raises(self):
         with pytest.raises(NotTriangularizable):
-            tame_decompose(parse_map("x + x*y; y"))
+            classify_and_decompose(parse_map("x + x*y; y"))
 
     def test_mismatch_carries_the_instance(self):
         # A chain built from a shift that is not F's does not recompose to F.
         F = parse_map("x + y^2; y")
         with pytest.raises(ConstructionMismatch) as info:
-            tame._factor(F, parse_map("y^3; 0"), [1, 2], None)
+            tame._factor(F, parse_map("y^3; 0"), [1, 2], LinearMap.identity(2))
         assert info.value.instance == map_to_document(F)
         assert '"components": ["y^2 + x", "y"]' in str(info.value)
 
     def test_conjugated_chain_brackets(self):
         F = parse_map("x + y^2; y")
         T = LinearMap(RationalMatrix([["2", "0"], ["0", "1"]]))
-        fact = tame_decompose(F, conjugation=T)
+        H = conjugate(tame._shift_part(F), T)
+        fact = tame._factor(F, H, tame._dependency_order(H), T)
         assert len(fact.factors) == 3
-        assert isinstance(fact.factors[0], LinearMap)
-        assert isinstance(fact.factors[-1], LinearMap)
+        assert fact.factors[0] == T
+        assert fact.factors[-1] == T.inverted()
         assert compose_factorization(fact) == F
 
     def test_identity_conjugation_omitted(self):
         F = parse_map("x + y^2; y")
-        fact = tame_decompose(F, conjugation=LinearMap.identity(2))
-        assert len(fact.factors) == 1
+        fact = classify_and_decompose(F)
+        assert [type(f) for f in fact.factors] == [ElementaryMap]
 
     def test_json_shape(self):
-        doc = tame_decompose(parse_map("x + y^2; y")).to_json()
+        doc = classify_and_decompose(parse_map("x + y^2; y")).to_json()
         assert doc["dimension"] == 2
         assert doc["factors"][0]["kind"] == "elementary"
 
@@ -518,7 +521,7 @@ class TestOriginMustBeFixed:
     @pytest.mark.parametrize("text", ["x + 1; y", "x + y^2; y - 1/2", "x; y; z + 3"])
     def test_api_raises(self, text):
         F = parse_map(text)
-        for verb in (formal_inverse, classify_and_decompose, tame_decompose):
+        for verb in (formal_inverse, classify_and_decompose):
             with pytest.raises(ShapeError, match=self.MESSAGE):
                 verb(F)
 
