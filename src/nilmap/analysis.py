@@ -85,9 +85,12 @@ from .poly import (
     _add_into,
     _combination,
     _exact,
+    _int_combination,
+    _linear,
     _over_one_den,
     _reduced,
     _scaled,
+    _substitute,
     _unit,
     _unpack,
 )
@@ -363,16 +366,32 @@ def is_nilpotent_bruteforce(H: PolyMap) -> bool:
 
 
 def conjugate(H: PolyMap, T: LinearMap) -> PolyMap:
-    """The conjugated map x -> T^-1 (H(T x)), computed exactly."""
+    """The conjugated map x -> T^-1 (H(T x)), computed exactly as
+    (T^-1 H) o T.
+
+    Component i of T^-1 H is sum_k T^-1[i][k] H_k: the numerators of H
+    over their lcm L, combined with the integer row r_i / e_i of T^-1 into
+    one integer dict over e_i * L.  One substitution then sends x to T x,
+    with the linear forms of T's rows as the images.  Every component of
+    T^-1 H carries the union of H's supports, and the substitution expands
+    each monomial of that union once for all of them (`poly._substitute`).
+    """
     n = H.dimension
     if T.dimension != n:
         raise DimensionMismatch(
             f"conjugating a {n}-dimensional map by a {T.dimension}x{T.dimension} matrix"
         )
-    # Each component of T^-1 (H o T) is one integer combination of the
-    # components of H o T, divided once by its row's common denominator.
-    composed = H.compose(T.as_poly_map()).components
-    return PolyMap([_combination(n, row, composed) for row in T.inverse.entries])
+    dens = [p._den for p in H.components]
+    L = lcm(*dens)
+    numerators = [p._terms for p in H.components]
+    polys = []
+    for row in T.inverse.entries:
+        ints, e = _over_one_den(row)
+        coeffs = [a * (L // den) for a, den in zip(ints, dens)]
+        polys.append((_int_combination(coeffs, numerators), e * L))
+    rows = [_linear(n, row) for row in T.matrix.entries]
+    images = [(t._terms, t._den) for t in rows]
+    return PolyMap([Polynomial._trusted(n, *r) for r in _substitute(polys, n, images, n)])
 
 
 def linear_dependence(

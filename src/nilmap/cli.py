@@ -275,7 +275,10 @@ def _cmd_verify(args) -> int:
         result = {"name": name, "passed": True, "detail": "", "counts": {}}
         try:
             result["counts"] = suites.run(index, args.seed)
-        except GuaranteeError:
+        except GuaranteeError as exc:
+            # Name the suite and the generator it drew from, so the failure
+            # can be replayed; the message keeps the instance dump.
+            exc.args = (f"suite {name}, Random({args.seed + index}): {exc}",)
             raise
         except (AssertionError, NilmapError) as exc:
             result.update(passed=False, detail=str(exc))

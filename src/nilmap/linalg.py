@@ -391,8 +391,9 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
-        ident = RationalMatrix.identity(n)
-        return cls(ident, ident)
+        """The identity on n coordinates, built and checked once per n and
+        shared afterwards, since a LinearMap is immutable."""
+        return _identity_map(n)
 
     def inverted(self) -> "LinearMap":
         return LinearMap(self.inverse, self.matrix)
@@ -419,6 +420,12 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap({json.dumps(self.matrix.to_json())})"
+
+
+@functools.cache
+def _identity_map(n: int) -> LinearMap:
+    ident = RationalMatrix.identity(n)
+    return LinearMap(ident, ident)
 
 
 def elementary_row_add(n: int, i: int, a, j: int) -> LinearMap:

@@ -42,6 +42,16 @@ of products behind characteristic polynomials and matrix powers
 deletes its zero numerators and divides the dict and its denominator by
 their gcd.
 
+Substitution (``Polynomial.substitute``, ``PolyMap.compose``) runs on
+``_substitute``, which takes any number of term dicts and one list of
+images.  Within one call it expands each distinct monomial once: the
+image powers come from one table per variable, the product of those powers
+is kept in a table keyed by the monomial's packed key, and every term that
+holds the monomial adds its coefficient times that product.  A map whose
+components share their support, such as a map in general position or a
+linear conjugate, is thus composed for the cost of one component plus one
+scaled addition per term.  Both tables are local to the call.
+
 Variable indices in the public API are 1-based (x1..xn), matching the usual
 mathematical notation; exponent tuples are indexed from 0 internally.
 """
@@ -262,16 +272,20 @@ def _substitute(
 
     The images are brought over one denominator d, image_k = M_k / d, so a
     term c * x^e of a polynomial N / den of total degree D becomes
-    c * d^(D - |e|) * prod_k M_k^e_k over den * d^D, all in integers.  One
-    table of the powers of the M_k serves all of `polys`, so each power is
-    computed once however many polynomials need it.
+    c * d^(D - |e|) * prod_k M_k^e_k over den * d^D, all in integers.  Each
+    distinct monomial x^e of `polys` is expanded once per call: the first
+    term that holds it multiplies out prod_k M_k^e_k from a table of the
+    powers of the M_k, and every term adds its coefficient times that
+    expansion into its result.  A monomial shared by k of the polynomials
+    thus costs one expansion, not k.
     """
     d = lcm(*[den for _, den in images])
     bases = [terms if den == d else _scaled(terms, d // den) for terms, den in images]
-    # powers[k][e] is the term dict of M_k^e; a list grows as terms need
-    # higher powers.  Each term becomes its coefficient times the product
-    # of the image powers; the last factor is multiplied straight into out.
+    # powers[k][e] is the term dict of M_k^e; a list grows as monomials
+    # need higher powers.  expanded[key] is the term dict of prod_k M_k^e_k
+    # for the monomial with that key.  Neither is ever modified in place.
     powers = [[_ONE, base] for base in bases]
+    expanded: dict[int, Terms] = {0: _ONE}
     top = _B * n
     results = []
     for terms, den in polys:
@@ -280,21 +294,23 @@ def _substitute(
             degree = max(terms) >> top
             den *= d**degree
             terms = {key: c * d ** (degree - (key >> top)) for key, c in terms.items()}
+        get = out.get
         for key, coeff in terms.items():
-            factors = []
-            for k, e in enumerate(_unpack(key, n)):
-                if e:
-                    cache = powers[k]
-                    while len(cache) <= e:
-                        cache.append(_product(cache[-1], bases[k], m))
-                    factors.append(cache[e])
-            if not factors:
-                _add_into(out, {0: coeff})
-                continue
-            term = {0: coeff}
-            for factor in factors[:-1]:
-                term = _product(term, factor, m)
-            _mul_into(out, term, factors[-1], m)
+            expansion = expanded.get(key)
+            if expansion is None:
+                for k, e in enumerate(_unpack(key, n)):
+                    if e:
+                        cache = powers[k]
+                        while len(cache) <= e:
+                            cache.append(_product(cache[-1], bases[k], m))
+                        expansion = (
+                            cache[e] if expansion is None
+                            else _product(expansion, cache[e], m)
+                        )
+                expanded[key] = expansion
+            for image_key, c in expansion.items():
+                old = get(image_key)
+                out[image_key] = coeff * c if old is None else old + coeff * c
         results.append(_reduced(out, den))
     return results
 
@@ -880,9 +896,10 @@ class PolyMap:
     def compose(self, other: "PolyMap") -> "PolyMap":
         """(self o other)_i = self_i(other_1, ..., other_n).
 
-        Every component goes through `_substitute` with one table of the
-        powers of other's components, so each power is computed once for
-        the whole map rather than once per component.
+        All components go through one `_substitute` call, so each power of
+        other's components, and each distinct monomial of self expanded over
+        them, is computed once for the whole map rather than once per
+        component.
         """
         if self.dimension != other.dimension:
             raise DimensionMismatch(

@@ -35,6 +35,7 @@ from reference_matrix import (
     ref_matrix_power,
 )
 from stored_form import stored_terms
+from test_poly import ref_add, ref_substitute
 
 
 class TestJacobian:
@@ -462,23 +463,90 @@ class TestConjugation:
 
 
 def reference_conjugate(H, T):
-    """T^-1 (H(T x)) built term by term from indexed entries and scaled sums."""
+    """T^-1 (H(T x)) on Fraction dicts: each component of H is expanded term
+    by term over T's rows by `ref_substitute` (repeated `ref_mul`), and the
+    results are combined with T^-1's rows by `ref_add`; no step calls
+    `substitute`, `compose` or any other part of the substitution kernel."""
     n = H.dimension
-    zero = Polynomial.zero(n)
-    bindings = {
-        j + 1: sum(
-            (Polynomial.variable(n, m + 1).scale(T.matrix[j, m]) for m in range(n)),
-            zero,
-        )
-        for j in range(n)
-    }
-    composed = [p.substitute(bindings) for p in H.components]
-    return PolyMap(
-        [
-            sum((composed[k].scale(T.inverse[i, k]) for k in range(n)), zero)
-            for i in range(n)
+    unit = [tuple(int(k == m) for k in range(n)) for m in range(n)]
+    images = [
+        Polynomial(n, {unit[m]: T.matrix[j, m] for m in range(n)}) for j in range(n)
+    ]
+    composed = [ref_substitute(p, images) for p in H.components]
+    out = []
+    for i in range(n):
+        acc = Polynomial.zero(n)
+        for k in range(n):
+            c = T.inverse[i, k]
+            acc = ref_add(acc, Polynomial(n, {e: c * v for e, v in composed[k].terms.items()}))
+        out.append(acc)
+    return PolyMap(out)
+
+
+def fractional_conjugator(rng, n):
+    """A random T with a non-integral entry in T and in T^-1."""
+    while True:
+        grid = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
         ]
-    )
+        try:
+            T = LinearMap(RationalMatrix(grid))
+        except NilmapError:
+            continue
+        if all(
+            any(v.__class__ is Fraction for row in m.entries for v in row)
+            for m in (T.matrix, T.inverse)
+        ):
+            return T
+
+
+class TestConjugateDifferential:
+    """conjugate against `reference_conjugate` on the inputs where a table of
+    expanded monomials could go wrong: components with one shared support,
+    one monomial under several denominators, images over a denominator
+    d != 1, zero and constant components, Fractions in T and in T^-1."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_components_share_support(self, n):
+        # Dense, as a conjugate in general position is: every component
+        # carries every monomial of degree 1 and 2, each with its own
+        # nonzero Fraction coefficient.
+        rng = random.Random(40 + n)
+        support = [
+            tuple(int(k == i) + int(k == j) for k in range(n))
+            for i in range(n)
+            for j in range(i, n + 1)
+        ]
+        H = PolyMap(
+            [
+                Polynomial(n, {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for e in support})
+                for _ in range(n)
+            ]
+        )
+        assert {frozenset(p.monomials()) for p in H} == {frozenset(support)}
+        T = fractional_conjugator(rng, n)
+        got = conjugate(H, T)
+        assert got == reference_conjugate(H, T)
+        for p in got:
+            stored_terms(p)
+
+    def test_monomial_under_different_denominators(self):
+        H = parse_map("1/3*x^2*y + z; 2/5*x^2*y - 1/7*y; 5/2*x^2*y + x*z^2")
+        T = LinearMap(RationalMatrix([[Fraction(1, 2), 1, 0], [0, Fraction(2, 3), 1], [1, 0, Fraction(3, 4)]]))
+        assert any(v.__class__ is Fraction for row in T.inverse.entries for v in row)
+        got = conjugate(H, T)
+        assert got == reference_conjugate(H, T)
+        for p in got:
+            stored_terms(p)
+
+    def test_zero_and_constant_components(self):
+        H = parse_map("0; 3/4; x*y - 1/2*z^2; 0")
+        for seed in range(4):
+            T = fractional_conjugator(random.Random(seed), 4)
+            assert conjugate(H, T) == reference_conjugate(H, T)
+        zero = PolyMap.zero(3)
+        assert conjugate(zero, fractional_conjugator(random.Random(9), 3)) == zero
 
 
 class TestConjugateFractionFree:

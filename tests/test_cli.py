@@ -942,6 +942,31 @@ class TestVerify:
         assert "synthetic rebuild mismatch" in err
         assert "Traceback" not in out + err
 
+    def test_escaped_guarantee_names_suite_and_generator(self, capsys, monkeypatch):
+        from nilmap import suites
+
+        name = "canonical round trip"
+        index = [n for n, _ in suites.SUITES].index(name)
+        draws = []
+
+        def boom(rng):
+            draws.append(rng.random())
+            raise ConstructionMismatch("synthetic rebuild mismatch", {"map": "x; y"})
+
+        monkeypatch.setattr(
+            suites,
+            "SUITES",
+            tuple((n, boom if n == name else lambda rng: {}) for n, _ in suites.SUITES),
+        )
+        code, out, err = run(capsys, ["verify", "--seed", "7"])
+        assert code == 3
+        assert draws == [random.Random(7 + index).random()]
+        assert (
+            f"suite {name}, Random({7 + index}): synthetic rebuild mismatch\n"
+            'instance: {"map": "x; y"}'
+        ) in err
+        assert "Traceback" not in out + err
+
     def test_failed_suite_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "nilmap.analysis.check_divergence_coefficients", lambda u, v: False

@@ -144,6 +144,16 @@ class TestLinearMap:
     def test_identity(self):
         assert LinearMap.identity(4).is_identity()
 
+    def test_identity_is_built_once_per_dimension(self):
+        first = LinearMap.identity(5)
+        assert first.matrix.entries == tuple(
+            tuple(int(i == j) for j in range(5)) for i in range(5)
+        )
+        assert first.inverse == first.matrix
+        assert LinearMap.identity(5) is first
+        assert LinearMap.identity(3) is not first
+        assert LinearMap.identity(3).dimension == 3
+
     def test_elementary_row_add(self):
         # adds a * (coordinate i) to coordinate j
         t = elementary_row_add(3, 1, Fraction(2), 2)
