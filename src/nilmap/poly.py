@@ -922,16 +922,15 @@ class PolyMap:
             raise DimensionMismatch("subtracting maps of different dimensions")
         return PolyMap([p - q for p, q in zip(self, other)])
 
-    def minus_identity(self, negate: bool = False) -> "PolyMap":
-        """self - x, or x - self when `negate`, without building x: each
-        component N / den moves its x_i numerator by den."""
+    def minus_identity(self) -> "PolyMap":
+        """self - x without building x: each component N / den moves its
+        x_i numerator by -den."""
         n = self.dimension
-        sign = 1 if negate else -1
         out = []
         for i, p in enumerate(self.components, 1):
-            terms = _negated(p._terms) if negate else dict(p._terms)
+            terms = dict(p._terms)
             key = _unit(n, i)
-            terms[key] = terms.get(key, 0) + sign * p._den
+            terms[key] = terms.get(key, 0) - p._den
             out.append(Polynomial._trusted(n, *_reduced(terms, p._den)))
         return PolyMap(out)
 

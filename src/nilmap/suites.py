@@ -139,9 +139,11 @@ def _tame_and_inverse(rng: random.Random) -> dict[str, int]:
         F = identity + generators.decomposable_shift(rng, n)
         factors = tame.classify_and_decompose(F)
         _require(tame.compose_factorization(factors) == F, "factors do not compose")
-        G = tame.formal_inverse(F)
-        inverts = G is not None and F.compose(G) == identity == G.compose(F)
-        _require(inverts, "no two-sided inverse")
+        # a linear map after F moves the iteration's start A^-1 x off x
+        for M in (F, generators.random_invertible(rng, n).as_poly_map().compose(F)):
+            G = tame.formal_inverse(M)
+            inverts = G is not None and M.compose(G) == identity == G.compose(M)
+            _require(inverts, "no two-sided inverse")
     return {}
 
 

@@ -18,21 +18,21 @@ combinations of R.  So each elementary factor costs one substitution
 into its own shift, not a composition of the running product with a
 whole map.
 
-`keller_check` and `formal_inverse` share one first step,
+`keller_check` and `formal_inverse` share one exact Keller decision,
 `_normalized_shift`.  A polynomial automorphism has a nonzero constant
 Jacobian determinant, so it compares det JF, a number taken by
 `RationalMatrix.det`, at the origin and at the probe point of
 `analysis.is_nilpotent_bruteforce`: a zero at the origin, or two
 different values, proves that F is not invertible.  Otherwise it builds
 A^-1 o F = x + H', for A = JF(0), each component one rational
-combination of F's components, so that the linear part is the identity.
-`keller_check` decides det(I + JH') = 1, which holds exactly when
+combination of F's components, so that the linear part is the identity,
+and decides det(I + JH') = 1, which holds exactly when
 det JF = det A * det(I + JH') is constant, since JH' vanishes at the
-origin; it takes the sigma of JH' on the quotient by its common flag
+origin.  It takes the sigma of JH' on the quotient by its common flag
 space (`analysis._unit_determinant`), so on the paper's second family,
-whose flag is everything, no characteristic polynomial is taken.  The
-inverse iteration finds the inverse of A^-1 o F; the inverse of F is
-that followed by A^-1.
+whose flag is everything, no characteristic polynomial is taken.
+`invert` then iterates G <- A^-1 x - H'(G) from A^-1 x, only on Keller
+maps, and its exact fixpoint is the two-sided inverse of F.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .linalg import (
     row_conjugator,
 )
 from .parsing import DEFAULT_ALIASES, format_polynomial, map_to_document
-from .poly import Polynomial, PolyMap, _combination
+from .poly import Polynomial, PolyMap, _combination, _linear
 
 Factor = Union["ElementaryMap", LinearMap]
 
@@ -175,13 +175,11 @@ def compose_factorization(f: TameFactorization) -> PolyMap:
     return PolyMap(R)
 
 
-def _normalized_shift(
-    F: PolyMap,
-) -> tuple[RationalMatrix, RationalMatrix, PolyMap] | None:
-    """(A, A^-1, H') for A = JF(0) and A^-1 o F = x + H', whose component
-    i is sum_j A^-1[i][j] F_j; or None when det JF is provably not a
-    nonzero constant: it vanishes at the origin, or differs between the
-    origin and the probe point."""
+def _normalized_shift(F: PolyMap) -> tuple[RationalMatrix, PolyMap] | None:
+    """(A^-1, H') for A = JF(0) and A^-1 o F = x + H', whose component i
+    is sum_j A^-1[i][j] F_j; or None when det JF is not a nonzero
+    constant.  The determinants at the origin and at the probe point are
+    the cheap first test; det(I + JH') = 1 is the exact one."""
     n = F.dimension
     linear = _jacobian_at(F, (0,) * n)
     at_origin = linear.det()
@@ -191,23 +189,15 @@ def _normalized_shift(
     shift = PolyMap(
         [_combination(n, row, F.components) for row in inverse.entries]
     ).minus_identity()
-    return linear, inverse, shift
+    if not _unit_determinant(*_jacobian_terms(shift), n):
+        return None
+    return inverse, shift
 
 
 def keller_check(F: PolyMap) -> bool:
-    """True iff the Jacobian determinant is a nonzero constant.
-
-    det JF is first compared at the origin and at the probe point; only a
-    determinant that is nonzero and agrees there is decided symbolically.
-    With A = JF(0) and A^-1 F = x + H', det JF = det A * det(I + JH'), and
-    JH' vanishes at the origin, so det JF is constant exactly when
-    det(I + JH') = 1 (`analysis._unit_determinant`, on the quotient of
-    JH' by its common flag space).
-    """
-    normalized = _normalized_shift(F)
-    if normalized is None:
-        return False
-    return _unit_determinant(*_jacobian_terms(normalized[2]), F.dimension)
+    """True iff the Jacobian determinant is a nonzero constant, decided by
+    `_normalized_shift`."""
+    return _normalized_shift(F) is not None
 
 
 def _require_origin_fixed(F: PolyMap) -> None:
@@ -227,19 +217,21 @@ def formal_inverse(
     F: PolyMap, degree_bound: int | None = None
 ) -> PolyMap | None:
     """Polynomial inverse of F = x + H, with F(0) = 0, by truncated
-    fixpoint iteration.
+    fixpoint iteration; None means no polynomial inverse exists.
 
-    Let A = JF(0), the linear part of F.  The iteration G' <- x - H'(G')
-    runs on A^-1 o F = x + H', whose linear part is the identity, with
-    truncation at the degree bound (default (deg F)^(n-1), the classical
-    automorphism-inverse bound); its fixpoint G' gives G = G' o A^-1.  An
-    exact fixpoint is verified by composing both ways; None means no
-    polynomial inverse exists.  A lower bound raises PreconditionError.
+    With A = JF(0) and A^-1 o F = x + H' (`_normalized_shift`, which
+    returns None first when det JF is not a nonzero constant), the
+    iteration G <- A^-1 x - H'(G) starts from A^-1 x and truncates at the
+    degree bound, by default (deg F)^(n-1) (Bass-Connell-Wright), so a
+    miss is a proof; a lower bound raises PreconditionError.
 
-    Before iterating, None is returned at once when det A = 0 or det JF
-    differs between the origin and the probe point: the determinant of an
-    invertible map is a nonzero constant, so either case proves that no
-    polynomial inverse exists, and the iteration would end in None too.
+    The exact fixpoint equality proves G, with no composition with F:
+    - G = A^-1 x - H'(G) is A^-1 F(G) = A^-1 x, so F o G = x.
+    - H'(0) = 0, as F(0) = 0, so F and G fix 0 with linear parts A and
+      A^-1.  Such formal maps form a group under composition, where a
+      right inverse is two-sided, so G o F = x.
+    Each iterate is the one of x - H' from x composed with A^-1, as a
+    linear substitution keeps total degrees, so the rounds are the same.
     """
     n = F.dimension
     default_bound = max(F.max_total_degree(), 1) ** max(n - 1, 1)
@@ -254,23 +246,20 @@ def formal_inverse(
     normalized = _normalized_shift(F)
     if normalized is None:
         return None
-    linear, inverse, shift = normalized
-    G = _fixpoint_inverse(shift, degree_bound)
-    if G is None:
-        return None
-    G = G.compose(LinearMap(inverse, linear).as_poly_map())
-    identity = PolyMap.identity(n)
-    if F.compose(G) == identity and G.compose(F) == identity:
-        return G
-    return None
+    inverse, shift = normalized
+    start = PolyMap([_linear(n, row) for row in inverse.entries])
+    return _fixpoint_inverse(start, shift, degree_bound)
 
 
-def _fixpoint_inverse(H: PolyMap, degree_bound: int) -> PolyMap | None:
-    """The fixpoint of G <- x - H(G), truncated at the degree bound, or
-    None when the iteration repeats a map or runs out of rounds first."""
-    G = PolyMap.identity(H.dimension)
+def _fixpoint_inverse(
+    start: PolyMap, H: PolyMap, degree_bound: int
+) -> PolyMap | None:
+    """The fixpoint of G <- start - H(G), from G = start, truncated at the
+    degree bound, or None when the iteration repeats a map or runs out of
+    rounds first."""
+    G = start
     for _ in range((degree_bound + 2) * H.dimension):
-        R = H.compose(G).minus_identity(negate=True)
+        R = start - H.compose(G)
         if R == G:
             return G
         G_next = R.truncate(degree_bound)

@@ -26,7 +26,7 @@ from nilmap import (
     parse_map,
     parse_polynomial,
 )
-from nilmap import analysis, generators, linalg, tame
+from nilmap import analysis, cli, generators, linalg, tame
 from nilmap.analysis import _jacobian_at, _nilpotency_index, _probe_point
 from reference_matrix import poly_det
 from reference_tame import ref_compose_factorization
@@ -307,6 +307,33 @@ class TestFormalInverse:
             assert F.compose(G).is_identity()
             assert G.compose(F).is_identity()
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_general_position_inverts_both_ways(self, n):
+        # formal_inverse composes nothing with F, so these compositions are
+        # the independent oracle: the paper's second family in general
+        # position, alone and after a rational diagonal scale, whose
+        # A = JF(0) is not unipotent.
+        F = coupled_shift(n, 1)
+        scale = PolyMap([
+            Polynomial.variable(n, i).scale(Fraction(i + 1, 2 * i + 1))
+            for i in range(1, n + 1)
+        ])
+        for M in (F, scale.compose(F)):
+            G = formal_inverse(M)
+            assert G is not None
+            assert M.compose(G).is_identity()
+            assert G.compose(M).is_identity()
+
+    @pytest.mark.parametrize("text", ["x + x^2", "x1 + 1/3*x1^3 - x1^2; x2"])
+    def test_a_truncated_fixpoint_is_not_returned(self, text):
+        # Each map has a formal inverse but no polynomial one, so the
+        # truncated iteration settles on a map G with x - H(G) != G; only
+        # the exact equality may return G.
+        F = parse_map(text)
+        n = F.dimension
+        bound = F.max_total_degree() ** max(n - 1, 1)
+        assert tame._fixpoint_inverse(PolyMap.identity(n), F.minus_identity(), bound) is None
+
 
 class TestTameDecompose:
     """Maps whose shift already has an acyclic dependency digraph: the
@@ -528,3 +555,138 @@ class TestOriginMustBeFixed:
     def test_keller_check_ignores_the_translation(self):
         assert keller_check(parse_map("x + y^2 + 1; y - 2"))
         assert not keller_check(parse_map("x + x^2 + 1; y"))
+
+
+def double_root_map(n):
+    """x1 + 1/3*x1^3 - x1^2; x2; ...; xn, whose det JF = (x1 - 1)^2 is 1 at
+    the origin and at the probe point, but is not constant."""
+    return "; ".join(["x1 + 1/3*x1^3 - x1^2"] + [f"x{i}" for i in range(2, n + 1)])
+
+
+def fixpoint_recorder(monkeypatch):
+    """Replaces tame._fixpoint_inverse by a stub that records its calls
+    and finds no inverse; returns the list of calls."""
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(tame, "_fixpoint_inverse", stub)
+    return calls
+
+
+@st.composite
+def points_agreeing_maps(draw):
+    """A o F for F_1 = x1 + (x_j - p_j) x1^2 w + P_1 and F_i = x_i + P_i,
+    with p the probe point, w != 0, and P_i a polynomial in x_(i+1)..x_n
+    without constant term.  JF is upper triangular, so
+    det J(A o F) = det A * (1 + (x_j - p_j) d(x1^2 w)/dx1) agrees at the
+    origin and at p, but is not constant."""
+    n = draw(st.integers(2, 4))
+    j = draw(st.integers(2, n))
+    x = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+    nonzero = FRACTIONS.filter(bool)
+    w = Polynomial(n, draw(st.dictionaries(
+        st.tuples(*(st.integers(0, 1) for _ in range(n))), nonzero, min_size=1, max_size=2
+    )))
+    comps = []
+    for i in range(1, n + 1):
+        exps = st.tuples(
+            *(st.integers(0, 2) if k > i else st.just(0) for k in range(1, n + 1))
+        ).filter(any)
+        comps.append(x[i - 1] + Polynomial(n, draw(st.dictionaries(exps, nonzero, max_size=2))))
+    comps[0] = comps[0] + (x[j - 1] - _probe_point(n)[j - 1]) * x[0] ** 2 * w
+    return draw(linear_maps(n)).as_poly_map().compose(PolyMap(comps))
+
+
+class TestExactKellerGate:
+    """invert iterates only after det JF is decided constant exactly, so a
+    map whose determinant agrees at the two points is refuted at once."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_double_root_exits_1_without_iterating(self, n, tmp_path, capsys, monkeypatch):
+        text = double_root_map(n)
+        F = parse_map(text)
+        assert det_at(F, (0,) * n) == det_at(F, _probe_point(n)) == 1
+        calls = fixpoint_recorder(monkeypatch)
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        assert cli.run_command(["invert", "-f", str(path)]) == 1
+        assert capsys.readouterr().out == "no polynomial inverse found\n"
+        assert calls == []
+        assert not keller_check(F)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(points_agreeing_maps())
+    def test_non_constant_determinant_never_reaches_the_fixpoint(self, F):
+        n = F.dimension
+        assert det_at(F, (0,) * n) == det_at(F, _probe_point(n)) != 0
+        assert not det_is_nonzero_constant(F)
+        with pytest.MonkeyPatch.context() as m:
+            calls = fixpoint_recorder(m)
+            assert formal_inverse(F) is None
+        assert calls == []
+        assert not keller_check(F)
+
+
+def invertible_maps(n, seed):
+    """Four x + H for decomposable H, every other one after a linear map,
+    so that JF(0) is not the identity."""
+    rng = random.Random(seed)
+    for k in range(4):
+        F = PolyMap.identity(n) + generators.decomposable_shift(rng, n)
+        if k % 2:
+            F = generators.random_invertible(rng, n).as_poly_map().compose(F)
+        yield F
+
+
+def recorded_compositions(monkeypatch, F):
+    """(G, [(receiver, argument)] of every PolyMap.compose, rounds) for
+    formal_inverse(F); every round but the last truncates once."""
+    compose, truncate = PolyMap.compose, PolyMap.truncate
+    calls, truncations = [], []
+
+    def counted_compose(self, other):
+        calls.append((self, other))
+        return compose(self, other)
+
+    def counted_truncate(self, bound):
+        truncations.append(bound)
+        return truncate(self, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(PolyMap, "compose", counted_compose)
+        m.setattr(PolyMap, "truncate", counted_truncate)
+        G = formal_inverse(F)
+    return G, calls, len(truncations) + 1
+
+
+class TestInverseCompositions:
+    """formal_inverse's exact fixpoint is its proof: it composes only
+    H'(G), once per round, and never composes with F."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_one_composition_per_round_and_none_with_F(self, n, monkeypatch):
+        for F in invertible_maps(n, 60 + n):
+            assert not F.is_identity()
+            G, calls, rounds = recorded_compositions(monkeypatch, F)
+            assert G is not None
+            assert len(calls) == rounds
+            assert all(F != a and F != b for a, b in calls)
+            assert F.compose(G).is_identity() and G.compose(F).is_identity()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_iterates_are_those_of_the_unipotent_map_after_A_inverse(self, n, monkeypatch):
+        # From A^-1 x, each iterate on F is the one on A^-1 o F, whose
+        # linear part is the identity, composed with A^-1.
+        for F in list(invertible_maps(n, 80 + n))[1::2]:
+            A = _jacobian_at(F, (0,) * n)
+            assert not A.is_identity()
+            inverse = LinearMap(A).inverted().as_poly_map()
+            unipotent = inverse.compose(F)
+            G, calls, rounds = recorded_compositions(monkeypatch, F)
+            G1, calls1, rounds1 = recorded_compositions(monkeypatch, unipotent)
+            assert rounds == rounds1
+            assert G == G1.compose(inverse)
+            assert [b for _, b in calls] == [b.compose(inverse) for _, b in calls1]
