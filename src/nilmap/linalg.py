@@ -3,18 +3,18 @@
 Rational matrices are dense grids of exact rationals, each entry stored as
 an int when it is integral and as a Fraction otherwise; polynomial matrices
 are dense grids of Polynomial sharing one ambient ring.  Everything is
-immutable and exact.  Inverses, determinants and the reduced form behind
-the common flag all come from one fraction-free Gauss-Jordan elimination
-(`_rref_den`): each row's denominators are cleared, the elimination runs on
-ints, and the result is divided by the last pivot once, at the end.  That
-last pivot, signed by the parity of the row swaps, is the determinant of
-the cleared rows when every column has a pivot.
-Coefficient kernels, the linear relations among polynomials behind every
-dependence certificate, build no matrix: `_kernel_vectors` eliminates one
-polynomial at a time on the polynomials' own integer numerators, as in
-fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968), with
-each stored column divided by its content, and yields a basis of the
-kernel of the stacked monomial rows, one free column at a time.
+immutable and exact.  Two fraction-free eliminations on integers serve
+every rational job.  `_rref_den`, Gauss-Jordan on dense rows, gives
+inverses, determinants and the reduced row echelon form of the common
+flag: each row's denominators are cleared, the elimination runs on ints,
+and the result is divided by the last pivot once, at the end.  That last
+pivot, signed by the parity of the row swaps, is the determinant of the
+cleared rows when every column has a pivot.  `_reduce`, one incremental
+step of fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968),
+reduces one sparse row against the echelon rows kept so far.  It gives
+coefficient kernels, the linear relations among polynomials behind every
+dependence certificate (`_kernel_vectors`), and every step of the common
+flag's chain (`_flag_step`); neither job builds a matrix.
 Products are fraction-free too: each entry is an integer dot product of a
 row and a column with their denominators cleared, divided once by the two
 denominators.
@@ -67,8 +67,8 @@ from .poly import (
     _exact,
     _int_combination,
     _linear,
-    _negated,
     _over_one_den,
+    _scaled,
 )
 
 
@@ -297,74 +297,76 @@ def coefficient_kernel(
 def _kernel_vectors(equations: Sequence[Sequence[Polynomial]]):
     """Yield the vectors of `coefficient_kernel`, one free column at a time.
 
-    Column j is one integer term dict keyed by (equation, monomial), or by
-    the monomial alone for a single equation: the numerators of its
-    polynomials over their common denominator den, so column j is den times
-    the rational column, with no Fraction read, and C[j] starts at den.
-    Each column is reduced, in order, against an echelon list of the
-    earlier independent columns, each with its pivot key.  The reduction
-    keeps the integer combination C with R = sum_i C[i] * column_i; a step
-    against echelon element b replaces R by a*R - f*R_b and C by a*C - f*C_b,
-    where a is R_b's pivot entry and f is R's entry at that key, both
-    divided by their gcd.  A column that reduces to zero yields C / C[j]:
-    1 at j, minus the unique expression of column j in the earlier
-    independent columns, which is the basis vector of the free column j of
-    the stacked matrix.  Any other column joins the echelon list,
-    divided by the content of R and C together, with its first key as its
+    Column j of m equations is one sparse integer row: its polynomials'
+    numerators over their common denominator den, keyed by packed monomial
+    key, or by key * m + e in equation e when m > 1, so it is den times the
+    rational column.  As `inverse` augments A with I, the row also holds
+    den at the key -1 - j; after `_reduce` its negative keys hold the
+    integer combination C of the columns that its nonnegative part equals.
+    When no nonnegative key is left, column j is free and C / C[j] is
+    yielded: 1 at j, minus the unique expression of column j in the
+    earlier independent columns, whatever pivots the reduction picked.
+    Any other row joins the echelon list, its first nonnegative key as its
     pivot.  A caller that stops after the first vector never reads the
     later columns.
     """
-    size = len(equations[0])
-    if len(equations) == 1:
-        columns = ((p._terms, p._den) for p in equations[0])
-    else:
-        columns = (_stacked([eq[j] for eq in equations]) for j in range(size))
-    echelon: list[tuple[object, dict, list[int]]] = []
-    for j, (reduced, den) in enumerate(columns):
-        combination = [0] * size
-        combination[j] = den
-        for key, rb, cb in echelon:
-            f = reduced.get(key)
-            if f:
-                a = rb[key]
-                g = gcd(a, f)
-                a, f = a // g, f // g
-                reduced = _eliminate(reduced, a, rb, f)
-                combination = [a * c - f * d for c, d in zip(combination, cb)]
-        if not reduced:
-            lead = combination[j]
-            yield [Fraction(c, lead) for c in combination]
-            continue
-        g = gcd(*reduced.values(), *combination)
-        if g != 1:
-            reduced = {k: v // g for k, v in reduced.items()}
-            combination = [c // g for c in combination]
-        echelon.append((next(iter(reduced)), reduced, combination))
-
-
-def _stacked(polys: Sequence[Polynomial]) -> tuple[dict, int]:
-    """(ints, den): the numerators of the polynomials over their common
-    denominator den, keyed by (index, monomial)."""
-    den = lcm(*(p._den for p in polys))
-    return {
-        (e, key): c * (den // p._den)
-        for e, p in enumerate(polys)
-        for key, c in p._terms.items()
-    }, den
-
-
-def _eliminate(r: dict, a: int, rb: dict, f: int) -> dict:
-    """a * r - f * rb for integer term dicts, as a new dict without zero
-    entries (f and every entry of rb nonzero)."""
-    out = dict(r) if a == 1 else {k: a * v for k, v in r.items()}
-    get = out.get
-    for k, v in rb.items():
-        w = get(k, 0) - f * v
-        if w:
-            out[k] = w
+    size, m = len(equations[0]), len(equations)
+    echelon: list[tuple[int, dict[int, int]]] = []
+    for j in range(size):
+        if m == 1:
+            p = equations[0][j]
+            row, den = dict(p._terms), p._den
         else:
-            del out[k]
-    return out
+            polys = [eq[j] for eq in equations]
+            den = lcm(*(p._den for p in polys))
+            row = {
+                key * m + e: c * (den // p._den)
+                for e, p in enumerate(polys)
+                for key, c in p._terms.items()
+            }
+        row[-1 - j] = den
+        row = _reduce(row, echelon)
+        pivot = next((k for k in row if k >= 0), None)
+        if pivot is None:
+            lead = row[-1 - j]
+            yield [Fraction(row.get(-1 - i, 0), lead) for i in range(size)]
+        else:
+            echelon.append((pivot, row))
+
+
+def _reduce(
+    v: dict[int, int], echelon: Sequence[tuple[int, dict[int, int]]]
+) -> dict[int, int]:
+    """The sparse integer row v (no zero entries) reduced against the
+    echelon rows, in order, and divided by its content; v is unchanged.
+
+    Each echelon entry is (k, b): a row b with b[k] != 0 whose pivot key k
+    no later entry holds.  Against b, v becomes a * v - f * b, with a = b[k]
+    and f = v[k] divided by their gcd, which drops the key k.  The result
+    holds no pivot key and no zero entry, and it is empty exactly when v
+    lies in the span of the echelon rows.
+    """
+    for k, b in echelon:
+        f = v.get(k)
+        if f:
+            a = b[k]
+            g = gcd(a, f)
+            if g != 1:
+                a, f = a // g, f // g
+            out = dict(v) if a == 1 else {key: a * c for key, c in v.items()}
+            get = out.get
+            for key, c in b.items():
+                w = get(key, 0) - f * c
+                if w:
+                    out[key] = w
+                else:
+                    del out[key]
+            v = out
+    if v:
+        g = gcd(*v.values())
+        if g != 1:
+            v = {key: c // g for key, c in v.items()}
+    return v
 
 
 class LinearMap:
@@ -530,7 +532,7 @@ def _sigma_terms(grid: list[list[Terms]], n: int) -> list[Terms]:
         t = [_ONE, grid[k][k]]
         for l in range(2, d + 1):
             v = _dot_terms(n, row, col)
-            t.append(v if l % 2 else _negated(v))
+            t.append(v if l % 2 else _scaled(v, -1))
             if l < d:
                 col = [_dot_terms(n, r, col) for r in block]
         # Coefficient i of the product is sum_j t[i - j] * q[j]; the
@@ -584,8 +586,9 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     for a a row of A and m a monomial (`_flag_step`).  The chain starts at
     A = I and stops at the first step that does not lower the rank.  Any
     basis of the annihilator of W_(k-1) serves as A, so a step goes on from
-    the independent rows the previous one kept, and only the rows of the
-    last step before the stall are put in reduced row echelon form, once.
+    the independent sparse rows the previous one kept, and only the rows
+    of the last step before the stall are made dense and put in reduced
+    row echelon form, once.
     The rows a * M_m are produced one row a at a time (`_row_products`),
     as `_flag_step` asks for them: a step that stalls needs only as many
     as the rank.  When the M_m have no common kernel vector, W_1 = 0 and
@@ -596,11 +599,11 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
         [(key, j, c) for j, entry in enumerate(row) for key, c in entry.items()]
         for row in grid
     ]
-    rows = _flag_step(_row_products(_identity_rows(size), terms, size), size)
+    rows = _flag_step(_row_products(({i: 1} for i in range(size)), terms), size)
     if rows is None:
         return Flag(_identity_rows(size), 1, range(size), grid)
     while rows:
-        step = _flag_step(_row_products(rows, terms, size), len(rows))
+        step = _flag_step(_row_products(rows, terms), len(rows))
         if step is None:
             break
         rows = step
@@ -609,6 +612,7 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     # den times the reduced form, whose den is the last pivot and may be
     # negative: rows and den are divided by their gcd, taken with den's
     # sign, so den > 0 is the lcm of the reduced form's denominators.
+    rows = [[v.get(j, 0) for j in range(size)] for v in rows]
     den, pivots, _ = _rref_den(rows)
     g = gcd(den, *itertools.chain.from_iterable(rows))
     if den < 0:
@@ -621,55 +625,45 @@ def _common_flag(grid: list[list[Terms]]) -> Flag:
     return Flag(rows, den, pivots, quotient)
 
 
-def _row_products(rows, terms: list[list[tuple[int, int, int]]], size: int):
-    """Yield the nonzero rows a * M_m for each row a in turn, where
-    terms[i] holds (key, j, c) for the terms c x^key of entry (i, j) of
-    cJ: one pass over the terms of the grid rows i with a[i] != 0 gives
-    a * M_m for every monomial m at once."""
+def _row_products(rows, terms: list[list[tuple[int, int, int]]]):
+    """Yield the nonzero rows a * M_m, as sparse rows without zero entries,
+    for each sparse row a in turn, where terms[i] holds (key, j, c) for the
+    terms c x^key of entry (i, j) of cJ: one pass over the terms of the
+    grid rows i with a[i] != 0 gives a * M_m for every monomial m at once."""
     for a in rows:
-        out: dict[int, list[int]] = {}
-        for f, row in zip(a, terms):
-            if f:
-                for key, j, c in row:
-                    v = out.get(key)
-                    if v is None:
-                        v = out[key] = [0] * size
-                    v[j] += f * c
-        yield from (v for v in out.values() if any(v))
+        out: dict[int, dict[int, int]] = {}
+        for i, f in a.items():
+            for key, j, c in terms[i]:
+                v = out.get(key)
+                if v is None:
+                    out[key] = {j: f * c}
+                else:
+                    v[j] = v.get(j, 0) + f * c
+        for v in out.values():
+            if not all(v.values()):
+                v = {j: c for j, c in v.items() if c}
+            if v:
+                yield v
 
 
-def _flag_step(vectors, rank: int) -> list[list[int]] | None:
-    """Independent rows spanning the next space of `_common_flag`'s chain,
-    from the rows a * M_m of the current one, whose row space has the
-    given rank; or None when the chain stalls there.
+def _flag_step(vectors, rank: int) -> list[dict[int, int]] | None:
+    """Independent sparse rows spanning the next space of `_common_flag`'s
+    chain, from the rows a * M_m of the current one, whose row space has
+    the given rank; or None when the chain stalls there.
 
     The rows a * M_m lie in the current row space, since the chain only
     grows, so the chain stalls as soon as `rank` of them are independent;
-    the scan stops there.  Each row is reduced, in order, against the
-    independent rows kept so far: against a kept row b with first nonzero
-    column c, a row v becomes (b[c] * v - v[c] * b) / g for g the gcd of
-    the two factors.  A row that does not vanish is kept, divided by its
-    content.  The kept rows are independent, as each is zero at the first
-    nonzero columns of the earlier ones.
+    the scan stops there.  Each row is reduced against the rows kept so
+    far (`_reduce`), and a row that does not vanish is kept with its first
+    key as its pivot.
     """
-    kept: list[tuple[int, list[int]]] = []
+    kept: list[tuple[int, dict[int, int]]] = []
     for v in vectors:
-        for c, b in kept:
-            f = v[c]
-            if f:
-                p = b[c]
-                g = gcd(p, f)
-                p, f = p // g, f // g
-                v = [p * x - f * y for x, y in zip(v, b)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        g = gcd(*v)
-        if g != 1:
-            v = [x // g for x in v]
-        kept.append((lead, v))
-        if len(kept) == rank:
-            return None
+        v = _reduce(v, kept)
+        if v:
+            kept.append((next(iter(v)), v))
+            if len(kept) == rank:
+                return None
     return [v for _, v in kept]
 
 

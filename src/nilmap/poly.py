@@ -335,11 +335,6 @@ def _dot_terms(n: int, xs: Iterable[Terms], ys: Iterable[Terms]) -> Terms:
     return _drop_zeros(out)
 
 
-def _negated(terms: Terms) -> Terms:
-    """The term dict of -p, as a new dict."""
-    return {key: -c for key, c in terms.items()}
-
-
 def _combination(
     n: int, coeffs: Sequence[Coeff], polys: Sequence[Polynomial]
 ) -> Polynomial:
@@ -550,7 +545,7 @@ class Polynomial:
         return Polynomial._trusted(self.n, *_reduced(out, den))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.n, _negated(self._terms), self._den)
+        return Polynomial._trusted(self.n, _scaled(self._terms, -1), self._den)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilmap import (
     LinearMap,
@@ -16,10 +17,11 @@ from nilmap import (
     parse_polynomial,
     poly_matrix_rank,
 )
-from nilmap import PolyMap, conjugate, generators, jacobian
+from nilmap import PolyMap, analysis, conjugate, generators, jacobian, linalg
 from nilmap.errors import InexactValue, ParseError, ShapeError
 from nilmap.linalg import (
     RationalMatrix,
+    _common_flag,
     _grid_power,
     _rref_den,
     coefficient_kernel,
@@ -945,6 +947,73 @@ class TestCoefficientKernel:
                         eq.append(p)
                 equations.append(eq)
             assert coefficient_kernel(equations) == self.stacked_reference(equations)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_systems_sharing_monomials(self, data):
+        # Two or three equations over one small pool of monomials, so the
+        # equations share their monomials; the columns are Fraction
+        # combinations of a few base columns, and some are zero.
+        m = data.draw(st.integers(2, 3))
+        coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+        poly = st.dictionaries(
+            st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]), coeff, max_size=4
+        ).map(lambda terms: Polynomial(2, terms))
+        base = data.draw(st.lists(st.lists(poly, min_size=m, max_size=m), min_size=1, max_size=3))
+        columns = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                columns.append([Polynomial.zero(2)] * m)
+                continue
+            weights = data.draw(st.lists(coeff, min_size=len(base), max_size=len(base)))
+            column = [Polynomial.zero(2)] * m
+            for w, b in zip(weights, base):
+                column = [p + q.scale(w) for p, q in zip(column, b)]
+            columns.append(column)
+        equations = [[column[e] for column in columns] for e in range(m)]
+        assert coefficient_kernel(equations) == self.stacked_reference(equations)
+
+
+class TestOneReduction:
+    """Coefficient kernels and every step of the common flag's chain run on
+    one row reduction, `linalg._reduce`."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+        reduce = linalg._reduce
+
+        def counted(v, echelon):
+            calls.append(len(echelon))
+            return reduce(v, echelon)
+
+        monkeypatch.setattr(linalg, "_reduce", counted)
+        return calls
+
+    def test_linear_dependence(self, reductions):
+        x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        certificate = analysis.linear_dependence([x, y, x + y.scale(2), x * y])
+        assert certificate.coefficients == (1, 2, -1, 0)
+        # One reduction per column read, each against the independent
+        # columns before it; the fourth column is never read.
+        assert reductions == [0, 1, 2]
+
+    def test_two_equation_kernel(self, reductions):
+        # The shape of `tame`'s block-mixing search: the x- and y-partials
+        # of two polynomials, one equation per partial.
+        x, y = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
+        H1, H2 = x * x + y, (x * x + y).scale(Fraction(-1, 2))
+        basis = coefficient_kernel([(H1.partial(k), H2.partial(k)) for k in (1, 2)])
+        assert basis == [[Fraction(1, 2), Fraction(1)]]
+        assert reductions == [0, 1]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_common_flag_chain(self, n, reductions):
+        H = generators.nilpotent_generalized_coupled(random.Random(1), n).map
+        H = conjugate(H, generators.random_invertible(random.Random(2), n))
+        grid, _ = analysis._jacobian_terms(H)
+        assert _common_flag(grid).rows == []
+        assert len(reductions) >= n
 
 
 class TestAsPolyMap:
